@@ -1,22 +1,24 @@
 """Minimal deterministic neural-network engine.
 
-1D convolutions, relu/sigmoid, dense layers, MSE loss, Adam and a
-finite-difference gradient checker. Two numeric modes: float32 for training,
-float64 for gradient checking. No threads, no implicit parallelism; a batch
-is the leading tensor dimension and every op is pure given (params, input).
+1D convolutions, relu/sigmoid, dense layers, MSE loss, Adam, the one
+training loop, a finite-difference gradient checker and checkpoints. Two
+numeric modes: float32 for training, float64 for gradient checking. No
+threads, no implicit parallelism; a batch is the leading tensor dimension
+and every op is pure given (params, input).
 
 Tensor conventions: conv ops take (N, C, T) arrays, dense ops take (N, F).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DivergenceError, ShapeError
+from .errors import ConfigError, DataFormatError, DivergenceError, ShapeError
 
 ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
@@ -328,7 +330,8 @@ class Dense(Layer):
 
 
 class Sequential:
-    """A plain layer chain; enough for the actionness MLP and test stacks."""
+    """A layer chain. Subclasses with another wiring (the anchor net) keep
+    every layer in self.layers and override only forward/backward."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
@@ -355,7 +358,45 @@ class Sequential:
 
 
 # --------------------------------------------------------------------------
+# training
+
+
+def fit(model: Sequential, x: np.ndarray, y: np.ndarray, epochs: int, batch_size: int, lr: float,
+        rng: np.random.Generator) -> list[float]:
+    """Minibatch MSE training with Adam; returns the per-epoch mean loss trace.
+
+    Each epoch visits the rows of x in an order drawn from rng. Raises
+    DivergenceError naming the epoch if the mean loss goes non-finite.
+    """
+    optim = Adam(model.params(), lr=lr)
+    trace: list[float] = []
+    n = x.shape[0]
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, batch_size):
+            batch = order[lo : lo + batch_size]
+            loss, grad = mse_loss(model.forward(x[batch]), y[batch])
+            model.zero_grads()
+            model.backward(grad)
+            optim.step(model.grads())
+            total += loss * len(batch)
+        mean_loss = total / n
+        if not math.isfinite(mean_loss):
+            raise DivergenceError(f"training diverged at epoch {epoch + 1}")
+        trace.append(mean_loss)
+    return trace
+
+
+# --------------------------------------------------------------------------
 # gradient checking
+
+
+def relu_margin(model: Sequential, x: np.ndarray) -> float:
+    """Smallest |input| of any ReLU in model.layers on a forward pass of x."""
+    model.forward(x)
+    return min((float(np.abs(layer._x).min()) for layer in model.layers
+                if isinstance(layer, ReLU) and layer._x.size), default=math.inf)
 
 
 def grad_check(model, x: np.ndarray, loss_fn, eps: float = 1e-4,
@@ -472,3 +513,16 @@ def load_model(path: str | Path) -> list[Layer]:
     if offset != len(blob):
         raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes")
     return layers
+
+
+def load_weights(model: Sequential, path: str | Path) -> Sequential:
+    """Fill a model built from config with a checkpoint's parameters.
+
+    Raises ConfigError unless the checkpoint has exactly the model's layer specs.
+    """
+    loaded = load_model(path)
+    if [layer.spec for layer in loaded] != [layer.spec for layer in model.layers]:
+        raise ConfigError(f"checkpoint {path} does not match the configured architecture")
+    for dst, src in zip(model.params(), Sequential(loaded).params()):
+        dst[...] = src
+    return model

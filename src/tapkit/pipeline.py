@@ -21,7 +21,17 @@ import numpy as np
 
 from . import __version__
 from .core import ProposalSet, Source, Subset
-from .engine import Dense, ReLU, Sequential, Sigmoid, grad_check, load_model, mse_loss, save_model
+from .engine import (
+    Dense,
+    ReLU,
+    Sequential,
+    Sigmoid,
+    grad_check,
+    load_weights,
+    mse_loss,
+    relu_margin,
+    save_model,
+)
 from .errors import ConfigError, DataFormatError, DivergenceError, StageDependencyError
 from .fusion import NmsConfig, RefineConfig, nms, refine
 from .ingest import (
@@ -47,11 +57,11 @@ from .metrics import (
     tiou_grid,
     uniform_random_proposals,
 )
-from .ssad import SsadConfig, build_anchor_pyramid, build_model, load_ssad, save_ssad
+from .ssad import SsadConfig, SsadModel, build_anchor_pyramid, build_model
 from .ssad import infer as ssad_infer
 from .ssad import train as ssad_train
 from .tag import TagConfig, build_mlp, predict_actionness, tag_proposals, train_actionness
-from .util import KEY_GRADCHECK, map_ordered, rng_for, sha256_file, write_json_atomic
+from .util import KEY_GRADCHECK, rng_for, sha256_file, write_json_atomic
 
 logger = logging.getLogger("tapkit")
 
@@ -315,7 +325,7 @@ def run_train_ssad(cfg: PipelineConfig) -> list[Path]:
     model = build_model(cfg.ssad, cfg.seed)
     trace = ssad_train(model, records, features, cfg.seed)
     model_path = cfg.output_dir / "ssad_model.tapm"
-    save_ssad(model, model_path)
+    save_model(model.layers, model_path)
     loss_path = cfg.output_dir / "ssad_loss.csv"
     _write_loss_csv(trace, loss_path)
     if trace:
@@ -353,21 +363,19 @@ def run_infer(cfg: PipelineConfig) -> list[Path]:
     features = _load_feature_map(cfg, records)
     ssad_model_path = cfg.output_dir / "ssad_model.tapm"
     _require(ssad_model_path, "train-ssad")
-    model = load_ssad(ssad_model_path, cfg.ssad)
+    model = load_weights(SsadModel(cfg.ssad), ssad_model_path)
     tag_model_path = cfg.output_dir / "tag_model.tapm"
     _require(tag_model_path, "train-tag")
-    mlp = Sequential(load_model(tag_model_path))
+    feature_dim = features[records[0].video_id].feature_dim
+    mlp = load_weights(build_mlp(feature_dim, cfg.tag), tag_model_path)
     pyramid = build_anchor_pyramid(cfg.ssad)
 
-    def work(rec):
-        p_ssad = ssad_infer(model, features[rec.video_id], rec, pyramid)
+    ssad_sets = {}
+    tag_sets = {}
+    for rec in records:
+        ssad_sets[rec.video_id] = ssad_infer(model, features[rec.video_id], rec, pyramid)
         actionness = predict_actionness(mlp, features[rec.video_id])
-        p_tag = tag_proposals(actionness, cfg.tag, rec)
-        return p_ssad, p_tag
-
-    results = map_ordered(work, records)
-    ssad_sets = {rec.video_id: pair[0] for rec, pair in zip(records, results)}
-    tag_sets = {rec.video_id: pair[1] for rec, pair in zip(records, results)}
+        tag_sets[rec.video_id] = tag_proposals(actionness, cfg.tag, rec)
     ssad_path = cfg.output_dir / "proposals_ssad.json"
     tag_path = cfg.output_dir / "proposals_tag.json"
     write_results(ssad_sets, ssad_path)
@@ -477,23 +485,34 @@ def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     return [loc_path, report_path, csv_path]
 
 
-def run_gradcheck(cfg: PipelineConfig) -> list[Path]:
-    from .ssad import SsadModel
+# grad_check's central differences (step 1e-4) are wrong across a ReLU kink,
+# so the stage redraws a model and input whose ReLU inputs come this close.
+_KINK_MARGIN = 5e-4
+_MAX_DRAWS = 100
 
+
+def _draw_away_from_kinks(draw):
+    for _ in range(_MAX_DRAWS):
+        model, x = draw()
+        if relu_margin(model, x) > _KINK_MARGIN:
+            break
+    return model, x
+
+
+def run_gradcheck(cfg: PipelineConfig) -> list[Path]:
     rng = rng_for(cfg.seed, KEY_GRADCHECK)
     small = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8)
-    conv_model = SsadModel(small, rng=rng, dtype=np.float64)
-    x = rng.standard_normal((2, 4, 16))
+    conv_model, x = _draw_away_from_kinks(lambda: (
+        SsadModel(small, rng=rng, dtype=np.float64), rng.standard_normal((2, 4, 16))))
     conv_targets = rng.uniform(0.0, 1.0, size=(2, conv_model.num_anchors))
     conv_err = grad_check(conv_model, x, lambda y: mse_loss(y, conv_targets))
 
-    mlp = Sequential([
+    mlp, x2 = _draw_away_from_kinks(lambda: (Sequential([
         Dense(6, 8, rng=rng, dtype=np.float64),
         ReLU(),
         Dense(8, 1, rng=rng, dtype=np.float64),
         Sigmoid(),
-    ])
-    x2 = rng.standard_normal((32, 6))
+    ]), rng.standard_normal((32, 6))))
     mlp_targets = rng.uniform(0.0, 1.0, size=(32, 1))
     mlp_err = grad_check(mlp, x2, lambda y: mse_loss(y, mlp_targets))
 

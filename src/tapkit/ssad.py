@@ -23,23 +23,8 @@ from .core import (
     denormalize,
     tiou,
 )
-from .engine import (
-    Adam,
-    Conv1d,
-    Layer,
-    ReLU,
-    Sigmoid,
-    load_model,
-    mse_loss,
-    save_model,
-)
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DivergenceError,
-    IntervalError,
-    ShapeError,
-)
+from .engine import Conv1d, Layer, ReLU, Sequential, Sigmoid, fit
+from .errors import ConfigError, DataFormatError, IntervalError, ShapeError
 from .ingest import FeatureSequence, resize_linear
 from .util import KEY_SSAD_INIT, KEY_SSAD_SHUFFLE, rng_for
 
@@ -143,11 +128,12 @@ def assign_targets(pyramid: AnchorPyramid, gt: list[TemporalInterval]) -> np.nda
     return targets
 
 
-class SsadModel:
+class SsadModel(Sequential):
     """Shared conv trunk with one overlap-prediction head per feature map.
 
     Forward maps (N, D, L_in) to (N, A) sigmoid overlap scores, flattened in
-    the anchor pyramid's (layer, cell, ratio) order.
+    the anchor pyramid's (layer, cell, ratio) order. self.layers holds the
+    stem, down and head layers in that order.
     """
 
     def __init__(self, cfg: SsadConfig, rng: np.random.Generator | None = None,
@@ -176,26 +162,10 @@ class SsadModel:
             for _ in self.map_lengths
         ]
         self._cache_maps: list[np.ndarray] | None = None
-
-    # -- parameter plumbing
-
-    def _all_layers(self) -> list[Layer]:
-        layers = list(self.stem)
-        for blk in self.downs:
-            layers.extend(blk)
-        for head in self.heads:
-            layers.extend(head)
-        return layers
-
-    def params(self):
-        return [p for layer in self._all_layers() for p in layer.params()]
-
-    def grads(self):
-        return [g for layer in self._all_layers() for g in layer.grads()]
-
-    def zero_grads(self):
-        for layer in self._all_layers():
-            layer.zero_grads()
+        super().__init__(
+            [*self.stem, *(layer for blk in self.downs for layer in blk),
+             *(layer for head in self.heads for layer in head)]
+        )
 
     @property
     def num_anchors(self) -> int:
@@ -270,22 +240,6 @@ def build_model(cfg: SsadConfig, seed: int = 0) -> SsadModel:
     return SsadModel(cfg, rng=rng_for(seed, KEY_SSAD_INIT))
 
 
-def save_ssad(model: SsadModel, path) -> None:
-    save_model(model._all_layers(), path)
-
-
-def load_ssad(path, cfg: SsadConfig) -> SsadModel:
-    model = SsadModel(cfg, rng=None)
-    loaded = load_model(path)
-    own = model._all_layers()
-    if len(loaded) != len(own) or any(a.spec != b.spec for a, b in zip(loaded, own)):
-        raise ConfigError(f"checkpoint {path} does not match the configured architecture")
-    for dst, src in zip(own, loaded):
-        for p_dst, p_src in zip(dst.params(), src.params()):
-            p_dst[...] = p_src
-    return model
-
-
 # --------------------------------------------------------------------------
 # training / inference
 
@@ -325,26 +279,8 @@ def train(
     inputs = np.stack([_prepare_input(features[r.video_id], cfg) for r in records])
     targets = np.stack([_video_targets(r, pyramid) for r in records]).astype(np.float32)
 
-    rng = rng_for(seed, KEY_SSAD_SHUFFLE)
-    optim = Adam(model.params(), lr=cfg.learning_rate)
-    trace: list[float] = []
-    n = len(records)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            scores = model.forward(inputs[batch])
-            loss, grad = mse_loss(scores, targets[batch])
-            model.zero_grads()
-            model.backward(grad)
-            optim.step(model.grads())
-            total += loss * len(batch)
-        mean_loss = total / n
-        if not math.isfinite(mean_loss):
-            raise DivergenceError(f"training diverged at epoch {epoch + 1}")
-        trace.append(mean_loss)
-    return trace
+    return fit(model, inputs, targets, cfg.epochs, cfg.batch_size, cfg.learning_rate,
+               rng_for(seed, KEY_SSAD_SHUFFLE))
 
 
 def infer(

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Proposal, ProposalSet, Source, TemporalInterval, VideoRecord
-from .engine import Adam, Dense, ReLU, Sequential, Sigmoid, mse_loss
-from .errors import ConfigError, DataFormatError, DivergenceError, ShapeError
+from .engine import Dense, ReLU, Sequential, Sigmoid, fit
+from .errors import ConfigError, DataFormatError, ShapeError
 from .ingest import FeatureSequence, snippet_centers
 from .util import KEY_TAG_INIT, KEY_TAG_SHUFFLE, rng_for
 
@@ -114,26 +114,8 @@ def train_actionness(
     x = np.concatenate(xs, axis=0).astype(np.float32)
     y = np.concatenate(ys, axis=0).astype(np.float32)[:, None]
 
-    rng = rng_for(seed, KEY_TAG_SHUFFLE)
-    optim = Adam(model.params(), lr=cfg.learning_rate)
-    trace: list[float] = []
-    n = x.shape[0]
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            pred = model.forward(x[batch])
-            loss, grad = mse_loss(pred, y[batch])
-            model.zero_grads()
-            model.backward(grad)
-            optim.step(model.grads())
-            total += loss * len(batch)
-        mean_loss = total / n
-        if not np.isfinite(mean_loss):
-            raise DivergenceError(f"actionness training diverged at epoch {epoch + 1}")
-        trace.append(float(mean_loss))
-    return trace
+    return fit(model, x, y, cfg.epochs, cfg.batch_size, cfg.learning_rate,
+               rng_for(seed, KEY_TAG_SHUFFLE))
 
 
 def predict_actionness(model: Sequential, seq: FeatureSequence) -> ActionnessSequence:
@@ -222,8 +204,3 @@ def tag_proposals(
         proposals.append(Proposal(interval, score, Source.TAG))
     return ProposalSet(record.video_id, tuple(proposals))
 
-
-def save_actionness_csv(seq: ActionnessSequence, path) -> None:
-    """Two-column debug dump: snippet index, actionness value."""
-    rows = np.column_stack([np.arange(seq.num_snippets, dtype=np.float64), seq.values])
-    np.savetxt(path, rows, fmt=("%d", "%.17g"), delimiter=",")

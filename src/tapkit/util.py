@@ -5,14 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 # Fixed spawn keys, one per RNG consumer. Derived streams are independent, so
 # `pipeline` output is byte-identical to running the stages one at a time.
@@ -48,26 +43,3 @@ def write_json_atomic(path: str | Path, obj) -> None:
         f.write("\n")
     os.replace(tmp, path)
 
-
-def read_json(path: str | Path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
-def worker_count() -> int:
-    """Evaluation/inference fan-out width; TAPKIT_THREADS caps it (default 1)."""
-    raw = os.environ.get("TAPKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def map_ordered(fn: Callable[[T], R], items: Sequence[T], threads: int | None = None) -> list[R]:
-    """Apply fn to items, optionally on a thread pool, preserving input order."""
-    threads = worker_count() if threads is None else threads
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -8,7 +8,6 @@ from tapkit.pipeline import PipelineConfig, load_config, run_command
 
 # Env overrides would leak into every config the tests build.
 os.environ.pop("TAPKIT_SEED", None)
-os.environ.pop("TAPKIT_THREADS", None)
 
 
 @dataclass

@@ -31,7 +31,7 @@ from tapkit.core import (
     VideoRecord,
     tiou,
 )
-from tapkit.engine import Conv1d, Dense, ReLU, Sequential, Sigmoid, grad_check, mse_loss
+from tapkit.engine import Conv1d, Dense, ReLU, Sequential, Sigmoid, grad_check, mse_loss, relu_margin
 from tapkit.fusion import RefineConfig, refine
 from tapkit.ingest import load_annotations, read_results
 from tapkit.metrics import (
@@ -85,23 +85,12 @@ def _random_dense_stack(rng):
     return Sequential(layers), x
 
 
-def _relu_margin(model, x):
-    # Smallest |pre-activation| feeding any ReLU. Central differences are
-    # only valid away from the kink, so stacks below a safety margin are
-    # resampled rather than checked.
-    y = x
-    margin = np.inf
-    for layer in model.layers:
-        if isinstance(layer, ReLU) and y.size:
-            margin = min(margin, float(np.min(np.abs(y))))
-        y = layer.forward(y)
-    return margin
-
-
 def _sample_stack(rng, maker, margin=1e-2):
+    # Central differences are only valid away from a ReLU kink, so stacks
+    # below a safety margin are resampled rather than checked.
     for _ in range(200):
         model, x = maker(rng)
-        if _relu_margin(model, x) > margin:
+        if relu_margin(model, x) > margin:
             return model, x
     raise AssertionError("no kink-free stack found")
 

@@ -72,6 +72,11 @@ class TestExitCodes:
             code = main(["train-ssad", *_tiny_args(tmp_path, ["ssad.learning_rate=1e18"])])
         assert code == 4
 
+    def test_config_error_tag_checkpoint_mismatch(self, tmp_path):
+        for command in ("synth", "train-ssad", "train-tag"):
+            assert main([command, *_tiny_args(tmp_path)]) == 0, command
+        assert main(["infer", *_tiny_args(tmp_path, ["tag.hidden_width=16"])]) == 2
+
     def test_bad_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TAPKIT_SEED", "notanint")
         assert main(["synth", *_tiny_args(tmp_path)]) == 2
@@ -201,6 +206,11 @@ class TestPipeline:
         out = tmp_path / "g"
         assert main(["gradcheck", "--out", str(out), "--seed", "0"]) == 0
         assert (out / "gradcheck.json").exists()
+
+    @pytest.mark.parametrize("seed", [13, 19])
+    def test_gradcheck_avoids_relu_kinks(self, tmp_path, seed):
+        # the first draw at these seeds puts a ReLU input within 1e-4 of 0
+        assert main(["gradcheck", "--out", str(tmp_path), "--seed", str(seed)]) == 0
 
 
 def test_stages_cover_all_commands():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tapkit.core import GroundTruthInstance, Subset, TemporalInterval, VideoRecord
+from tapkit.engine import load_weights, save_model
 from tapkit.errors import ConfigError, DataFormatError, IntervalError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.ssad import (
@@ -11,8 +12,6 @@ from tapkit.ssad import (
     build_anchor_pyramid,
     build_model,
     infer,
-    load_ssad,
-    save_ssad,
     train,
 )
 
@@ -232,8 +231,8 @@ class TestCheckpoint:
         cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8)
         model = build_model(cfg, seed=9)
         path = tmp_path / "ssad.tapm"
-        save_ssad(model, path)
-        loaded = load_ssad(path, cfg)
+        save_model(model.layers, path)
+        loaded = load_weights(SsadModel(cfg), path)
         rec = VideoRecord("v", 25.0, Subset.VALIDATION)
         seq = FeatureSequence("v", np.random.default_rng(9).standard_normal((7, 4)).astype(np.float32))
         a = infer(model, seq, rec)
@@ -243,7 +242,7 @@ class TestCheckpoint:
     def test_architecture_mismatch(self, tmp_path):
         cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8)
         path = tmp_path / "ssad.tapm"
-        save_ssad(build_model(cfg, seed=0), path)
+        save_model(build_model(cfg, seed=0).layers, path)
         other = SsadConfig(input_length=16, feature_dim=4, hidden_channels=16)
         with pytest.raises(ConfigError):
-            load_ssad(path, other)
+            load_weights(SsadModel(other), path)

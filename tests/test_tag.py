@@ -14,7 +14,6 @@ from tapkit.tag import (
     build_mlp,
     group,
     predict_actionness,
-    save_actionness_csv,
     tag_proposals,
     train_actionness,
 )
@@ -229,11 +228,3 @@ class TestMlp:
         auc = (ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2) / (pos.size * neg.size)
         assert auc > 0.9
 
-
-def test_save_actionness_csv(tmp_path):
-    seq = ActionnessSequence("v", np.array([0.25, 1.0, 0.0]))
-    path = tmp_path / "act.csv"
-    save_actionness_csv(seq, path)
-    rows = np.loadtxt(path, delimiter=",")
-    assert rows[:, 0].tolist() == [0.0, 1.0, 2.0]
-    assert rows[:, 1].tolist() == [0.25, 1.0, 0.0]
