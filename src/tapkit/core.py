@@ -2,6 +2,10 @@
 
 Intervals are half-open [start, end) and zero-length intervals are invalid
 everywhere. All time arithmetic is 64-bit floating point.
+
+tiou_matrix is the one interval kernel: refinement, NMS, target assignment,
+recall, AR-AN and AP all compare intervals through it, and scalar tiou is a
+1x1 call of it, so the tIoU formula lives in one place.
 """
 
 from __future__ import annotations
@@ -9,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .errors import IntervalError
 
@@ -35,21 +41,35 @@ class TemporalInterval:
         return self.end - self.start
 
 
-def intersection_length(a: TemporalInterval, b: TemporalInterval) -> float:
-    return max(0.0, min(a.end, b.end) - max(a.start, b.start))
+def tiou_matrix(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
+    """Temporal IoU of every pair: a (len_a, len_b) float64 matrix.
+
+    Intersection is min(ends) - max(starts) and union is
+    (len(a) + len(b)) - intersection, so disjoint or touching pairs score
+    exactly 0 regardless of the gap between them. The operations are the
+    scalar formula's, in the same order, on float64 arrays.
+    """
+    sa = np.asarray(starts_a, dtype=np.float64)[:, None]
+    ea = np.asarray(ends_a, dtype=np.float64)[:, None]
+    sb = np.asarray(starts_b, dtype=np.float64)[None, :]
+    eb = np.asarray(ends_b, dtype=np.float64)[None, :]
+    inter = np.minimum(ea, eb) - np.maximum(sa, sb)
+    union = ((ea - sa) + (eb - sb)) - inter
+    out = np.zeros(inter.shape, dtype=np.float64)
+    np.divide(inter, union, out=out, where=inter > 0.0)
+    return out
+
+
+def interval_bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end arrays of a sequence of intervals, for tiou_matrix."""
+    starts = np.fromiter((iv.start for iv in intervals), dtype=np.float64)
+    ends = np.fromiter((iv.end for iv in intervals), dtype=np.float64)
+    return starts, ends
 
 
 def tiou(a: TemporalInterval, b: TemporalInterval) -> float:
-    """Temporal IoU: intersection length over union length.
-
-    Union is len(a) + len(b) - intersection, so disjoint pairs score
-    exactly 0 regardless of the gap between them.
-    """
-    inter = intersection_length(a, b)
-    if inter <= 0.0:
-        return 0.0
-    union = a.length + b.length - inter
-    return inter / union
+    """Temporal IoU of one pair; see tiou_matrix."""
+    return float(tiou_matrix((a.start,), (a.end,), (b.start,), (b.end,))[0, 0])
 
 
 def normalize(iv: TemporalInterval, duration: float) -> TemporalInterval:

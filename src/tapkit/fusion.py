@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Proposal, ProposalSet, Source, tiou
+import numpy as np
+
+from .core import Proposal, ProposalSet, Source, interval_bounds, tiou_matrix
 from .errors import ConfigError, MetricError
 
 
@@ -37,10 +39,11 @@ class NmsConfig:
 def refine(p_ssad: ProposalSet, p_tag: ProposalSet, cfg: RefineConfig) -> ProposalSet:
     """Replace boundaries of matched proposals, keeping their scores.
 
-    Each grouped proposal p_t is matched to its highest-tIoU p_s; the match
-    only counts when that tIoU is strictly above the threshold. When several
-    p_t claim the same p_s, the highest-tIoU claimant wins (ties: earlier
-    start, then shorter). Output has exactly one entry per p_s.
+    Each grouped proposal p_t is matched to its highest-tIoU p_s (ties:
+    earlier start, then shorter, then better ranked); the match only counts
+    when that tIoU is strictly above the threshold. When several p_t claim
+    the same p_s, the highest-tIoU claimant wins (ties: earlier start, then
+    shorter, then better ranked). Output has exactly one entry per p_s.
     """
     cfg.validate()
     if p_ssad.video_id != p_tag.video_id:
@@ -49,33 +52,31 @@ def refine(p_ssad: ProposalSet, p_tag: ProposalSet, cfg: RefineConfig) -> Propos
             f"{p_ssad.video_id!r} vs {p_tag.video_id!r}"
         )
     ssad = list(p_ssad.proposals)
+    tag = p_tag.proposals
     # winning claimant per p_s index: (tiou, p_t interval)
     claims: dict[int, tuple[float, object]] = {}
-    for p_t in p_tag.proposals:
-        best_iou = 0.0
-        best_idx = -1
-        for idx, p_s in enumerate(ssad):
-            value = tiou(p_s.interval, p_t.interval)
-            if value > best_iou:
-                best_iou = value
-                best_idx = idx
-            elif value == best_iou and best_idx >= 0:
-                cur = ssad[best_idx].interval
-                cand = p_s.interval
-                if (cand.start, cand.length) < (cur.start, cur.length):
-                    best_idx = idx
-        if best_iou > cfg.iou_threshold:
-            held = claims.get(best_idx)
+    if ssad and tag:
+        s_starts, s_ends = interval_bounds([p.interval for p in ssad])
+        t_starts, t_ends = interval_bounds([p.interval for p in tag])
+        ious = tiou_matrix(t_starts, t_ends, s_starts, s_ends)
+        best = ious.max(axis=1)
+        # among a row's maxima the p_s with the least (start, length) wins,
+        # then the earliest index: first maximum in that column order
+        order = np.lexsort((s_ends - s_starts, s_starts))
+        best_idx = order[np.argmax(ious[:, order] == best[:, None], axis=1)]
+        for t in np.flatnonzero(best > cfg.iou_threshold):
+            p_t, idx, value = tag[t], int(best_idx[t]), float(best[t])
+            held = claims.get(idx)
             if held is not None:
                 held_iou, held_iv = held
-                if best_iou < held_iou:
+                if value < held_iou:
                     continue
-                if best_iou == held_iou and (
+                if value == held_iou and (
                     (p_t.interval.start, p_t.interval.length)
                     >= (held_iv.start, held_iv.length)
                 ):
                     continue
-            claims[best_idx] = (best_iou, p_t.interval)
+            claims[idx] = (value, p_t.interval)
 
     out = []
     for idx, p_s in enumerate(ssad):
@@ -95,17 +96,16 @@ def nms(pset: ProposalSet, cfg: NmsConfig) -> ProposalSet:
     copies). Output is truncated to max_per_video.
     """
     cfg.validate()
-    remaining = list(pset.proposals)
+    props = pset.proposals
+    starts, ends = interval_bounds([p.interval for p in props])
+    suppress = tiou_matrix(starts, ends, starts, ends) > cfg.iou_threshold
+    suppress |= (starts[:, None] == starts[None, :]) & (ends[:, None] == ends[None, :])
+    alive = np.ones(len(props), dtype=bool)
     kept: list[Proposal] = []
-    while remaining and len(kept) < cfg.max_per_video:
-        top = remaining.pop(0)
-        kept.append(top)
-        survivors = []
-        for p in remaining:
-            if p.interval == top.interval:
-                continue
-            if tiou(p.interval, top.interval) > cfg.iou_threshold:
-                continue
-            survivors.append(p)
-        remaining = survivors
+    for i in range(len(props)):
+        if len(kept) >= cfg.max_per_video:
+            break
+        if alive[i]:
+            kept.append(props[i])
+            alive &= ~suppress[i]
     return ProposalSet(pset.video_id, tuple(kept))

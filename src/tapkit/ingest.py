@@ -115,6 +115,11 @@ class SynthConfig:
 # annotations
 
 
+def _is_number(x) -> bool:
+    """A JSON number; bool is an int subclass, so true/false are excluded."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_annotations(path: str | Path) -> DatasetIndex:
     """Parse an ActivityNet-style annotation file into a validated index."""
     try:
@@ -132,7 +137,7 @@ def load_annotations(path: str | Path) -> DatasetIndex:
         if not isinstance(entry, dict):
             raise DataFormatError(f"{path}: database.{vid} is not an object")
         duration = entry.get("duration")
-        if not isinstance(duration, (int, float)) or not duration > 0:
+        if not _is_number(duration) or not duration > 0:
             raise DataFormatError(f"{path}: database.{vid}.duration must be a positive number")
         subset = entry.get("subset")
         try:
@@ -150,7 +155,7 @@ def load_annotations(path: str | Path) -> DatasetIndex:
             if (
                 not isinstance(seg, (list, tuple))
                 or len(seg) != 2
-                or not all(isinstance(x, (int, float)) for x in seg)
+                or not all(_is_number(x) for x in seg)
             ):
                 raise DataFormatError(f"{path}: {where}.segment must be a [start, end] pair")
             if not (float(seg[0]) < float(seg[1])):
@@ -308,11 +313,11 @@ def _parse_results(path: str | Path, want_labels: bool):
             if (
                 not isinstance(seg, (list, tuple))
                 or len(seg) != 2
-                or not all(isinstance(x, (int, float)) for x in seg)
+                or not all(_is_number(x) for x in seg)
             ):
                 raise DataFormatError(f"{path}: {where}.segment must be a [start, end] pair")
             score = entry.get("score")
-            if not isinstance(score, (int, float)):
+            if not _is_number(score):
                 raise DataFormatError(f"{path}: {where}.score must be a number")
             label = entry.get("label")
             if want_labels and not isinstance(label, str):
@@ -389,10 +394,10 @@ def read_classification(path: str | Path) -> dict[str, list[tuple[str, float]]]:
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or "label" not in entry or "score" not in entry:
                 raise DataFormatError(f"{path}: {vid}[{i}] needs 'label' and 'score'")
-            score = float(entry["score"])
-            if not (0.0 <= score <= 1.0) or not math.isfinite(score):
-                raise DataFormatError(f"{path}: {vid}[{i}].score must be in [0, 1]")
-            rows.append((str(entry["label"]), score))
+            score = entry["score"]
+            if not _is_number(score) or not (0.0 <= score <= 1.0) or not math.isfinite(score):
+                raise DataFormatError(f"{path}: {vid}[{i}].score must be a number in [0, 1]")
+            rows.append((str(entry["label"]), float(score)))
         rows.sort(key=lambda r: -r[1])
         out[vid] = rows
     return out

@@ -22,7 +22,8 @@ from .core import (
     Source,
     Subset,
     TemporalInterval,
-    tiou,
+    interval_bounds,
+    tiou_matrix,
 )
 from .errors import MetricError
 from .util import KEY_BASELINE, rng_for
@@ -79,10 +80,10 @@ def recall(
         pset = proposals.get(vid)
         if pset is None:
             continue
-        kept = pset.proposals[:an]
-        for g in intervals:
-            if any(tiou(p.interval, g) >= threshold for p in kept):
-                recalled += 1
+        kept = [p.interval for p in pset.proposals[:an]]
+        if kept:
+            best = tiou_matrix(*interval_bounds(kept), *interval_bounds(intervals)).max(axis=0)
+            recalled += int(np.count_nonzero(best >= threshold))
     if total == 0:
         raise MetricError("recall undefined: no ground-truth instances")
     return recalled / total
@@ -131,23 +132,19 @@ def ar_an(
 
     # hits[r, t]: (instance, threshold) pairs first recalled at rank r (1-based)
     hits = np.zeros((an_max + 1, len(grid)), dtype=np.int64)
+    thresholds = np.asarray(grid, dtype=np.float64)
     for vid, intervals in gt.items():
-        if not intervals:
-            continue
         pset = proposals.get(vid)
-        kept = pset.proposals[:an_max] if pset is not None else ()
-        for g in intervals:
-            best = 0.0
-            prefix = np.empty(len(kept), dtype=np.float64)
-            for r, p in enumerate(kept):
-                value = tiou(p.interval, g)
-                if value > best:
-                    best = value
-                prefix[r] = best
-            for ti, t in enumerate(grid):
-                rank = int(np.searchsorted(prefix, t, side="left"))
-                if rank < len(kept):
-                    hits[rank + 1, ti] += 1
+        kept = [p.interval for p in pset.proposals[:an_max]] if pset is not None else []
+        if not intervals or not kept:
+            continue
+        # prefix[r, g]: best tIoU of instance g among the top r + 1 proposals
+        prefix = np.maximum.accumulate(
+            tiou_matrix(*interval_bounds(kept), *interval_bounds(intervals)), axis=0)
+        # the first rank reaching each threshold: prefix is non-decreasing
+        ranks = np.count_nonzero(prefix[:, :, None] < thresholds, axis=0)
+        g_idx, t_idx = np.nonzero(ranks < len(kept))
+        np.add.at(hits, (ranks[g_idx, t_idx] + 1, t_idx), 1)
 
     cum = np.cumsum(hits, axis=0)
     ar = tuple(float(np.mean(cum[an] / total)) for an in range(1, an_max + 1))
@@ -237,17 +234,29 @@ def average_precision(
         predictions,
         key=lambda e: (-e[2], e[1].start, e[1].length, e[0]),
     )
+    # ious[k]: tIoU of prediction k against each gt instance of its video
+    rows_by_vid: dict[str, list[int]] = {}
+    for k, (vid, _interval, _score) in enumerate(ordered):
+        rows_by_vid.setdefault(vid, []).append(k)
+    ious: list[list[float]] = [[] for _ in ordered]
+    for vid, rows in rows_by_vid.items():
+        candidates = gt.get(vid, ())
+        if not candidates:
+            continue
+        matrix = tiou_matrix(*interval_bounds([ordered[k][1] for k in rows]),
+                             *interval_bounds(candidates))
+        for k, row in zip(rows, matrix.tolist()):
+            ious[k] = row
+
     used: dict[str, set[int]] = {}
     tp = np.zeros(len(ordered), dtype=np.float64)
-    for k, (vid, interval, _score) in enumerate(ordered):
-        candidates = gt.get(vid, ())
+    for k, (vid, _interval, _score) in enumerate(ordered):
         taken = used.setdefault(vid, set())
         best_iou = 0.0
         best_idx = -1
-        for gi, g in enumerate(candidates):
+        for gi, value in enumerate(ious[k]):
             if gi in taken:
                 continue
-            value = tiou(interval, g)
             if value > best_iou:
                 best_iou = value
                 best_idx = gi

@@ -50,7 +50,6 @@ from .ingest import (
 from .metrics import (
     ar_an,
     attach_labels,
-    average_map,
     eval_at_n,
     gt_intervals,
     mean_ap,
@@ -468,9 +467,13 @@ def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     write_localization(localization, loc_path)
 
     grid = tiou_grid()
+    grid_map = {t: mean_ap(localization, index, t, subset) for t in grid}
     report = {
-        "map": {str(t): mean_ap(localization, index, t, subset) for t in cfg.eval.map_points},
-        "average_map": average_map(localization, index, grid, subset),
+        "map": {
+            str(t): grid_map[t] if t in grid_map else mean_ap(localization, index, t, subset)
+            for t in cfg.eval.map_points
+        },
+        "average_map": float(np.mean(list(grid_map.values()))),
         "at_n": {str(n): eval_at_n(localization, index, n, grid, subset) for n in cfg.eval.at_n},
     }
     report_path = cfg.output_dir / "eval_loc.json"
@@ -478,8 +481,8 @@ def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     csv_path = cfg.output_dir / "eval_loc.csv"
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("tiou,map\n")
-        for t in grid:
-            f.write(f"{t},{mean_ap(localization, index, t, subset)!r}\n")
+        for t, value in grid_map.items():
+            f.write(f"{t},{value!r}\n")
     logger.info("eval-loc: average_map=%.4f %s", report["average_map"],
                 " ".join(f"map@{k}={v:.4f}" for k, v in report["map"].items()))
     return [loc_path, report_path, csv_path]

@@ -21,7 +21,8 @@ from .core import (
     VideoRecord,
     clip_unit,
     denormalize,
-    tiou,
+    interval_bounds,
+    tiou_matrix,
 )
 from .engine import Conv1d, Layer, ReLU, Sequential, Sigmoid, fit
 from .errors import ConfigError, DataFormatError, IntervalError, ShapeError
@@ -119,13 +120,11 @@ def assign_targets(pyramid: AnchorPyramid, gt: list[TemporalInterval]) -> np.nda
     for iv in gt:
         if iv.start < 0.0 or iv.end > 1.0:
             raise IntervalError(f"gt interval [{iv.start}, {iv.end}) not normalized")
-    targets = np.zeros(len(pyramid), dtype=np.float64)
-    for i, anchor in enumerate(pyramid.anchors):
-        best = 0.0
-        for g in gt:
-            best = max(best, tiou(anchor.interval, g))
-        targets[i] = best
-    return targets
+    if not gt:
+        return np.zeros(len(pyramid), dtype=np.float64)
+    ious = tiou_matrix(*interval_bounds([a.interval for a in pyramid.anchors]),
+                       *interval_bounds(gt))
+    return ious.max(axis=1)
 
 
 class SsadModel(Sequential):

@@ -160,7 +160,13 @@ def group(
     if not 0.0 < tau < 1.0 or not 0.0 < gamma < 1.0:
         raise ConfigError(f"tau and gamma must lie in (0, 1), got {tau}, {gamma}")
     values = actionness.values if isinstance(actionness, ActionnessSequence) else np.asarray(actionness, dtype=np.float64)
-    frags = _fragments(values, tau, min_frag)
+    return sorted(_group_fragments(_fragments(values, tau, min_frag), gamma, scan_cutoff))
+
+
+def _group_fragments(
+    frags: list[tuple[int, int]], gamma: float, scan_cutoff: bool
+) -> set[tuple[int, int]]:
+    """The regions of group(), unordered, over fragments extracted at one tau."""
     regions = set()
     for i in range(len(frags)):
         covered = 0
@@ -175,7 +181,7 @@ def group(
                 failures += 1
                 if scan_cutoff and failures >= 2:
                     break
-    return sorted(regions)
+    return regions
 
 
 def tag_proposals(
@@ -189,8 +195,9 @@ def tag_proposals(
     num = values.shape[0]
     regions = set()
     for tau in cfg.tau_grid:
+        frags = _fragments(values, tau, cfg.min_fragment)
         for gamma in cfg.gamma_grid:
-            regions.update(group(values, tau, gamma, cfg.min_fragment, cfg.scan_cutoff))
+            regions.update(_group_fragments(frags, gamma, cfg.scan_cutoff))
 
     def to_seconds(idx: int) -> float:
         if idx == num:

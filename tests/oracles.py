@@ -173,3 +173,36 @@ def brute_nms(props, threshold, max_keep):
             survivors.append(p)
         remaining = survivors
     return kept[:max_keep]
+
+
+def brute_refine(ssad, tag, threshold):
+    """ssad, tag: [(s, e, score)]. Returns the ranked [(s, e, score, refined)]
+    with one entry per ssad proposal.
+
+    Each grouped proposal is matched to its highest-tIoU anchor proposal (ties:
+    earlier start, then shorter, then better ranked); a match counts only when
+    its tIoU is strictly above the threshold. Of several grouped proposals
+    matched to one anchor proposal the highest tIoU wins (ties: earlier start,
+    then shorter, then better ranked), and the anchor proposal takes its
+    bounds while keeping its own score.
+    """
+    ssad = sorted(ssad, key=_rank_key)
+    tag = sorted(tag, key=_rank_key)
+    claimants = {}
+    for t in tag:
+        best = None
+        for i, p in enumerate(ssad):
+            v = oracle_tiou((p[0], p[1]), (t[0], t[1]))
+            key = (-v, p[0], p[1] - p[0], i)
+            if best is None or key < best[0]:
+                best = (key, i, v)
+        if best is not None and best[2] > threshold:
+            claimants.setdefault(best[1], []).append((-best[2], t[0], t[1] - t[0], t))
+    out = []
+    for i, p in enumerate(ssad):
+        if i in claimants:
+            winner = min(claimants[i], key=lambda c: c[:3])[3]
+            out.append((winner[0], winner[1], p[2], True))
+        else:
+            out.append((p[0], p[1], p[2], False))
+    return sorted(out, key=_rank_key)

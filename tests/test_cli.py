@@ -65,6 +65,13 @@ class TestExitCodes:
         (tmp_path / "proposals_ssad_final.json").write_text("{}")
         assert main(["eval-prop", *_tiny_args(tmp_path)]) == 3
 
+    def test_data_error_on_boolean_segment(self, tmp_path):
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        entry = {"segment": [False, True], "score": True}
+        (tmp_path / "proposals_refined.json").write_text(json.dumps({"results": {"v": [entry]}}))
+        (tmp_path / "proposals_ssad_final.json").write_text(json.dumps({"results": {}}))
+        assert main(["eval-prop", *_tiny_args(tmp_path)]) == 3
+
     def test_divergence_error(self, tmp_path):
         assert main(["synth", *_tiny_args(tmp_path)]) == 0
         with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():

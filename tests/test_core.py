@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from tapkit.core import (
     denormalize,
     normalize,
     tiou,
+    tiou_matrix,
 )
 from tapkit.errors import IntervalError
 
@@ -79,6 +81,37 @@ class TestTiou:
     @given(interval_strategy(), interval_strategy())
     def test_matches_oracle(self, a, b):
         assert tiou(a, b) == oracle_tiou((a.start, a.end), (b.start, b.end))
+
+
+def _assert_matrix_is_oracle(a_rows, b_rows):
+    got = tiou_matrix([a[0] for a in a_rows], [a[1] for a in a_rows],
+                      [b[0] for b in b_rows], [b[1] for b in b_rows])
+    assert got.shape == (len(a_rows), len(b_rows)) and got.dtype == np.float64
+    # bit for bit: hex() also tells 0.0 from -0.0
+    assert [[v.hex() for v in row] for row in got.tolist()] == [
+        [oracle_tiou(a, b).hex() for b in b_rows] for a in a_rows
+    ]
+
+
+class TestTiouMatrix:
+    @given(st.lists(interval_strategy(), max_size=6), st.lists(interval_strategy(), max_size=6))
+    def test_matches_oracle_bitwise(self, a_list, b_list):
+        _assert_matrix_is_oracle([(a.start, a.end) for a in a_list],
+                                 [(b.start, b.end) for b in b_list])
+
+    def test_edge_pairs(self):
+        a_rows = [(0.0, 10.0), (0.1, 0.7), (-3.5, 2.25), (1e-9, 2e-9)]
+        b_rows = [
+            (10.0, 20.0), (-5.0, 0.0),        # touching
+            (30.0, 40.0), (-9.0, -4.0),       # disjoint
+            (2.0, 4.0), (-100.0, 100.0),      # nested either way
+            (0.0, 10.0), (0.1, 0.7),          # identical
+            (0.3, 0.9), (1.5e-9, 1e-3),       # partial
+        ]
+        _assert_matrix_is_oracle(a_rows, b_rows)
+
+    def test_scalar_is_one_by_one(self):
+        assert tiou(iv(0.1, 0.7), iv(0.3, 0.9)) == tiou_matrix([0.1], [0.7], [0.3], [0.9])[0, 0]
 
 
 class TestNormalize:

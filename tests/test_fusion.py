@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_nms
+from oracles import brute_nms, brute_refine
 from tapkit.core import Proposal, ProposalSet, Source, TemporalInterval, tiou
 from tapkit.errors import ConfigError, MetricError
 from tapkit.fusion import NmsConfig, RefineConfig, nms, refine
@@ -22,6 +22,14 @@ def _random_pset(rng, vid, n, source):
         e = s + float(rng.uniform(0.5, 30))
         rows.append((s, e, float(rng.uniform(0, 1))))
     return pset(vid, rows, source)
+
+
+def _grid_rows(rng):
+    n = int(rng.integers(0, 12))
+    starts = rng.integers(0, 12, size=n)
+    lengths = rng.integers(1, 10, size=n)
+    scores = rng.integers(1, 5, size=n) / 4.0
+    return [(float(s), float(s + k), float(c)) for s, k, c in zip(starts, lengths, scores)]
 
 
 class TestRefine:
@@ -71,6 +79,18 @@ class TestRefine:
         out = refine(p_ssad, p_tag, self.CFG)
         assert (out.proposals[0].interval.start, out.proposals[0].interval.end) == (0.0, 9.0)
 
+    def test_anchor_tie_earlier_start_then_shorter_wins(self):
+        # p_t ties at tIoU 2/3 with an anchor containing it and one inside
+        # it; the better-ranked anchor of each pair must lose the tie
+        cfg = RefineConfig(0.6)
+        for tag_iv, winner, loser in (((2.0, 8.0), (0.0, 9.0), (3.0, 7.0)),
+                                      ((0.0, 6.0), (0.0, 4.0), (0.0, 9.0))):
+            assert tiou(iv(*tag_iv), iv(*winner)) == tiou(iv(*tag_iv), iv(*loser))
+            p_ssad = pset("v", [(*winner, 0.1), (*loser, 0.9)])
+            out = refine(p_ssad, pset("v", [(*tag_iv, 0.5)], Source.TAG), cfg)
+            refined = {p.score: p.source for p in out}
+            assert refined == {0.1: Source.REFINED, 0.9: Source.SSAD}
+
     def test_each_tag_claims_only_best_anchor(self):
         # p_t overlaps both anchors above threshold but only the max match counts
         p_ssad = pset("v", [(0.0, 10.0, 0.9), (0.5, 10.5, 0.1)])
@@ -98,6 +118,19 @@ class TestRefine:
             out = refine(p_ssad, p_tag, self.CFG)
             assert len(out) == len(p_ssad)
             assert sorted(p.score for p in out) == sorted(p.score for p in p_ssad)
+
+    def test_matches_oracle_on_grid_sets(self):
+        # integer bounds make tIoU ties, exact-0.75 matches and contested
+        # claims common; few score levels make rank ties common
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            ssad_rows, tag_rows = _grid_rows(rng), _grid_rows(rng)
+            threshold = float(rng.choice([0.5, 0.6, 0.75]))
+            out = refine(pset("v", ssad_rows), pset("v", tag_rows, Source.TAG),
+                         RefineConfig(threshold))
+            got = [(p.interval.start, p.interval.end, p.score, p.source == Source.REFINED)
+                   for p in out]
+            assert got == brute_refine(ssad_rows, tag_rows, threshold)
 
     def test_threshold_validated(self):
         with pytest.raises(ConfigError):

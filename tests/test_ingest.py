@@ -95,6 +95,17 @@ class TestAnnotations:
         with pytest.raises(DataFormatError):
             load_annotations(path)
 
+    @pytest.mark.parametrize("video", [
+        {"duration": True, "subset": "training", "annotations": []},
+        {"duration": 60.0, "subset": "training",
+         "annotations": [{"label": "x", "segment": [False, True]}]},
+    ], ids=["duration", "segment"])
+    def test_boolean_numbers_rejected(self, tmp_path, video):
+        # bool is an int subclass; true must not read as 1
+        path = _write(tmp_path, "ann.json", {"database": {"v": video}})
+        with pytest.raises(DataFormatError):
+            load_annotations(path)
+
     def test_round_trip(self, tmp_path):
         cfg = SynthConfig(num_videos=12, seed=3)
         index, _, _ = generate_synthetic(cfg)
@@ -314,6 +325,16 @@ class TestResultsFiles:
         with pytest.raises(DataFormatError, match="score"):
             read_results(path)
 
+    @pytest.mark.parametrize("entry", [
+        {"segment": [False, True], "score": 0.5},
+        {"segment": [0.0, 1.0], "score": True},
+    ], ids=["segment", "score"])
+    @pytest.mark.parametrize("reader", [read_results, read_localization])
+    def test_boolean_numbers_rejected(self, tmp_path, reader, entry):
+        path = _write(tmp_path, "props.json", {"results": {"v": [{**entry, "label": "x"}]}})
+        with pytest.raises(DataFormatError):
+            reader(path)
+
     def test_missing_results_map(self, tmp_path):
         path = _write(tmp_path, "props.json", {"version": "1.0"})
         with pytest.raises(DataFormatError):
@@ -330,6 +351,12 @@ class TestClassificationFiles:
     def test_score_out_of_range(self, tmp_path):
         path = _write(tmp_path, "cls.json", {"v": [{"label": "a", "score": 1.5}]})
         with pytest.raises(DataFormatError):
+            read_classification(path)
+
+    @pytest.mark.parametrize("score", [True, "0.5", [0.5]])
+    def test_score_must_be_a_number(self, tmp_path, score):
+        path = _write(tmp_path, "cls.json", {"v": [{"label": "a", "score": score}]})
+        with pytest.raises(DataFormatError, match="score"):
             read_classification(path)
 
     def test_missing_keys(self, tmp_path):

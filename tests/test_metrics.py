@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import brute_ap, brute_ar_an, brute_average_recall, brute_recall
+from oracles import brute_ap, brute_ar_an, brute_average_recall, brute_recall, oracle_tiou
 from tapkit.core import (
     DatasetIndex,
     GroundTruthInstance,
@@ -16,6 +16,7 @@ from tapkit.core import (
 )
 from tapkit.errors import MetricError
 from tapkit.metrics import (
+    ArAnCurve,
     ar_an,
     attach_labels,
     average_map,
@@ -111,6 +112,23 @@ class TestArAn:
             curve = ar_an(props, gt, an_max=4)
             for an in range(1, 5):
                 assert curve.ar_at(an) == average_recall(props, gt, an)
+
+    def test_matches_scalar_loop_reference(self):
+        # integer bounds put tIoU values exactly on grid thresholds
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            props, gt = {}, {}
+            for vid in ("a", "b", "c"):
+                rows = []
+                for _ in range(int(rng.integers(0, 9))):
+                    s = float(rng.integers(0, 16))
+                    rows.append((s, s + float(rng.integers(1, 9)), float(rng.integers(1, 4)) / 4))
+                props[vid] = pset(vid, rows)
+                gt[vid] = [iv(s, s + float(k)) for s, k in
+                           zip(rng.integers(0, 16, size=2), rng.integers(1, 9, size=2))]
+            an_max = int(rng.integers(1, 10))
+            curve = ar_an(props, gt, an_max=an_max)
+            assert curve == _loop_ar_an(props, gt, an_max)
 
     def test_ar_at_bounds(self):
         props = {"v": pset("v", [(0.0, 10.0, 0.9)])}
@@ -315,6 +333,29 @@ class TestGtIntervals:
         gt = gt_intervals(index, Subset.VALIDATION)
         assert set(gt) == {"a"}
         assert gt["a"] == [iv(1.0, 2.0)]
+
+
+def _loop_ar_an(proposals, gt, an_max):
+    """ar_an as one scalar tIoU at a time: a running best per instance, then
+    the first rank reaching each threshold."""
+    grid = tiou_grid()
+    total = sum(len(v) for v in gt.values())
+    hits = np.zeros((an_max + 1, len(grid)), dtype=np.int64)
+    for vid, intervals in gt.items():
+        kept = proposals[vid].proposals[:an_max] if vid in proposals else ()
+        for g in intervals:
+            best = 0.0
+            prefix = np.empty(len(kept), dtype=np.float64)
+            for r, p in enumerate(kept):
+                best = max(best, oracle_tiou((p.interval.start, p.interval.end), (g.start, g.end)))
+                prefix[r] = best
+            for ti, t in enumerate(grid):
+                rank = int(np.searchsorted(prefix, t, side="left"))
+                if rank < len(kept):
+                    hits[rank + 1, ti] += 1
+    cum = np.cumsum(hits, axis=0)
+    ar = tuple(float(np.mean(cum[an] / total)) for an in range(1, an_max + 1))
+    return ArAnCurve(an_max, ar, float(np.mean(np.asarray(ar))))
 
 
 def _random_instance(rng):

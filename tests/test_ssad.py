@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_tiou
 from tapkit.core import GroundTruthInstance, Subset, TemporalInterval, VideoRecord
 from tapkit.engine import load_weights, save_model
 from tapkit.errors import ConfigError, DataFormatError, IntervalError
@@ -114,6 +115,24 @@ class TestAssignTargets:
         pyramid = build_anchor_pyramid(cfg)  # [0.25, 0.75)
         targets = assign_targets(pyramid, [iv(0.5, 1.0)])
         assert targets[0] == pytest.approx(0.25 / 0.75)
+
+    def test_matches_scalar_loop_reference(self):
+        pyramid = build_anchor_pyramid(SsadConfig(input_length=16))
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            # eighths put gt bounds on anchor bounds: exact matches and ties
+            gt = []
+            for _ in range(int(rng.integers(1, 5))):
+                s = int(rng.integers(0, 8))
+                gt.append(iv(s / 8, int(rng.integers(s + 1, 9)) / 8))
+            want = []
+            for anchor in pyramid.anchors:
+                best = 0.0
+                for g in gt:
+                    a = anchor.interval
+                    best = max(best, oracle_tiou((a.start, a.end), (g.start, g.end)))
+                want.append(best)
+            assert assign_targets(pyramid, gt).tolist() == want
 
     def test_unnormalized_gt_rejected(self):
         pyramid = build_anchor_pyramid(SsadConfig(input_length=4))
