@@ -26,6 +26,9 @@ from .pipeline import STAGES, load_config, run_command
 
 logger = logging.getLogger("tapkit")
 
+# Errors that mean a bad input file or value; they all exit 3.
+DATA_ERRORS = (DataFormatError, IntervalError, ShapeError, MetricError, PlacementError)
+
 _COMMAND_HELP = {
     "synth": "generate the synthetic dataset (annotations, features, classification)",
     "train-ssad": "train the anchor-overlap proposal network",
@@ -68,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2
-    except (DataFormatError, IntervalError, ShapeError, MetricError, PlacementError) as exc:
+    except DATA_ERRORS as exc:
         logger.error("data error: %s", exc)
         return 3
     except DivergenceError as exc:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DivergenceError, ShapeError
+from .util import atomic_open
 
 ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
@@ -456,8 +457,7 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 def save_model(layers: list[Layer], path: str | Path) -> None:
     """Checkpoint: magic, version, layer-spec table, float32 params in order."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<II", MODEL_VERSION, len(layers)))
         for layer in layers:
@@ -472,8 +472,10 @@ def save_model(layers: list[Layer], path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> list[Layer]:
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read model checkpoint {path}: {exc}") from exc
     if len(blob) < 12 or blob[:4] != MODEL_MAGIC:
         raise DataFormatError(f"{path}: bad magic, not a model checkpoint")
     version, n_layers = struct.unpack("<II", blob[4:12])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,8 +32,8 @@ from .core import (
     TemporalInterval,
     VideoRecord,
 )
-from .errors import ConfigError, DataFormatError, PlacementError
-from .util import rng_for, KEY_SYNTH
+from .errors import ConfigError, DataFormatError, IntervalError, PlacementError
+from .util import atomic_open, rng_for, write_json_atomic, KEY_SYNTH
 
 FEATURE_MAGIC = b"TAPF"
 FEATURE_VERSION = 1
@@ -116,18 +117,24 @@ class SynthConfig:
 
 
 def _is_number(x) -> bool:
-    """A JSON number; bool is an int subclass, so true/false are excluded."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number a float can hold; bool is an int subclass, so true/false are excluded."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, float) or abs(x) <= sys.float_info.max
+
+
+def _read_json(path: str | Path, what: str):
+    """Parse a UTF-8 JSON file; unreadable, undecodable or invalid is a data error."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DataFormatError(f"cannot parse {what} file {path}: {exc}") from exc
 
 
 def load_annotations(path: str | Path) -> DatasetIndex:
     """Parse an ActivityNet-style annotation file into a validated index."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot parse annotation file {path}: {exc}") from exc
-
+    raw = _read_json(path, "annotation")
     if not isinstance(raw, dict) or not isinstance(raw.get("database"), dict):
         raise DataFormatError(f"{path}: missing or malformed 'database' map")
 
@@ -146,8 +153,11 @@ def load_annotations(path: str | Path) -> DatasetIndex:
             raise DataFormatError(
                 f"{path}: database.{vid}.subset must be training/validation/testing, got {subset!r}"
             ) from None
+        annotations = entry.get("annotations", [])
+        if not isinstance(annotations, list):
+            raise DataFormatError(f"{path}: database.{vid}.annotations must be a list")
         instances = []
-        for i, ann in enumerate(entry.get("annotations", [])):
+        for i, ann in enumerate(annotations):
             where = f"database.{vid}.annotations[{i}]"
             if not isinstance(ann, dict) or "label" not in ann or "segment" not in ann:
                 raise DataFormatError(f"{path}: {where} needs 'label' and 'segment'")
@@ -187,11 +197,7 @@ def save_annotations(index: DatasetIndex, path: str | Path) -> None:
                 for inst in rec.instances
             ],
         }
-    payload = {"version": "1.0", "database": database}
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json_atomic(path, {"version": "1.0", "database": database})
 
 
 # --------------------------------------------------------------------------
@@ -227,9 +233,8 @@ def resize_linear(seq: FeatureSequence, length: int) -> FeatureSequence:
 
 def save_features(seq: FeatureSequence, path: str | Path) -> None:
     t, d = seq.data.shape
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     payload = seq.data.astype("<f4").tobytes(order="C")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(FEATURE_MAGIC)
         f.write(struct.pack("<III", FEATURE_VERSION, t, d))
         f.write(payload)
@@ -246,8 +251,10 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
             raise DataFormatError(f"cannot parse CSV features {path}: {exc}") from exc
         return FeatureSequence(vid, arr.astype(np.float32))
 
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read feature file {path}: {exc}") from exc
     if len(blob) < 16 or blob[:4] != FEATURE_MAGIC:
         raise DataFormatError(f"{path}: bad magic, not a feature file")
     version, t, d = struct.unpack("<III", blob[4:16])
@@ -269,35 +276,21 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
 # results files
 
 
-def write_results(
-    proposal_sets: dict[str, ProposalSet],
-    path: str | Path,
-    labels: dict[str, list[str]] | None = None,
-) -> None:
-    """Write proposal results JSON; pass per-proposal labels for localization files."""
-    results = {}
-    for vid in sorted(proposal_sets):
-        pset = proposal_sets[vid]
-        entries = []
-        for i, p in enumerate(pset):
-            entry = {"segment": [p.interval.start, p.interval.end], "score": p.score}
-            if labels is not None:
-                entry["label"] = labels[vid][i]
-            entries.append(entry)
-        results[vid] = entries
-    payload = {"version": "1.0", "results": results, "external_data": {}}
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _write_results_file(results: dict[str, list[dict]], path: str | Path) -> None:
+    write_json_atomic(path, {"version": "1.0", "results": results, "external_data": {}})
+
+
+def write_results(proposal_sets: dict[str, ProposalSet], path: str | Path) -> None:
+    """Write proposal results JSON (labelled files come from write_localization)."""
+    _write_results_file({
+        vid: [{"segment": [p.interval.start, p.interval.end], "score": p.score}
+              for p in proposal_sets[vid]]
+        for vid in sorted(proposal_sets)
+    }, path)
 
 
 def _parse_results(path: str | Path, want_labels: bool):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot parse results file {path}: {exc}") from exc
+    raw = _read_json(path, "results")
     if not isinstance(raw, dict) or not isinstance(raw.get("results"), dict):
         raise DataFormatError(f"{path}: missing 'results' map")
     out = {}
@@ -322,55 +315,43 @@ def _parse_results(path: str | Path, want_labels: bool):
             label = entry.get("label")
             if want_labels and not isinstance(label, str):
                 raise DataFormatError(f"{path}: {where} has no 'label' (localization file)")
-            parsed.append((float(seg[0]), float(seg[1]), float(score), label))
+            try:
+                interval = TemporalInterval(float(seg[0]), float(seg[1]))
+            except IntervalError as exc:
+                raise DataFormatError(f"{path}: {where}: {exc}") from exc
+            parsed.append((interval, float(score), label))
         out[vid] = parsed
     return out
 
 
 def read_results(path: str | Path) -> dict[str, ProposalSet]:
     """Read a proposal results file (extra per-entry keys are tolerated)."""
-    parsed = _parse_results(path, want_labels=False)
     out = {}
-    for vid, entries in parsed.items():
-        proposals = []
-        for s, e, score, _label in entries:
-            try:
-                proposals.append(Proposal(TemporalInterval(s, e), score, Source.SSAD))
-            except Exception as exc:
-                raise DataFormatError(f"{path}: results.{vid}: {exc}") from exc
-        out[vid] = ProposalSet(vid, tuple(proposals))
+    for vid, entries in _parse_results(path, want_labels=False).items():
+        try:
+            proposals = tuple(Proposal(iv, score, Source.SSAD) for iv, score, _label in entries)
+        except IntervalError as exc:
+            raise DataFormatError(f"{path}: results.{vid}: {exc}") from exc
+        out[vid] = ProposalSet(vid, proposals)
     return out
 
 
 def read_localization(path: str | Path) -> dict[str, list[tuple[str, TemporalInterval, float]]]:
     """Read a localization results file; every entry must carry a label."""
-    parsed = _parse_results(path, want_labels=True)
-    out = {}
-    for vid, entries in parsed.items():
-        rows = []
-        for s, e, score, label in entries:
-            try:
-                rows.append((label, TemporalInterval(s, e), score))
-            except Exception as exc:
-                raise DataFormatError(f"{path}: results.{vid}: {exc}") from exc
-        out[vid] = rows
-    return out
+    return {
+        vid: [(label, iv, score) for iv, score, label in entries]
+        for vid, entries in _parse_results(path, want_labels=True).items()
+    }
 
 
 def write_localization(
     localization: dict[str, list[tuple[str, TemporalInterval, float]]], path: str | Path
 ) -> None:
-    results = {}
-    for vid in sorted(localization):
-        results[vid] = [
-            {"label": label, "segment": [iv.start, iv.end], "score": score}
-            for label, iv, score in localization[vid]
-        ]
-    payload = {"version": "1.0", "results": results, "external_data": {}}
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_results_file({
+        vid: [{"label": label, "segment": [iv.start, iv.end], "score": score}
+              for label, iv, score in localization[vid]]
+        for vid in sorted(localization)
+    }, path)
 
 
 # --------------------------------------------------------------------------
@@ -379,11 +360,7 @@ def write_localization(
 
 def read_classification(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Video-level classification results, confidence-sorted per video."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot parse classification file {path}: {exc}") from exc
+    raw = _read_json(path, "classification")
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: expected a video_id -> entries map")
     out = {}
@@ -404,14 +381,10 @@ def read_classification(path: str | Path) -> dict[str, list[tuple[str, float]]]:
 
 
 def write_classification(results: dict[str, list[tuple[str, float]]], path: str | Path) -> None:
-    payload = {
+    write_json_atomic(path, {
         vid: [{"label": label, "score": score} for label, score in rows]
         for vid, rows in sorted(results.items())
-    }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    })
 
 
 # --------------------------------------------------------------------------

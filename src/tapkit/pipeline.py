@@ -60,7 +60,7 @@ from .ssad import SsadConfig, SsadModel, build_anchor_pyramid, build_model
 from .ssad import infer as ssad_infer
 from .ssad import train as ssad_train
 from .tag import TagConfig, build_mlp, predict_actionness, tag_proposals, train_actionness
-from .util import KEY_GRADCHECK, rng_for, sha256_file, write_json_atomic
+from .util import KEY_GRADCHECK, atomic_open, rng_for, sha256_file, write_json_atomic
 
 logger = logging.getLogger("tapkit")
 
@@ -229,8 +229,8 @@ def load_config(
                 data = json.load(f)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config file {config_path} is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
     else:
@@ -276,18 +276,12 @@ def _load_feature_map(cfg: PipelineConfig, records):
     return out
 
 
-def _write_loss_csv(trace: list[float], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch,loss\n")
-        for i, loss in enumerate(trace, start=1):
-            f.write(f"{i},{loss!r}\n")
-
-
-def _write_curve_csv(curve, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("an,ar\n")
-        for an, value in enumerate(curve.ar, start=1):
-            f.write(f"{an},{value!r}\n")
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row of Python numbers, each written as its repr."""
+    with atomic_open(path) as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(map(repr, row)) + "\n")
 
 
 def _eval_subset(cfg: PipelineConfig) -> Subset:
@@ -326,7 +320,7 @@ def run_train_ssad(cfg: PipelineConfig) -> list[Path]:
     model_path = cfg.output_dir / "ssad_model.tapm"
     save_model(model.layers, model_path)
     loss_path = cfg.output_dir / "ssad_loss.csv"
-    _write_loss_csv(trace, loss_path)
+    _write_csv(loss_path, "epoch,loss", enumerate(trace, start=1))
     if trace:
         logger.info("train-ssad: %d epochs, loss %.6f -> %.6f", len(trace), trace[0], trace[-1])
     else:
@@ -346,7 +340,7 @@ def run_train_tag(cfg: PipelineConfig) -> list[Path]:
     model_path = cfg.output_dir / "tag_model.tapm"
     save_model(model.layers, model_path)
     loss_path = cfg.output_dir / "tag_loss.csv"
-    _write_loss_csv(trace, loss_path)
+    _write_csv(loss_path, "epoch,loss", enumerate(trace, start=1))
     if trace:
         logger.info("train-tag: %d epochs, loss %.6f -> %.6f", len(trace), trace[0], trace[-1])
     else:
@@ -446,7 +440,7 @@ def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
         report_path = cfg.output_dir / f"eval_prop_{name}.json"
         write_json_atomic(report_path, report)
         csv_path = cfg.output_dir / f"eval_prop_{name}_curve.csv"
-        _write_curve_csv(curve, csv_path)
+        _write_csv(csv_path, "an,ar", enumerate(curve.ar, start=1))
         paths += [report_path, csv_path]
         logger.info("eval-prop %s: ar_an_area=%.4f %s", name, curve.area,
                     " ".join(f"ar@{n}={curve.ar_at(n):.4f}" for n in cfg.eval.ar_at))
@@ -479,10 +473,7 @@ def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     report_path = cfg.output_dir / "eval_loc.json"
     write_json_atomic(report_path, report)
     csv_path = cfg.output_dir / "eval_loc.csv"
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("tiou,map\n")
-        for t, value in grid_map.items():
-            f.write(f"{t},{value!r}\n")
+    _write_csv(csv_path, "tiou,map", grid_map.items())
     logger.info("eval-loc: average_map=%.4f %s", report["average_map"],
                 " ".join(f"map@{k}={v:.4f}" for k, v in report["map"].items()))
     return [loc_path, report_path, csv_path]

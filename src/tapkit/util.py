@@ -1,10 +1,17 @@
-"""Seeding, hashing and small I/O helpers used by several stages."""
+"""Seeding, hashing and the one artifact writer shared by every stage.
+
+Every artifact file (JSON, CSV, features, checkpoints) is written through
+`atomic_open`: the bytes go to `<name>.tmp` next to the target, which replaces
+the target only once the whole block has succeeded. A stage killed or failing
+mid-write therefore leaves the previous file or none, never a truncated one.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +40,27 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def write_json_atomic(path: str | Path, obj) -> None:
-    """Serialize with a stable key order and replace the target atomically."""
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Open `<name>.tmp` for writing; replace `path` with it if the block succeeds.
+
+    Creates the parent directory. On any exception the temp file is removed
+    and the target is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json_atomic(path: str | Path, obj) -> None:
+    """Serialize with a stable key order and replace the target atomically."""
+    with atomic_open(path) as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
-    os.replace(tmp, path)
-

@@ -88,6 +88,44 @@ class TestExitCodes:
         monkeypatch.setenv("TAPKIT_SEED", "notanint")
         assert main(["synth", *_tiny_args(tmp_path)]) == 2
 
+    def test_config_error_non_utf8_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("name, command", [
+        ("annotations.json", "train-ssad"),
+        ("proposals_refined.json", "eval-prop"),
+        ("classification.json", "eval-loc"),
+    ])
+    def test_data_error_on_non_utf8_file(self, tmp_path, name, command):
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        for results in ("proposals_refined.json", "proposals_ssad_final.json"):
+            (tmp_path / results).write_text('{"results": {}}')
+        (tmp_path / name).write_bytes(b'{"label": "\xff"}')
+        assert main([command, *_tiny_args(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("value", [None, 5, True])
+    def test_data_error_on_non_list_annotations(self, tmp_path, value):
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        path = tmp_path / "annotations.json"
+        raw = json.loads(path.read_text())
+        raw["database"]["v00000"]["annotations"] = value
+        path.write_text(json.dumps(raw))
+        assert main(["train-ssad", *_tiny_args(tmp_path)]) == 3
+
+    def test_data_error_on_directory_feature_file(self, tmp_path):
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        feat = tmp_path / "features" / "v00000.feat"
+        feat.unlink()
+        feat.mkdir()
+        assert main(["train-ssad", *_tiny_args(tmp_path)]) == 3
+
+    def test_data_error_on_directory_checkpoint(self, tmp_path):
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        (tmp_path / "ssad_model.tapm").mkdir()
+        assert main(["infer", *_tiny_args(tmp_path)]) == 3
+
 
 class TestConfigPrecedence:
     def _manifest_seed(self, out):

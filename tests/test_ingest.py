@@ -1,9 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tapkit.cli import DATA_ERRORS
 from tapkit.core import Subset, TemporalInterval
 from tapkit.errors import ConfigError, DataFormatError
 from tapkit.ingest import (
@@ -367,3 +369,70 @@ class TestClassificationFiles:
 
 def test_snippet_centers():
     assert snippet_centers(4, 8.0).tolist() == [1.0, 3.0, 5.0, 7.0]
+
+
+# --------------------------------------------------------------------------
+# fuzzing: whatever the bytes, a reader parses them or raises an exit-3 error
+
+_READERS = {
+    "annotations.json": load_annotations,
+    "results.json": read_results,
+    "classification.json": read_classification,
+    "v.feat": load_features,
+}
+
+_json_leaf = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+              | st.integers() | st.sampled_from([10**400, -(10**400)]))
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _valid_payloads(v):
+    """One well-formed file per reader with the value v at every leaf position."""
+    video = {"duration": v, "subset": "training", "annotations": [{"label": v, "segment": [v, 5]}]}
+    return {
+        "annotations.json": json.dumps({"database": {"v": video}}).encode(),
+        "results.json": json.dumps({"results": {"v": [{"segment": [0, v], "score": v}]}}).encode(),
+        "classification.json": json.dumps({"v": [{"label": v, "score": v}]}).encode(),
+        "v.feat": b"TAPF" + struct.pack("<III", 1, 2, 1) + np.float32([1, 2]).tobytes(),
+    }
+
+
+@st.composite
+def _file_bytes(draw, name):
+    """Arbitrary bytes, or a valid file with arbitrary leaves, cuts and byte flips."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    blob = bytearray(_valid_payloads(draw(_json_value))[name])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, max(len(blob) - 1, 0)))
+        if draw(st.booleans()):
+            del blob[i:]
+        elif blob:
+            blob[i] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("name", ["annotations.json", "results.json", "classification.json"])
+def test_integers_beyond_float_range_rejected(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(_valid_payloads(10**400)[name])
+    with pytest.raises(DataFormatError):
+        _READERS[name](path)
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bytes_parse_or_raise_data_error(self, tmp_path, data):
+        name = data.draw(st.sampled_from(sorted(_READERS)))
+        path = tmp_path / name
+        path.write_bytes(data.draw(_file_bytes(name)))
+        try:
+            _READERS[name](path)
+        except DATA_ERRORS:
+            pass

@@ -1,0 +1,159 @@
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tapkit
+import tapkit.util
+from tapkit.core import (
+    DatasetIndex,
+    GroundTruthInstance,
+    Proposal,
+    ProposalSet,
+    Source,
+    Subset,
+    TemporalInterval,
+    VideoRecord,
+)
+from tapkit.engine import Dense, ReLU, save_model
+from tapkit.ingest import (
+    FeatureSequence,
+    save_annotations,
+    save_features,
+    write_classification,
+    write_localization,
+    write_results,
+)
+from tapkit.pipeline import _write_csv
+from tapkit.util import atomic_open, write_json_atomic
+
+_IV = TemporalInterval(1.0, 4.0)
+
+# One call per artifact writer, each given only the target path.
+WRITERS = {
+    "save_annotations": lambda p: save_annotations(DatasetIndex(
+        videos={"v": VideoRecord("v", 10.0, Subset.TRAINING, (GroundTruthInstance("a", _IV),))},
+        label_set=("a",)), p),
+    "save_features": lambda p: save_features(FeatureSequence("v", np.ones((3, 2))), p),
+    "write_results": lambda p: write_results(
+        {"v": ProposalSet("v", (Proposal(_IV, 0.5, Source.SSAD),))}, p),
+    "write_localization": lambda p: write_localization({"v": [("a", _IV, 0.5)]}, p),
+    "write_classification": lambda p: write_classification({"v": [("a", 1.0)]}, p),
+    "save_model": lambda p: save_model([Dense(2, 3), ReLU()], p),
+    "write_json_atomic": lambda p: write_json_atomic(p, {"x": [1, 2.5]}),
+    "_write_csv": lambda p: _write_csv(p, "epoch,loss", [(1, 0.25), (2, 0.125)]),
+}
+
+
+def _leftovers(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.rglob("*.tmp"))
+
+
+class TestWriters:
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_success_creates_or_replaces_target(self, tmp_path, name):
+        target = tmp_path / "nested" / "dir" / "artifact"
+        WRITERS[name](target)
+        written = target.read_bytes()
+        target.write_bytes(b"previous bytes")
+        WRITERS[name](target)
+        assert target.read_bytes() == written
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize("previous", [b"previous bytes", None])
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_failed_replace_keeps_target(self, tmp_path, monkeypatch, name, previous):
+        target = tmp_path / "artifact"
+        if previous is not None:
+            target.write_bytes(previous)
+
+        def fail(src, dst):
+            raise OSError("injected failure")
+
+        monkeypatch.setattr(tapkit.util.os, "replace", fail)
+        with pytest.raises(OSError, match="injected failure"):
+            WRITERS[name](target)
+        if previous is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == previous
+        assert _leftovers(tmp_path) == []
+
+
+class TestAtomicOpen:
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_error_inside_block_keeps_target(self, tmp_path, error):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        with pytest.raises(error):
+            with atomic_open(target) as f:
+                f.write("half of a new file")
+                raise error("interrupted mid-write")
+        assert target.read_text() == "old\n"
+        assert _leftovers(tmp_path) == []
+
+    def test_unserializable_json_keeps_target(self, tmp_path):
+        target = tmp_path / "report.json"
+        write_json_atomic(target, {"ok": 1})
+        before = target.read_bytes()
+        with pytest.raises(TypeError):
+            write_json_atomic(target, {"ok": object()})
+        assert target.read_bytes() == before
+        assert _leftovers(tmp_path) == []
+
+    def test_json_layout(self, tmp_path):
+        target = tmp_path / "report.json"
+        write_json_atomic(target, {"b": 1, "a": [0.5]})
+        assert target.read_text() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
+
+
+class TestCsv:
+    def test_rows_use_repr(self, tmp_path):
+        target = tmp_path / "curve.csv"
+        _write_csv(target, "an,ar", enumerate([0.1, 1 / 3], start=1))
+        assert target.read_text() == "an,ar\n1,0.1\n2,0.3333333333333333\n"
+
+
+# --------------------------------------------------------------------------
+# guard: only util.py opens files for writing
+
+_WRITE_METHODS = {"write_text", "write_bytes"}
+
+
+def _write_calls(source: str) -> list[int]:
+    """Line numbers of calls that open a file for writing or write one directly."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in _WRITE_METHODS:
+            lines.append(node.lineno)
+        elif name == "open":
+            # open(file, mode) or path.open(mode); a mode that is not a literal counts
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_guard_detects_write_opens():
+    assert _write_calls('open(p, "w")\nopen(p, mode="ab")\np.open("wb")\n') == [1, 2, 3]
+    assert _write_calls('open(p, m)\np.write_text("x")\n') == [1, 2]
+    assert _write_calls('open(p)\nopen(p, "rb")\nopen(p, "r", encoding="utf-8")\n') == []
+
+
+def test_only_util_opens_files_for_writing():
+    package = Path(tapkit.__file__).parent
+    offenders = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "util.py":
+            continue
+        found = _write_calls(path.read_text(encoding="utf-8"))
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}, "write artifacts through tapkit.util.atomic_open"
