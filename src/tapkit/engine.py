@@ -452,7 +452,14 @@ def grad_check(model, x: np.ndarray, loss_fn, eps: float = 1e-4,
 MODEL_MAGIC = b"TAPM"
 MODEL_VERSION = 1
 _KIND_CODES = {"conv1d": 1, "relu": 2, "sigmoid": 3, "dense": 4}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+
+
+def _spec_table(layers: list[Layer]) -> bytes:
+    return b"".join(
+        struct.pack("<6I", _KIND_CODES[s.kind], s.in_channels, s.out_channels, s.kernel,
+                    s.stride, s.pad)
+        for s in (layer.spec for layer in layers)
+    )
 
 
 def save_model(layers: list[Layer], path: str | Path) -> None:
@@ -460,18 +467,20 @@ def save_model(layers: list[Layer], path: str | Path) -> None:
     with atomic_open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<II", MODEL_VERSION, len(layers)))
-        for layer in layers:
-            s = layer.spec
-            f.write(struct.pack(
-                "<6I", _KIND_CODES[s.kind],
-                s.in_channels, s.out_channels, s.kernel, s.stride, s.pad,
-            ))
+        f.write(_spec_table(layers))
         for layer in layers:
             for p in layer.params():
                 f.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
 
 
-def load_model(path: str | Path) -> list[Layer]:
+def load_weights(model: Sequential, path: str | Path) -> Sequential:
+    """Fill a model built from config with a checkpoint's parameters.
+
+    The file is checked against the model before any weight is read: its
+    layer table must equal the model's layer specs (else ConfigError) and
+    its payload must be exactly the model's float32 parameters (else
+    DataFormatError).
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -481,50 +490,18 @@ def load_model(path: str | Path) -> list[Layer]:
     version, n_layers = struct.unpack("<II", blob[4:12])
     if version != MODEL_VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
-    specs = []
-    for _ in range(n_layers):
-        if offset + 24 > len(blob):
-            raise DataFormatError(f"{path}: truncated layer table")
-        kind_code, in_ch, out_ch, kernel, stride, pad = struct.unpack(
-            "<6I", blob[offset : offset + 24]
-        )
-        if kind_code not in _KIND_NAMES:
-            raise DataFormatError(f"{path}: unknown layer kind {kind_code}")
-        specs.append(LayerSpec(_KIND_NAMES[kind_code], in_ch, out_ch, kernel, stride, pad))
-        offset += 24
-
-    layers: list[Layer] = []
-    for s in specs:
-        if s.kind == "conv1d":
-            layers.append(Conv1d(s.in_channels, s.out_channels, s.kernel, s.stride, s.pad))
-        elif s.kind == "dense":
-            layers.append(Dense(s.in_channels, s.out_channels))
-        elif s.kind == "relu":
-            layers.append(ReLU())
-        else:
-            layers.append(Sigmoid())
-
-    for layer in layers:
-        for p in layer.params():
-            nbytes = p.size * 4
-            if offset + nbytes > len(blob):
-                raise DataFormatError(f"{path}: truncated parameter payload")
-            p[...] = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset).reshape(p.shape)
-            offset += nbytes
-    if offset != len(blob):
-        raise DataFormatError(f"{path}: {len(blob) - offset} trailing bytes")
-    return layers
-
-
-def load_weights(model: Sequential, path: str | Path) -> Sequential:
-    """Fill a model built from config with a checkpoint's parameters.
-
-    Raises ConfigError unless the checkpoint has exactly the model's layer specs.
-    """
-    loaded = load_model(path)
-    if [layer.spec for layer in loaded] != [layer.spec for layer in model.layers]:
+    offset = 12 + 24 * n_layers
+    if offset > len(blob):
+        raise DataFormatError(f"{path}: truncated layer table")
+    if blob[12:offset] != _spec_table(model.layers):
         raise ConfigError(f"checkpoint {path} does not match the configured architecture")
-    for dst, src in zip(model.params(), Sequential(loaded).params()):
-        dst[...] = src
+    params = model.params()
+    expected = 4 * sum(p.size for p in params)
+    if len(blob) - offset != expected:
+        raise DataFormatError(
+            f"{path}: parameter payload has {len(blob) - offset} bytes, the model needs {expected}"
+        )
+    for p in params:
+        p[...] = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset).reshape(p.shape)
+        offset += 4 * p.size
     return model

@@ -19,7 +19,7 @@ from .errors import ConfigError, MetricError
 class RefineConfig:
     iou_threshold: float = 0.75
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.iou_threshold < 1.0:
             raise ConfigError(f"refine iou_threshold must lie in (0, 1), got {self.iou_threshold}")
 
@@ -29,7 +29,7 @@ class NmsConfig:
     iou_threshold: float = 0.8
     max_per_video: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ConfigError(f"nms iou_threshold must lie in (0, 1], got {self.iou_threshold}")
         if self.max_per_video < 1:
@@ -45,7 +45,6 @@ def refine(p_ssad: ProposalSet, p_tag: ProposalSet, cfg: RefineConfig) -> Propos
     the same p_s, the highest-tIoU claimant wins (ties: earlier start, then
     shorter, then better ranked). Output has exactly one entry per p_s.
     """
-    cfg.validate()
     if p_ssad.video_id != p_tag.video_id:
         raise MetricError(
             f"refine got proposal sets for different videos: "
@@ -95,7 +94,6 @@ def nms(pset: ProposalSet, cfg: NmsConfig) -> ProposalSet:
     threshold, plus exact interval duplicates (so theta = 1.0 still collapses
     copies). Output is truncated to max_per_video.
     """
-    cfg.validate()
     props = pset.proposals
     starts, ends = interval_bounds([p.interval for p in props])
     suppress = tiou_matrix(starts, ends, starts, ends) > cfg.iou_threshold

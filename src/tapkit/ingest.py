@@ -5,7 +5,7 @@ File formats:
   annotations  JSON  {"version": ..., "database": {vid: {"duration", "subset",
                       "annotations": [{"label", "segment": [s, e]}]}}}
   features     binary, magic "TAPF", u32 version=1, u32 T, u32 D, then T*D
-               little-endian float32 row-major (CSV accepted for fixtures)
+               little-endian float32 row-major
   results      JSON  {"version", "results": {vid: [{"segment", "score"(,"label")}]},
                       "external_data": {}}
   classification JSON {vid: [{"label", "score"}, ...]} sorted by score desc
@@ -88,7 +88,10 @@ class SynthConfig:
     val_fraction: float = 0.2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("duration_range", "instances_range", "instance_len_frac"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} must be a [low, high] pair, got {getattr(self, name)}")
         if self.num_videos < 1:
             raise ConfigError("num_videos must be >= 1")
         if not (0.0 < self.duration_range[0] <= self.duration_range[1]):
@@ -241,16 +244,8 @@ def save_features(seq: FeatureSequence, path: str | Path) -> None:
 
 
 def load_features(path: str | Path, video_id: str | None = None) -> FeatureSequence:
-    """Read a feature file; .csv paths are parsed as plain comma-separated rows."""
+    """Read a TAPF feature file; the video id defaults to the file stem."""
     path = Path(path)
-    vid = video_id if video_id is not None else path.stem
-    if path.suffix.lower() == ".csv":
-        try:
-            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise DataFormatError(f"cannot parse CSV features {path}: {exc}") from exc
-        return FeatureSequence(vid, arr.astype(np.float32))
-
     try:
         blob = path.read_bytes()
     except OSError as exc:
@@ -267,9 +262,7 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
             f"({expected} bytes) but file has {len(blob)}"
         )
     arr = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, d)
-    if not np.isfinite(arr).all():
-        raise DataFormatError(f"{path}: non-finite feature values")
-    return FeatureSequence(vid, arr.copy())
+    return FeatureSequence(video_id if video_id is not None else path.stem, arr.copy())
 
 
 # --------------------------------------------------------------------------
@@ -428,7 +421,6 @@ def generate_synthetic(
     video-level classification results (each video's class, confidence 1.0).
     Deterministic given cfg.seed.
     """
-    cfg.validate()
     rng = rng_for(cfg.seed, KEY_SYNTH)
     num_val = int(round(cfg.num_videos * cfg.val_fraction))
     num_train = cfg.num_videos - num_val

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,7 +77,7 @@ class EvalOptions:
     subset: str = "validation"
     map_points: tuple[float, ...] = (0.5, 0.75, 0.95)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.an_max < 1:
             raise ConfigError("eval.an_max must be >= 1")
         if not self.ar_at or any(not 1 <= n <= self.an_max for n in self.ar_at):
@@ -142,7 +143,7 @@ def apply_set_overrides(data: dict, assignments: list[str]) -> None:
             raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long to convert
             value = raw
         node = data
         parts = key.split(".")
@@ -153,23 +154,31 @@ def apply_set_overrides(data: dict, assignments: list[str]) -> None:
         node[parts[-1]] = value
 
 
+def _type_ok(value, default) -> bool:
+    """Whether a JSON value has the type of a field default. Numbers a float
+    can hold pass for floats (JSON parsing also yields NaN, Infinity and
+    huge ints), bools pass only for bools, lists pass for tuples element-wise."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_type_ok(v, default[0]) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, type(default))
+
+
 def _build_section(dc_cls, section: dict, what: str, **extra):
-    kwargs = dict(section)
-    kwargs.update(extra)
-    names = {f.name for f in dataclasses.fields(dc_cls)}
-    unknown = sorted(set(kwargs) - names)
-    if unknown:
-        raise ConfigError(f"unknown {what} config key {unknown[0]!r}")
-    for name, value in list(kwargs.items()):
-        if isinstance(value, list):
-            kwargs[name] = tuple(value)
+    kwargs = {**section, **extra}
+    for f in dataclasses.fields(dc_cls):
+        if not _type_ok(kwargs[f.name], f.default):
+            raise ConfigError(f"{what}.{f.name} must have the JSON type of its default "
+                              f"{json.dumps(f.default)}, got {json.dumps(kwargs[f.name])}")
+        if isinstance(kwargs[f.name], list):
+            kwargs[f.name] = tuple(kwargs[f.name])
     try:
-        obj = dc_cls(**kwargs)
+        return dc_cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"bad {what} config: {exc}") from exc
-    if hasattr(obj, "validate"):
-        obj.validate()
-    return obj
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ class SsadConfig:
     feature_dim: int = 16
     hidden_channels: int = 32
     base_kernel: int = 9
-    layer_lengths: tuple[int, ...] = ()  # empty -> derived: L_in/4, L_in/8, ..., 1
     scale_ratios: tuple[float, ...] = (0.5, 0.75, 1.0)
     epochs: int = 40
     batch_size: int = 8
@@ -44,7 +43,7 @@ class SsadConfig:
     top_k: int = 200
 
     def resolved_layer_lengths(self) -> tuple[int, ...]:
-        """Ascending map lengths; validates them against input_length."""
+        """Ascending map lengths L_in/4, L_in/8, ..., 1; checks input_length."""
         if self.input_length < 4 or self.input_length % 4 != 0:
             raise ConfigError(f"input_length must be a multiple of 4, got {self.input_length}")
         largest = self.input_length // 4
@@ -52,18 +51,9 @@ class SsadConfig:
             raise ConfigError(
                 f"input_length/4 must be a power of two, got {largest}"
             )
-        derived = tuple(2**i for i in range(int(math.log2(largest)) + 1))
-        if not self.layer_lengths:
-            return derived
-        got = tuple(sorted(self.layer_lengths))
-        if got != derived:
-            raise ConfigError(
-                f"layer_lengths {got} inconsistent with input_length {self.input_length}; "
-                f"expected {derived}"
-            )
-        return derived
+        return tuple(2**i for i in range(int(math.log2(largest)) + 1))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.resolved_layer_lengths()
         if self.feature_dim < 1 or self.hidden_channels < 1:
             raise ConfigError("feature_dim and hidden_channels must be >= 1")
@@ -74,6 +64,10 @@ class SsadConfig:
         for d in self.scale_ratios:
             if not d > 0.0:
                 raise ConfigError(f"scale ratio must be > 0, got {d}")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if not self.learning_rate > 0.0:
+            raise ConfigError("learning_rate must be > 0")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
 
@@ -88,8 +82,6 @@ class Anchor:
 
 @dataclass(frozen=True)
 class AnchorPyramid:
-    layer_lengths: tuple[int, ...]
-    scale_ratios: tuple[float, ...]
     anchors: tuple[Anchor, ...] = field(repr=False)
 
     def __len__(self) -> int:
@@ -102,7 +94,6 @@ def build_anchor_pyramid(cfg: SsadConfig) -> AnchorPyramid:
     A cell i of a length-L map centers its anchors at (i+0.5)/L with widths
     ratio/L, clipped to [0, 1].
     """
-    cfg.validate()
     lengths = cfg.resolved_layer_lengths()
     anchors = []
     for layer, length in enumerate(lengths):
@@ -112,7 +103,7 @@ def build_anchor_pyramid(cfg: SsadConfig) -> AnchorPyramid:
                 half = 0.5 * ratio / length
                 iv = clip_unit(TemporalInterval(center - half, center + half))
                 anchors.append(Anchor(layer, cell, ratio, iv))
-    return AnchorPyramid(lengths, tuple(cfg.scale_ratios), tuple(anchors))
+    return AnchorPyramid(tuple(anchors))
 
 
 def assign_targets(pyramid: AnchorPyramid, gt: list[TemporalInterval]) -> np.ndarray:
@@ -137,7 +128,6 @@ class SsadModel(Sequential):
 
     def __init__(self, cfg: SsadConfig, rng: np.random.Generator | None = None,
                  dtype=np.float32):
-        cfg.validate()
         self.cfg = cfg
         lengths = cfg.resolved_layer_lengths()
         self.map_lengths = tuple(reversed(lengths))  # descending, as produced

@@ -52,7 +52,7 @@ class TagConfig:
     batch_size: int = 256
     learning_rate: float = 1e-3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.hidden_width < 1:
             raise ConfigError("hidden_width must be >= 1")
         for name, grid in (("tau_grid", self.tau_grid), ("gamma_grid", self.gamma_grid)):
@@ -84,7 +84,6 @@ def actionness_targets(record: VideoRecord, num_snippets: int) -> np.ndarray:
 def build_mlp(feature_dim: int, cfg: TagConfig, seed: int = 0) -> Sequential:
     """One-hidden-layer scorer. The output layer starts at zero so an
     untrained model emits exactly 0.5 everywhere."""
-    cfg.validate()
     if feature_dim < 1:
         raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     rng = rng_for(seed, KEY_TAG_INIT)
@@ -104,7 +103,6 @@ def train_actionness(
     seed: int = 0,
 ) -> list[float]:
     """Per-snippet MSE training on pooled snippets; returns the loss trace."""
-    cfg.validate()
     records = sorted(records, key=lambda r: r.video_id)
     missing = [r.video_id for r in records if r.video_id not in features]
     if missing:
@@ -190,7 +188,6 @@ def tag_proposals(
     record: VideoRecord,
 ) -> ProposalSet:
     """Union of group() over the tau/gamma grid, scored by mean actionness."""
-    cfg.validate()
     values = actionness.values
     num = values.shape[0]
     regions = set()

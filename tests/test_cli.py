@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -7,7 +9,11 @@ import pytest
 from tapkit import __version__
 from tapkit.cli import main
 from tapkit.errors import ConfigError
-from tapkit.pipeline import STAGES, config_defaults, load_config
+from tapkit.fusion import NmsConfig, RefineConfig
+from tapkit.ingest import SynthConfig
+from tapkit.pipeline import STAGES, EvalOptions, config_defaults, load_config
+from tapkit.ssad import SsadConfig
+from tapkit.tag import TagConfig
 from tapkit.util import sha256_file
 
 TINY = [
@@ -125,6 +131,70 @@ class TestExitCodes:
         assert main(["synth", *_tiny_args(tmp_path)]) == 0
         (tmp_path / "ssad_model.tapm").mkdir()
         assert main(["infer", *_tiny_args(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("assignment", [
+        'ssad.epochs="2"',
+        "ssad.batch_size=2.5",
+        "tag.epochs=1.5",
+        'ssad.learning_rate="x"',
+        'tag.scan_cutoff="no"',
+        "ssad.top_k=null",
+        'refine.iou_threshold="a"',
+        "synth.duration_range=[30]",
+        "synth.instances_range=[1]",
+        "synth.instance_len_frac=[0.1,0.2,0.3]",
+        "ssad.epochs=true",
+        "tag.scan_cutoff=1",
+        "eval.ar_at=[10, 1.5]",
+        "eval.ar_at=[[10]]",
+        "eval.subset=5",
+        "nms.max_per_video={}",
+        "synth.signal_strength=NaN",
+        "synth.duration_range=[1, Infinity]",
+        f"ssad.learning_rate={10**400}",
+        pytest.param("ssad.epochs=" + "1" * 5000, id="ssad.epochs=<5000 digits>"),
+        "ssad.epochs=-1",
+        "ssad.batch_size=0",
+        "ssad.learning_rate=0",
+    ])
+    def test_config_error_bad_section_value(self, tmp_path, assignment):
+        assert main(["synth", *_tiny_args(tmp_path, [assignment])]) == 2
+
+    def test_config_error_on_foreign_checkpoint_header(self, tmp_path):
+        # 36 bytes: one conv1d spec with in/out/kernel 0xFFFFFFFF and no payload
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        (tmp_path / "ssad_model.tapm").write_bytes(
+            b"TAPM" + struct.pack("<II", 1, 1) + struct.pack("<6I", 1, *[2**32 - 1] * 3, 1, 0))
+        assert main(["infer", *_tiny_args(tmp_path)]) == 2
+
+    def test_data_error_on_short_checkpoint_payload(self, tmp_path):
+        for command in ("synth", "train-ssad"):
+            assert main([command, *_tiny_args(tmp_path)]) == 0, command
+        path = tmp_path / "ssad_model.tapm"
+        path.write_bytes(path.read_bytes()[:-4])
+        assert main(["infer", *_tiny_args(tmp_path)]) == 3
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("section", [
+        SynthConfig, SsadConfig, TagConfig, RefineConfig, NmsConfig, EvalOptions,
+    ])
+    def test_every_default_has_a_checkable_type(self, section):
+        for f in dataclasses.fields(section):
+            values = f.default if isinstance(f.default, tuple) else (f.default,)
+            assert values, f"{section.__name__}.{f.name} defaults to an empty tuple"
+            for v in values:
+                assert type(v) in (bool, int, float, str), f"{section.__name__}.{f.name}"
+
+    def test_ints_pass_for_floats(self):
+        cfg = load_config(None, [
+            "ssad.learning_rate=1",
+            "synth.duration_range=[20, 30]",
+            "tag.tau_grid=[0.5]",
+        ])
+        assert cfg.ssad.learning_rate == 1
+        assert cfg.synth.duration_range == (20, 30)
+        assert cfg.tag.tau_grid == (0.5,)
 
 
 class TestConfigPrecedence:

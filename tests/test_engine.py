@@ -1,6 +1,12 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tapkit.cli import DATA_ERRORS
 from tapkit.engine import (
     Adam,
     Conv1d,
@@ -12,7 +18,7 @@ from tapkit.engine import (
     conv1d_forward,
     conv_output_length,
     grad_check,
-    load_model,
+    load_weights,
     mse_loss,
     relu_backward,
     relu_forward,
@@ -20,7 +26,7 @@ from tapkit.engine import (
     sigmoid_backward,
     sigmoid_forward,
 )
-from tapkit.errors import DataFormatError, DivergenceError, ShapeError
+from tapkit.errors import ConfigError, DataFormatError, DivergenceError, ShapeError
 
 
 def test_conv_output_length():
@@ -173,9 +179,9 @@ class TestCheckpoints:
         model = self._model(rng)
         path = tmp_path / "m.tapm"
         save_model(model.layers, path)
-        loaded = load_model(path)
-        assert [l.spec for l in loaded] == [l.spec for l in model.layers]
-        for a, b in zip(loaded, model.layers):
+        loaded = load_weights(self._model(None), path)
+        assert [l.spec for l in loaded.layers] == [l.spec for l in model.layers]
+        for a, b in zip(loaded.layers, model.layers):
             for pa, pb in zip(a.params(), b.params()):
                 assert np.array_equal(pa, pb)
 
@@ -184,7 +190,7 @@ class TestCheckpoints:
         model = self._model(rng)
         path = tmp_path / "m.tapm"
         save_model(model.layers, path)
-        loaded = Sequential(load_model(path))
+        loaded = load_weights(self._model(None), path)
         x = rng.standard_normal((1, 3, 8)).astype(np.float32)
         assert np.array_equal(model.forward(x), loaded.forward(x))
 
@@ -192,7 +198,7 @@ class TestCheckpoints:
         path = tmp_path / "m.tapm"
         path.write_bytes(b"NOPE" + b"\0" * 16)
         with pytest.raises(DataFormatError, match="magic"):
-            load_model(path)
+            load_weights(self._model(None), path)
 
     def test_truncated_table(self, tmp_path):
         import struct
@@ -200,7 +206,7 @@ class TestCheckpoints:
         path = tmp_path / "m.tapm"
         path.write_bytes(b"TAPM" + struct.pack("<II", 1, 3) + b"\0" * 8)
         with pytest.raises(DataFormatError):
-            load_model(path)
+            load_weights(self._model(None), path)
 
     def test_bad_version(self, tmp_path):
         import struct
@@ -208,4 +214,65 @@ class TestCheckpoints:
         path = tmp_path / "m.tapm"
         path.write_bytes(b"TAPM" + struct.pack("<II", 99, 0))
         with pytest.raises(DataFormatError, match="version"):
-            load_model(path)
+            load_weights(self._model(None), path)
+
+    def test_other_architecture_rejected_before_payload(self, tmp_path):
+        # one conv1d spec with 0xFFFFFFFF channels and kernel, and no payload
+        path = tmp_path / "m.tapm"
+        path.write_bytes(b"TAPM" + struct.pack("<II", 1, 1)
+                         + struct.pack("<6I", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1, 1, 0))
+        with pytest.raises(ConfigError, match="architecture"):
+            load_weights(self._model(None), path)
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-4], lambda b: b + b"\0\0\0\0"],
+                             ids=["short", "long"])
+    def test_payload_length_must_match(self, tmp_path, edit):
+        path = tmp_path / "m.tapm"
+        save_model(self._model(np.random.default_rng(5)).layers, path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataFormatError, match="payload"):
+            load_weights(self._model(None), path)
+
+
+@st.composite
+def _checkpoint_bytes(draw):
+    """Arbitrary bytes, or a valid checkpoint with cuts and byte flips."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    blob = bytearray(draw(st.sampled_from(_VALID_CHECKPOINTS)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(blob) - 1))
+        if draw(st.booleans()):
+            del blob[i:]
+        else:
+            blob[i] = draw(st.integers(0, 255))
+        if not blob:
+            break
+    return bytes(blob)
+
+
+def _valid_checkpoint(model) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.tapm"
+        save_model(model.layers, path)
+        return path.read_bytes()
+
+
+_VALID_CHECKPOINTS = [
+    _valid_checkpoint(TestCheckpoints()._model(np.random.default_rng(6))),
+    _valid_checkpoint(Sequential([Dense(3, 4, rng=np.random.default_rng(7)), Sigmoid()])),
+]
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=_checkpoint_bytes())
+    def test_bytes_load_or_raise(self, tmp_path, blob):
+        path = tmp_path / "m.tapm"
+        path.write_bytes(blob)
+        model = TestCheckpoints()._model(None)
+        try:
+            assert load_weights(model, path) is model
+        except (ConfigError, *DATA_ERRORS):
+            pass

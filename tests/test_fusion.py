@@ -134,9 +134,9 @@ class TestRefine:
 
     def test_threshold_validated(self):
         with pytest.raises(ConfigError):
-            RefineConfig(iou_threshold=0.0).validate()
+            RefineConfig(iou_threshold=0.0)
         with pytest.raises(ConfigError):
-            RefineConfig(iou_threshold=1.0).validate()
+            RefineConfig(iou_threshold=1.0)
 
 
 class TestNms:
@@ -188,7 +188,7 @@ class TestNms:
 
     def test_config_validated(self):
         with pytest.raises(ConfigError):
-            NmsConfig(iou_threshold=0.0).validate()
+            NmsConfig(iou_threshold=0.0)
         with pytest.raises(ConfigError):
-            NmsConfig(max_per_video=0).validate()
-        NmsConfig(iou_threshold=1.0).validate()  # closed at the top
+            NmsConfig(max_per_video=0)
+        NmsConfig(iou_threshold=1.0)  # closed at the top

@@ -197,12 +197,6 @@ class TestFeatureFiles:
         with pytest.raises(DataFormatError):
             load_features(path)
 
-    def test_csv_features(self, tmp_path):
-        path = tmp_path / "v.csv"
-        path.write_text("1.0,2.0\n3.0,4.0\n")
-        seq = load_features(path, "v")
-        assert seq.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-
     def test_non_finite_rejected(self):
         with pytest.raises(DataFormatError):
             FeatureSequence("v", np.array([[np.inf, 0.0]]))

@@ -28,29 +28,23 @@ class TestConfig:
     def test_short_input(self):
         assert SsadConfig(input_length=64).resolved_layer_lengths() == (1, 2, 4, 8, 16)
 
-    def test_explicit_lengths_must_match(self):
-        cfg = SsadConfig(input_length=16, layer_lengths=(1, 2, 4))
-        assert cfg.resolved_layer_lengths() == (1, 2, 4)
-        with pytest.raises(ConfigError):
-            SsadConfig(input_length=16, layer_lengths=(2, 4)).resolved_layer_lengths()
-
     def test_input_length_constraints(self):
         with pytest.raises(ConfigError):
-            SsadConfig(input_length=100).validate()  # 25 not a power of two
+            SsadConfig(input_length=100)  # 25 not a power of two
         with pytest.raises(ConfigError):
-            SsadConfig(input_length=6).validate()
+            SsadConfig(input_length=6)
         with pytest.raises(ConfigError):
-            SsadConfig(input_length=0).validate()
+            SsadConfig(input_length=0)
 
     def test_kernel_must_be_odd(self):
         with pytest.raises(ConfigError):
-            SsadConfig(base_kernel=8).validate()
+            SsadConfig(base_kernel=8)
 
     def test_ratios_positive_nonempty(self):
         with pytest.raises(ConfigError):
-            SsadConfig(scale_ratios=()).validate()
+            SsadConfig(scale_ratios=())
         with pytest.raises(ConfigError):
-            SsadConfig(scale_ratios=(0.5, -1.0)).validate()
+            SsadConfig(scale_ratios=(0.5, -1.0))
 
 
 class TestAnchorPyramid:
