@@ -29,19 +29,6 @@ logger = logging.getLogger("tapkit")
 # Errors that mean a bad input file or value; they all exit 3.
 DATA_ERRORS = (DataFormatError, IntervalError, ShapeError, MetricError, PlacementError)
 
-_COMMAND_HELP = {
-    "synth": "generate the synthetic dataset (annotations, features, classification)",
-    "train-ssad": "train the anchor-overlap proposal network",
-    "train-tag": "train the actionness MLP",
-    "infer": "score the evaluation subset: anchor proposals and grouped proposals",
-    "refine": "refine boundaries against grouped proposals and apply NMS",
-    "eval-prop": "proposal metrics: AR@AN and the AR-AN curve/area",
-    "eval-loc": "localization metrics: mAP over the tIoU grid",
-    "gradcheck": "finite-difference check of the network gradients",
-    "pipeline": "run every stage in order with one seed",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tapkit",
@@ -49,8 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in STAGES:
-        sp = sub.add_parser(name, help=_COMMAND_HELP[name], description=_COMMAND_HELP[name])
+    for name, run in STAGES.items():
+        summary = run.__doc__.strip().splitlines()[0]
+        sp = sub.add_parser(name, help=summary, description=summary)
         sp.add_argument("--config", default=None, metavar="FILE",
                         help="JSON config file (defaults apply when omitted)")
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

@@ -4,8 +4,8 @@ Intervals are half-open [start, end) and zero-length intervals are invalid
 everywhere. All time arithmetic is 64-bit floating point.
 
 tiou_matrix is the one interval kernel: refinement, NMS, target assignment,
-recall, AR-AN and AP all compare intervals through it, and scalar tiou is a
-1x1 call of it, so the tIoU formula lives in one place.
+AR-AN and AP all compare intervals through it, so the tIoU formula lives in
+one place.
 """
 
 from __future__ import annotations
@@ -67,24 +67,8 @@ def interval_bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def tiou(a: TemporalInterval, b: TemporalInterval) -> float:
-    """Temporal IoU of one pair; see tiou_matrix."""
-    return float(tiou_matrix((a.start,), (a.end,), (b.start,), (b.end,))[0, 0])
-
-
-def normalize(iv: TemporalInterval, duration: float) -> TemporalInterval:
-    """Map an interval in seconds onto the unit scale of a video's duration."""
-    if not (duration > 0.0) or not math.isfinite(duration):
-        raise IntervalError(f"duration must be positive and finite, got {duration}")
-    if iv.start < 0.0 or iv.end > duration:
-        raise IntervalError(
-            f"interval [{iv.start}, {iv.end}) outside [0, {duration}]"
-        )
-    return TemporalInterval(iv.start / duration, iv.end / duration)
-
-
 def denormalize(iv: TemporalInterval, duration: float) -> TemporalInterval:
-    """Inverse of normalize: unit-scale interval back to seconds."""
+    """Unit-scale interval back to seconds of a video's duration."""
     if not (duration > 0.0) or not math.isfinite(duration):
         raise IntervalError(f"duration must be positive and finite, got {duration}")
     return TemporalInterval(iv.start * duration, iv.end * duration)

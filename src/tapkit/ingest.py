@@ -147,8 +147,9 @@ def load_annotations(path: str | Path) -> DatasetIndex:
         if not isinstance(entry, dict):
             raise DataFormatError(f"{path}: database.{vid} is not an object")
         duration = entry.get("duration")
-        if not _is_number(duration) or not duration > 0:
-            raise DataFormatError(f"{path}: database.{vid}.duration must be a positive number")
+        if not _is_number(duration) or not 0 < duration < math.inf:
+            raise DataFormatError(
+                f"{path}: database.{vid}.duration must be a positive finite number")
         subset = entry.get("subset")
         try:
             subset = Subset(subset)
@@ -282,15 +283,18 @@ def write_results(proposal_sets: dict[str, ProposalSet], path: str | Path) -> No
     }, path)
 
 
-def _parse_results(path: str | Path, want_labels: bool):
+def read_results(path: str | Path) -> dict[str, ProposalSet]:
+    """Read a proposal results file (extra per-entry keys are tolerated)."""
     raw = _read_json(path, "results")
     if not isinstance(raw, dict) or not isinstance(raw.get("results"), dict):
         raise DataFormatError(f"{path}: missing 'results' map")
     out = {}
-    for vid, entries in raw["results"].items():
+    results = raw["results"]
+    for vid in list(results):
+        entries = results.pop(vid)  # pop, so the JSON of each finished video is freed
         if not isinstance(entries, list):
             raise DataFormatError(f"{path}: results.{vid} must be a list")
-        parsed = []
+        proposals = []
         for i, entry in enumerate(entries):
             where = f"results.{vid}[{i}]"
             if not isinstance(entry, dict):
@@ -305,36 +309,13 @@ def _parse_results(path: str | Path, want_labels: bool):
             score = entry.get("score")
             if not _is_number(score):
                 raise DataFormatError(f"{path}: {where}.score must be a number")
-            label = entry.get("label")
-            if want_labels and not isinstance(label, str):
-                raise DataFormatError(f"{path}: {where} has no 'label' (localization file)")
             try:
                 interval = TemporalInterval(float(seg[0]), float(seg[1]))
+                proposals.append(Proposal(interval, float(score), Source.SSAD))
             except IntervalError as exc:
                 raise DataFormatError(f"{path}: {where}: {exc}") from exc
-            parsed.append((interval, float(score), label))
-        out[vid] = parsed
+        out[vid] = ProposalSet(vid, tuple(proposals))
     return out
-
-
-def read_results(path: str | Path) -> dict[str, ProposalSet]:
-    """Read a proposal results file (extra per-entry keys are tolerated)."""
-    out = {}
-    for vid, entries in _parse_results(path, want_labels=False).items():
-        try:
-            proposals = tuple(Proposal(iv, score, Source.SSAD) for iv, score, _label in entries)
-        except IntervalError as exc:
-            raise DataFormatError(f"{path}: results.{vid}: {exc}") from exc
-        out[vid] = ProposalSet(vid, proposals)
-    return out
-
-
-def read_localization(path: str | Path) -> dict[str, list[tuple[str, TemporalInterval, float]]]:
-    """Read a localization results file; every entry must carry a label."""
-    return {
-        vid: [(label, iv, score) for iv, score, label in entries]
-        for vid, entries in _parse_results(path, want_labels=True).items()
-    }
 
 
 def write_localization(

@@ -60,45 +60,6 @@ def gt_intervals(index: DatasetIndex, subset: Subset) -> dict[str, list[Temporal
 # proposal metrics
 
 
-def recall(
-    proposals: Mapping[str, ProposalSet],
-    gt: Mapping[str, Sequence[TemporalInterval]],
-    an: int,
-    threshold: float,
-) -> float:
-    """Fraction of gt instances matched by a top-AN proposal at the threshold."""
-    if an < 1:
-        raise MetricError(f"an must be >= 1, got {an}")
-    if not 0.0 < threshold <= 1.0:
-        raise MetricError(f"threshold must lie in (0, 1], got {threshold}")
-    recalled = 0
-    total = 0
-    for vid, intervals in gt.items():
-        if not intervals:
-            continue
-        total += len(intervals)
-        pset = proposals.get(vid)
-        if pset is None:
-            continue
-        kept = [p.interval for p in pset.proposals[:an]]
-        if kept:
-            best = tiou_matrix(*interval_bounds(kept), *interval_bounds(intervals)).max(axis=0)
-            recalled += int(np.count_nonzero(best >= threshold))
-    if total == 0:
-        raise MetricError("recall undefined: no ground-truth instances")
-    return recalled / total
-
-
-def average_recall(
-    proposals: Mapping[str, ProposalSet],
-    gt: Mapping[str, Sequence[TemporalInterval]],
-    an: int,
-    grid=None,
-) -> float:
-    grid = _check_grid(grid)
-    return float(np.mean([recall(proposals, gt, an, t) for t in grid]))
-
-
 @dataclass(frozen=True)
 class ArAnCurve:
     an_max: int
@@ -119,9 +80,8 @@ def ar_an(
 ) -> ArAnCurve:
     """AR at every AN in 1..an_max plus the mean-of-curve area.
 
-    Equivalent to calling average_recall per AN; computed by ranking, for
-    each (instance, threshold) pair, the first proposal that reaches the
-    threshold, then counting cumulatively.
+    Computed by ranking, for each (instance, threshold) pair, the first
+    proposal that reaches the threshold, then counting cumulatively.
     """
     grid = _check_grid(grid)
     if an_max < 1:
@@ -320,16 +280,6 @@ def mean_ap(
     return float(np.mean(np.asarray(aps)))
 
 
-def average_map(
-    localization: Mapping[str, Sequence[LocEntry]],
-    index: DatasetIndex,
-    grid=None,
-    subset: Subset = Subset.VALIDATION,
-) -> float:
-    grid = _check_grid(grid)
-    return float(np.mean([mean_ap(localization, index, t, subset) for t in grid]))
-
-
 def eval_at_n(
     localization: Mapping[str, Sequence[LocEntry]],
     index: DatasetIndex,
@@ -337,11 +287,11 @@ def eval_at_n(
     grid=None,
     subset: Subset = Subset.VALIDATION,
 ) -> float:
-    """average_map with each video's predictions truncated to its top n."""
+    """Grid mean of mean_ap with each video's predictions truncated to its top n."""
     if n < 1:
         raise MetricError(f"n must be >= 1, got {n}")
     truncated = {
         vid: sorted(entries, key=_loc_sort_key)[:n]
         for vid, entries in localization.items()
     }
-    return average_map(truncated, index, grid, subset)
+    return float(np.mean([mean_ap(truncated, index, t, subset) for t in _check_grid(grid)]))

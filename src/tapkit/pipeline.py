@@ -276,13 +276,18 @@ def _feature_path(cfg: PipelineConfig, video_id: str) -> Path:
     return cfg.features_dir / f"{video_id}.feat"
 
 
-def _load_feature_map(cfg: PipelineConfig, records):
+def _load_feature_map(cfg: PipelineConfig, records) -> tuple[dict, int]:
+    """Features of every record and their common dimension D."""
     out = {}
     for rec in records:
         path = _feature_path(cfg, rec.video_id)
         _require(path, "synth")
-        out[rec.video_id] = load_features(path, rec.video_id)
-    return out
+        seq = out[rec.video_id] = load_features(path, rec.video_id)
+        first = out[records[0].video_id]
+        if seq.feature_dim != first.feature_dim:
+            raise DataFormatError(f"video {rec.video_id} has feature dimension {seq.feature_dim}, "
+                                  f"video {first.video_id} has {first.feature_dim}")
+    return out, first.feature_dim
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -302,6 +307,7 @@ def _eval_subset(cfg: PipelineConfig) -> Subset:
 
 
 def run_synth(cfg: PipelineConfig) -> list[Path]:
+    """Generate the synthetic dataset (annotations, features, classification)."""
     index, features, classification = generate_synthetic(cfg.synth)
     save_annotations(index, cfg.annotations)
     paths = [cfg.annotations]
@@ -319,12 +325,13 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
 
 
 def run_train_ssad(cfg: PipelineConfig) -> list[Path]:
+    """Train the anchor-overlap proposal network."""
     index = _load_index(cfg)
     records = index.subset_videos(Subset.TRAINING)
     if not records:
         raise DataFormatError("no training videos in annotations")
-    features = _load_feature_map(cfg, records)
-    model = build_model(cfg.ssad, cfg.seed)
+    features, feature_dim = _load_feature_map(cfg, records)
+    model = build_model(feature_dim, cfg.ssad, cfg.seed)
     trace = ssad_train(model, records, features, cfg.seed)
     model_path = cfg.output_dir / "ssad_model.tapm"
     save_model(model.layers, model_path)
@@ -338,12 +345,12 @@ def run_train_ssad(cfg: PipelineConfig) -> list[Path]:
 
 
 def run_train_tag(cfg: PipelineConfig) -> list[Path]:
+    """Train the actionness MLP."""
     index = _load_index(cfg)
     records = index.subset_videos(Subset.TRAINING)
     if not records:
         raise DataFormatError("no training videos in annotations")
-    features = _load_feature_map(cfg, records)
-    feature_dim = features[records[0].video_id].feature_dim
+    features, feature_dim = _load_feature_map(cfg, records)
     model = build_mlp(feature_dim, cfg.tag, cfg.seed)
     trace = train_actionness(model, records, features, cfg.tag, cfg.seed)
     model_path = cfg.output_dir / "tag_model.tapm"
@@ -358,17 +365,17 @@ def run_train_tag(cfg: PipelineConfig) -> list[Path]:
 
 
 def run_infer(cfg: PipelineConfig) -> list[Path]:
+    """Score the evaluation subset: anchor proposals and grouped proposals."""
     index = _load_index(cfg)
     records = index.subset_videos(_eval_subset(cfg))
     if not records:
         raise DataFormatError(f"no {cfg.eval.subset} videos in annotations")
-    features = _load_feature_map(cfg, records)
+    features, feature_dim = _load_feature_map(cfg, records)
     ssad_model_path = cfg.output_dir / "ssad_model.tapm"
     _require(ssad_model_path, "train-ssad")
-    model = load_weights(SsadModel(cfg.ssad), ssad_model_path)
+    model = load_weights(SsadModel(feature_dim, cfg.ssad), ssad_model_path)
     tag_model_path = cfg.output_dir / "tag_model.tapm"
     _require(tag_model_path, "train-tag")
-    feature_dim = features[records[0].video_id].feature_dim
     mlp = load_weights(build_mlp(feature_dim, cfg.tag), tag_model_path)
     pyramid = build_anchor_pyramid(cfg.ssad)
 
@@ -389,6 +396,7 @@ def run_infer(cfg: PipelineConfig) -> list[Path]:
 
 
 def run_refine(cfg: PipelineConfig) -> list[Path]:
+    """Refine boundaries against grouped proposals and apply NMS."""
     ssad_path = cfg.output_dir / "proposals_ssad.json"
     tag_path = cfg.output_dir / "proposals_tag.json"
     _require(ssad_path, "infer")
@@ -425,6 +433,7 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
 
 
 def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
+    """Proposal metrics: AR@AN and the AR-AN curve/area."""
     index = _load_index(cfg)
     subset = _eval_subset(cfg)
     gt = gt_intervals(index, subset)
@@ -457,6 +466,7 @@ def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
 
 
 def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
+    """Localization metrics: mAP over the tIoU grid."""
     index = _load_index(cfg)
     subset = _eval_subset(cfg)
     refined_path = cfg.output_dir / "proposals_refined.json"
@@ -503,10 +513,11 @@ def _draw_away_from_kinks(draw):
 
 
 def run_gradcheck(cfg: PipelineConfig) -> list[Path]:
+    """Finite-difference check of the network gradients."""
     rng = rng_for(cfg.seed, KEY_GRADCHECK)
-    small = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8)
+    small = SsadConfig(input_length=16, hidden_channels=8)
     conv_model, x = _draw_away_from_kinks(lambda: (
-        SsadModel(small, rng=rng, dtype=np.float64), rng.standard_normal((2, 4, 16))))
+        SsadModel(4, small, rng=rng, dtype=np.float64), rng.standard_normal((2, 4, 16))))
     conv_targets = rng.uniform(0.0, 1.0, size=(2, conv_model.num_anchors))
     conv_err = grad_check(conv_model, x, lambda y: mse_loss(y, conv_targets))
 
@@ -535,13 +546,16 @@ def run_gradcheck(cfg: PipelineConfig) -> list[Path]:
 
 
 def run_pipeline(cfg: PipelineConfig) -> list[Path]:
+    """Run all other stages, in table order, with one seed."""
     paths = []
-    for stage in (run_synth, run_train_ssad, run_train_tag, run_infer,
-                  run_refine, run_eval_prop, run_eval_loc, run_gradcheck):
-        paths += stage(cfg)
+    for name, stage in STAGES.items():
+        if name != "pipeline":
+            paths += stage(cfg)
     return paths
 
 
+# Subcommands in pipeline order. Keep the values plain module-level
+# functions: perfbench's tracer wraps them in place.
 STAGES = {
     "synth": run_synth,
     "train-ssad": run_train_ssad,

@@ -33,7 +33,6 @@ from .util import KEY_SSAD_INIT, KEY_SSAD_SHUFFLE, rng_for
 @dataclass(frozen=True)
 class SsadConfig:
     input_length: int = 256
-    feature_dim: int = 16
     hidden_channels: int = 32
     base_kernel: int = 9
     scale_ratios: tuple[float, ...] = (0.5, 0.75, 1.0)
@@ -55,8 +54,8 @@ class SsadConfig:
 
     def __post_init__(self) -> None:
         self.resolved_layer_lengths()
-        if self.feature_dim < 1 or self.hidden_channels < 1:
-            raise ConfigError("feature_dim and hidden_channels must be >= 1")
+        if self.hidden_channels < 1:
+            raise ConfigError("hidden_channels must be >= 1")
         if self.base_kernel < 1 or self.base_kernel % 2 == 0:
             raise ConfigError(f"base_kernel must be odd and >= 1, got {self.base_kernel}")
         if not self.scale_ratios:
@@ -122,12 +121,13 @@ class SsadModel(Sequential):
     """Shared conv trunk with one overlap-prediction head per feature map.
 
     Forward maps (N, D, L_in) to (N, A) sigmoid overlap scores, flattened in
-    the anchor pyramid's (layer, cell, ratio) order. self.layers holds the
-    stem, down and head layers in that order.
+    the anchor pyramid's (layer, cell, ratio) order, where D is the feature
+    dimension. self.layers holds the stem, down and head layers in that order.
     """
 
-    def __init__(self, cfg: SsadConfig, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, feature_dim: int, cfg: SsadConfig,
+                 rng: np.random.Generator | None = None, dtype=np.float32):
+        self.feature_dim = feature_dim
         self.cfg = cfg
         lengths = cfg.resolved_layer_lengths()
         self.map_lengths = tuple(reversed(lengths))  # descending, as produced
@@ -136,7 +136,7 @@ class SsadModel(Sequential):
         n_down = int(math.log2(cfg.input_length))
 
         self.stem: list[Layer] = [
-            Conv1d(cfg.feature_dim, h, k, stride=1, pad=k // 2, rng=rng, dtype=dtype),
+            Conv1d(feature_dim, h, k, stride=1, pad=k // 2, rng=rng, dtype=dtype),
             ReLU(),
         ]
         self.downs: list[list[Layer]] = [
@@ -163,9 +163,9 @@ class SsadModel(Sequential):
     # -- forward/backward
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3 or x.shape[1] != self.cfg.feature_dim or x.shape[2] != self.cfg.input_length:
+        if x.ndim != 3 or x.shape[1] != self.feature_dim or x.shape[2] != self.cfg.input_length:
             raise ShapeError(
-                f"expected (N, {self.cfg.feature_dim}, {self.cfg.input_length}) input, "
+                f"expected (N, {self.feature_dim}, {self.cfg.input_length}) input, "
                 f"got {x.shape}"
             )
         for layer in self.stem:
@@ -225,8 +225,8 @@ class SsadModel(Sequential):
             g = layer.backward(g)
 
 
-def build_model(cfg: SsadConfig, seed: int = 0) -> SsadModel:
-    return SsadModel(cfg, rng=rng_for(seed, KEY_SSAD_INIT))
+def build_model(feature_dim: int, cfg: SsadConfig, seed: int = 0) -> SsadModel:
+    return SsadModel(feature_dim, cfg, rng=rng_for(seed, KEY_SSAD_INIT))
 
 
 # --------------------------------------------------------------------------

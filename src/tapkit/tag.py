@@ -142,29 +142,15 @@ def _fragments(values: np.ndarray, tau: float, min_frag: int) -> list[tuple[int,
     return frags
 
 
-def group(
-    actionness,
-    tau: float,
-    gamma: float,
-    min_frag: int = 1,
-    scan_cutoff: bool = True,
-) -> list[tuple[int, int]]:
+def _group_fragments(
+    frags: list[tuple[int, int]], gamma: float, scan_cutoff: bool
+) -> set[tuple[int, int]]:
     """Snippet-index regions [start, end) spanning fragment i..j pairs whose
     coverage (fraction of the span lying inside fragments) reaches gamma.
 
     With scan_cutoff, the j scan for a fragment i stops after two consecutive
     coverage failures; without it every (i, j) pair is tested.
     """
-    if not 0.0 < tau < 1.0 or not 0.0 < gamma < 1.0:
-        raise ConfigError(f"tau and gamma must lie in (0, 1), got {tau}, {gamma}")
-    values = actionness.values if isinstance(actionness, ActionnessSequence) else np.asarray(actionness, dtype=np.float64)
-    return sorted(_group_fragments(_fragments(values, tau, min_frag), gamma, scan_cutoff))
-
-
-def _group_fragments(
-    frags: list[tuple[int, int]], gamma: float, scan_cutoff: bool
-) -> set[tuple[int, int]]:
-    """The regions of group(), unordered, over fragments extracted at one tau."""
     regions = set()
     for i in range(len(frags)):
         covered = 0
@@ -187,7 +173,7 @@ def tag_proposals(
     cfg: TagConfig,
     record: VideoRecord,
 ) -> ProposalSet:
-    """Union of group() over the tau/gamma grid, scored by mean actionness."""
+    """Union of the grouped regions over the tau/gamma grid, scored by mean actionness."""
     values = actionness.values
     num = values.shape[0]
     regions = set()

@@ -2,12 +2,35 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from tapkit.core import tiou_matrix
+from tapkit.metrics import ar_an
 from tapkit.pipeline import PipelineConfig, load_config, run_command
+from tapkit.tag import _fragments, _group_fragments
 
 # Env overrides would leak into every config the tests build.
 os.environ.pop("TAPKIT_SEED", None)
+
+
+# One-call forms of the production kernels, for tests that check one value.
+
+
+def tiou(a, b):
+    """tIoU of two intervals: a 1x1 tiou_matrix."""
+    return float(tiou_matrix([a.start], [a.end], [b.start], [b.end])[0, 0])
+
+
+def recall(proposals, gt, an, threshold):
+    """Recall at one AN and one threshold: a single-point ar_an curve."""
+    return ar_an(proposals, gt, an_max=an, grid=(threshold,)).ar_at(an)
+
+
+def group(values, tau, gamma, min_frag=1, scan_cutoff=True):
+    """Sorted regions of one (tau, gamma) grid point, as tag_proposals groups them."""
+    frags = _fragments(np.asarray(values, dtype=np.float64), tau, min_frag)
+    return sorted(_group_fragments(frags, gamma, scan_cutoff))
 
 
 @dataclass

@@ -10,7 +10,7 @@ from tapkit import __version__
 from tapkit.cli import main
 from tapkit.errors import ConfigError
 from tapkit.fusion import NmsConfig, RefineConfig
-from tapkit.ingest import SynthConfig
+from tapkit.ingest import FeatureSequence, SynthConfig, save_features
 from tapkit.pipeline import STAGES, EvalOptions, config_defaults, load_config
 from tapkit.ssad import SsadConfig
 from tapkit.tag import TagConfig
@@ -21,7 +21,6 @@ TINY = [
     "synth.feature_dim=4",
     "synth.num_classes=2",
     "ssad.input_length=16",
-    "ssad.feature_dim=4",
     "ssad.hidden_channels=8",
     "ssad.epochs=2",
     "tag.hidden_width=8",
@@ -126,6 +125,31 @@ class TestExitCodes:
         feat.unlink()
         feat.mkdir()
         assert main(["train-ssad", *_tiny_args(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("command, video", [
+        ("train-ssad", "v00001"),
+        ("train-tag", "v00001"),
+        ("infer", "v00009"),
+    ])
+    def test_data_error_on_mixed_feature_dimensions(self, tmp_path, caplog, command, video):
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        save_features(FeatureSequence(video, np.zeros((5, 8))), tmp_path / "features" / f"{video}.feat")
+        assert main([command, *_tiny_args(tmp_path)]) == 3
+        assert f"video {video} has feature dimension 8" in caplog.text
+
+    def test_data_error_on_infinite_duration(self, tmp_path):
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        for results in ("proposals_refined.json", "proposals_ssad_final.json"):
+            (tmp_path / results).write_text('{"results": {}}')
+        path = tmp_path / "annotations.json"
+        raw = json.loads(path.read_text())
+        raw["database"]["v00009"]["duration"] = float("inf")
+        path.write_text(json.dumps(raw))
+        assert main(["eval-prop", *_tiny_args(tmp_path)]) == 3
+
+    def test_config_error_ssad_feature_dim_key(self, tmp_path):
+        # the features fix the dimension, so no config key sets it
+        assert main(["synth", *_tiny_args(tmp_path, ["ssad.feature_dim=4"])]) == 2
 
     def test_data_error_on_directory_checkpoint(self, tmp_path):
         assert main(["synth", *_tiny_args(tmp_path)]) == 0
@@ -317,6 +341,12 @@ class TestPipeline:
         assert grad["pass"] is True
         assert grad["max_rel_error"] < 1e-3
 
+    def test_feature_dim_comes_from_features(self, tmp_path):
+        assert main(["pipeline", *_tiny_args(tmp_path, ["synth.feature_dim=6"])]) == 0
+        # a checkpoint trained on 6-dim features does not fit 4-dim ones
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        assert main(["infer", *_tiny_args(tmp_path)]) == 2
+
     def test_gradcheck_standalone(self, tmp_path):
         out = tmp_path / "g"
         assert main(["gradcheck", "--out", str(out), "--seed", "0"]) == 0
@@ -328,8 +358,13 @@ class TestPipeline:
         assert main(["gradcheck", "--out", str(tmp_path), "--seed", str(seed)]) == 0
 
 
-def test_stages_cover_all_commands():
-    assert set(STAGES) == {
+def test_stages_cover_all_commands(monkeypatch):
+    assert list(STAGES) == [
         "synth", "train-ssad", "train-tag", "infer", "refine",
         "eval-prop", "eval-loc", "gradcheck", "pipeline",
-    }
+    ]
+    ran = []
+    for name in list(STAGES)[:-1]:
+        monkeypatch.setitem(STAGES, name, lambda cfg, name=name: ran.append(name) or [])
+    assert STAGES["pipeline"](None) == []
+    assert ran == list(STAGES)[:-1]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import tiou
 from oracles import brute_nms, brute_refine
-from tapkit.core import Proposal, ProposalSet, Source, TemporalInterval, tiou
+from tapkit.core import Proposal, ProposalSet, Source, TemporalInterval
 from tapkit.errors import ConfigError, MetricError
 from tapkit.fusion import NmsConfig, RefineConfig, nms, refine
 

@@ -15,7 +15,6 @@ from tapkit.ingest import (
     load_annotations,
     load_features,
     read_classification,
-    read_localization,
     read_results,
     resize_linear,
     save_annotations,
@@ -287,18 +286,14 @@ class TestResultsFiles:
         })
         assert len(read_results(path)["v"]) == 1
 
-    def test_localization_requires_labels(self, tmp_path):
-        path = _write(tmp_path, "loc.json", {
-            "results": {"v": [{"segment": [0, 5], "score": 0.5}]},
-        })
-        with pytest.raises(DataFormatError, match="label"):
-            read_localization(path)
-
     def test_localization_round_trip(self, tmp_path):
         loc = {"v": [("jump", TemporalInterval(0.0, 5.0), 0.75)]}
         path = tmp_path / "loc.json"
         write_localization(loc, path)
-        assert read_localization(path) == loc
+        entries = json.loads(path.read_text())["results"]
+        assert entries == {"v": [{"label": "jump", "segment": [0.0, 5.0], "score": 0.75}]}
+        back = read_results(path)["v"].proposals
+        assert [(p.interval, p.score) for p in back] == [(TemporalInterval(0.0, 5.0), 0.75)]
 
     def test_malformed_segment(self, tmp_path):
         path = _write(tmp_path, "props.json", {
@@ -325,7 +320,7 @@ class TestResultsFiles:
         {"segment": [False, True], "score": 0.5},
         {"segment": [0.0, 1.0], "score": True},
     ], ids=["segment", "score"])
-    @pytest.mark.parametrize("reader", [read_results, read_localization])
+    @pytest.mark.parametrize("reader", [read_results])
     def test_boolean_numbers_rejected(self, tmp_path, reader, entry):
         path = _write(tmp_path, "props.json", {"results": {"v": [{**entry, "label": "x"}]}})
         with pytest.raises(DataFormatError):

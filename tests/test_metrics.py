@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import recall
 from oracles import brute_ap, brute_ar_an, brute_average_recall, brute_recall, oracle_tiou
 from tapkit.core import (
     DatasetIndex,
@@ -19,13 +20,10 @@ from tapkit.metrics import (
     ArAnCurve,
     ar_an,
     attach_labels,
-    average_map,
     average_precision,
-    average_recall,
     eval_at_n,
     gt_intervals,
     mean_ap,
-    recall,
     tiou_grid,
     uniform_random_proposals,
 )
@@ -92,7 +90,7 @@ class TestAverageRecall:
         value = 0.72
         hits = sum(1 for t in tiou_grid() if value >= t)
         assert hits == 5
-        assert average_recall(props, gt, an=1) == 0.5
+        assert ar_an(props, gt, an_max=1).ar_at(1) == 0.5
 
 
 class TestArAn:
@@ -106,12 +104,14 @@ class TestArAn:
         assert curve.ar_at(1) == 0.5 and curve.ar_at(2) == 1.0
 
     def test_matches_average_recall_bitwise(self):
+        # AR at each AN is the grid mean of the single-threshold recalls
         rng = np.random.default_rng(0)
         for _ in range(20):
             props, gt = _random_instance(rng)
             curve = ar_an(props, gt, an_max=4)
             for an in range(1, 5):
-                assert curve.ar_at(an) == average_recall(props, gt, an)
+                per_threshold = [recall(props, gt, an, t) for t in tiou_grid()]
+                assert curve.ar_at(an) == float(np.mean(per_threshold))
 
     def test_matches_scalar_loop_reference(self):
         # integer bounds put tIoU values exactly on grid thresholds
@@ -289,19 +289,14 @@ class TestMeanAp:
             with pytest.raises(MetricError):
                 mean_ap(loc, index, 0.5, subset=Subset.TRAINING)
 
-    def test_average_map_single_point_equals_mean_ap(self):
-        index, loc = self._fixture()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert average_map(loc, index, grid=(0.5,)) == mean_ap(loc, index, 0.5)
-
 
 class TestEvalAtN:
     def test_identity_when_n_large(self):
         index, loc = TestMeanAp()._fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert eval_at_n(loc, index, 100) == average_map(loc, index)
+            grid_mean = float(np.mean([mean_ap(loc, index, t) for t in tiou_grid()]))
+            assert eval_at_n(loc, index, 100) == grid_mean
 
     def test_truncation_drops_low_scores(self):
         videos = {
@@ -396,9 +391,9 @@ class TestOracleEquivalence:
             an = int(rng.integers(1, 7))
             threshold = float(rng.choice(tiou_grid()))
             assert recall(props, gt, an, threshold) == brute_recall(plain_props, plain_gt, an, threshold)
-            assert average_recall(props, gt, an) == pytest.approx(
-                brute_average_recall(plain_props, plain_gt, an), abs=1e-12)
             curve = ar_an(props, gt, an_max=an)
+            assert curve.ar_at(an) == pytest.approx(
+                brute_average_recall(plain_props, plain_gt, an), abs=1e-12)
             want_ar, want_area = brute_ar_an(plain_props, plain_gt, an)
             assert list(curve.ar) == pytest.approx(want_ar, abs=1e-12)
             assert curve.area == pytest.approx(want_area, abs=1e-12)

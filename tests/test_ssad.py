@@ -137,30 +137,30 @@ class TestAssignTargets:
 class TestModel:
     def test_output_width_matches_pyramid(self):
         for length in (16, 64):
-            cfg = SsadConfig(input_length=length, feature_dim=4, hidden_channels=8)
-            model = build_model(cfg, seed=0)
+            cfg = SsadConfig(input_length=length, hidden_channels=8)
+            model = build_model(4, cfg, seed=0)
             x = np.random.default_rng(0).standard_normal((2, 4, length)).astype(np.float32)
             scores = model.forward(x)
             assert scores.shape == (2, len(build_anchor_pyramid(cfg)))
             assert model.num_anchors == scores.shape[1]
 
     def test_scores_are_probabilities(self):
-        cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8)
-        model = build_model(cfg, seed=1)
+        cfg = SsadConfig(input_length=16, hidden_channels=8)
+        model = build_model(4, cfg, seed=1)
         x = np.random.default_rng(1).standard_normal((3, 4, 16)).astype(np.float32)
         scores = model.forward(x)
         assert scores.min() > 0.0 and scores.max() < 1.0
 
     def test_zero_weights_score_half(self):
-        cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8)
-        model = SsadModel(cfg, rng=None)
+        cfg = SsadConfig(input_length=16, hidden_channels=8)
+        model = SsadModel(4, cfg, rng=None)
         x = np.random.default_rng(2).standard_normal((1, 4, 16)).astype(np.float32)
         assert np.all(model.forward(x) == 0.5)
 
     def test_untrained_infer_ranks_by_position(self):
         # all scores tie at 0.5, so ordering falls back to start then length
-        cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8, top_k=5)
-        model = SsadModel(cfg, rng=None)
+        cfg = SsadConfig(input_length=16, hidden_channels=8, top_k=5)
+        model = SsadModel(4, cfg, rng=None)
         rec = VideoRecord("v", 20.0, Subset.VALIDATION)
         seq = FeatureSequence("v", np.zeros((10, 4), dtype=np.float32))
         pset = infer(model, seq, rec)
@@ -169,8 +169,8 @@ class TestModel:
         assert keys == sorted(keys)
 
     def test_infer_bounds_and_topk(self):
-        cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8, top_k=11)
-        model = build_model(cfg, seed=3)
+        cfg = SsadConfig(input_length=16, hidden_channels=8, top_k=11)
+        model = build_model(4, cfg, seed=3)
         rec = VideoRecord("v", 37.5, Subset.VALIDATION)
         seq = FeatureSequence("v", np.random.default_rng(3).standard_normal((9, 4)).astype(np.float32))
         pset = infer(model, seq, rec)
@@ -189,13 +189,13 @@ def _tiny_dataset(n_videos=12, seed=5):
 
 
 class TestTraining:
-    CFG = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8,
+    CFG = SsadConfig(input_length=16, hidden_channels=8,
                      epochs=4, batch_size=4)
 
     def test_deterministic(self):
         records, feats = _tiny_dataset()
-        a = build_model(self.CFG, seed=7)
-        b = build_model(self.CFG, seed=7)
+        a = build_model(4, self.CFG, seed=7)
+        b = build_model(4, self.CFG, seed=7)
         trace_a = train(a, records, feats, seed=7)
         trace_b = train(b, records, feats, seed=7)
         assert trace_a == trace_b
@@ -204,8 +204,8 @@ class TestTraining:
 
     def test_zero_epochs_leaves_model_untouched(self):
         records, feats = _tiny_dataset()
-        cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8, epochs=0)
-        model = build_model(cfg, seed=7)
+        cfg = SsadConfig(input_length=16, hidden_channels=8, epochs=0)
+        model = build_model(4, cfg, seed=7)
         before = [p.copy() for p in model.params()]
         assert train(model, records, feats, seed=7) == []
         for p, q in zip(model.params(), before):
@@ -215,15 +215,15 @@ class TestTraining:
         records, feats = _tiny_dataset()
         feats = dict(feats)
         del feats[records[0].video_id]
-        model = build_model(self.CFG, seed=0)
+        model = build_model(4, self.CFG, seed=0)
         with pytest.raises(DataFormatError, match=records[0].video_id):
             train(model, records, feats, seed=0)
 
     def test_loss_decreases(self):
         records, feats = _tiny_dataset(n_videos=20, seed=6)
-        cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8,
+        cfg = SsadConfig(input_length=16, hidden_channels=8,
                          epochs=30, batch_size=4, learning_rate=3e-3)
-        model = build_model(cfg, seed=6)
+        model = build_model(4, cfg, seed=6)
         trace = train(model, records, feats, seed=6)
         assert trace[-1] < 0.5 * trace[0]
 
@@ -232,20 +232,20 @@ class TestTraining:
         rec = VideoRecord("v", 30.0, Subset.TRAINING,
                           (GroundTruthInstance("a", iv(10.0, 20.0)),))
         feats = {"v": FeatureSequence("v", np.random.default_rng(8).standard_normal((15, 4)).astype(np.float32))}
-        cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8,
+        cfg = SsadConfig(input_length=16, hidden_channels=8,
                          epochs=200, batch_size=1, learning_rate=3e-3)
-        model = build_model(cfg, seed=8)
+        model = build_model(4, cfg, seed=8)
         trace = train(model, [rec], feats, seed=8)
         assert trace[-1] < 1e-3
 
 
 class TestCheckpoint:
     def test_round_trip_same_inference(self, tmp_path):
-        cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8)
-        model = build_model(cfg, seed=9)
+        cfg = SsadConfig(input_length=16, hidden_channels=8)
+        model = build_model(4, cfg, seed=9)
         path = tmp_path / "ssad.tapm"
         save_model(model.layers, path)
-        loaded = load_weights(SsadModel(cfg), path)
+        loaded = load_weights(SsadModel(4, cfg), path)
         rec = VideoRecord("v", 25.0, Subset.VALIDATION)
         seq = FeatureSequence("v", np.random.default_rng(9).standard_normal((7, 4)).astype(np.float32))
         a = infer(model, seq, rec)
@@ -253,9 +253,9 @@ class TestCheckpoint:
         assert a == b
 
     def test_architecture_mismatch(self, tmp_path):
-        cfg = SsadConfig(input_length=16, feature_dim=4, hidden_channels=8)
+        cfg = SsadConfig(input_length=16, hidden_channels=8)
         path = tmp_path / "ssad.tapm"
-        save_model(build_model(cfg, seed=0).layers, path)
-        other = SsadConfig(input_length=16, feature_dim=4, hidden_channels=16)
+        save_model(build_model(4, cfg, seed=0).layers, path)
+        other = SsadConfig(input_length=16, hidden_channels=16)
         with pytest.raises(ConfigError):
-            load_weights(SsadModel(other), path)
+            load_weights(SsadModel(4, other), path)

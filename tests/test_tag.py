@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import group
 from oracles import brute_group
 from tapkit.core import GroundTruthInstance, Source, Subset, TemporalInterval, VideoRecord
 from tapkit.errors import ConfigError, ShapeError
@@ -12,7 +13,6 @@ from tapkit.tag import (
     _fragments,
     actionness_targets,
     build_mlp,
-    group,
     predict_actionness,
     tag_proposals,
     train_actionness,
@@ -73,9 +73,9 @@ class TestGroup:
 
     def test_thresholds_validated(self):
         with pytest.raises(ConfigError):
-            group([0.5], tau=0.0, gamma=0.5)
+            TagConfig(tau_grid=(0.0,))
         with pytest.raises(ConfigError):
-            group([0.5], tau=0.5, gamma=1.0)
+            TagConfig(gamma_grid=(0.5, 1.0))
 
     def test_min_fragment_filters_short_runs(self):
         values = [1.0, 0.0, 1.0, 1.0]
@@ -148,7 +148,7 @@ class TestTagProposals:
         assert p.source is Source.TAG
 
     def test_worked_example_grid(self):
-        # same 4 snippets as the group() example, full default grid, 4 s video
+        # same 4 snippets as TestGroup's worked example, full default grid, 4 s video
         seq = ActionnessSequence("v", np.array([0.9, 0.9, 0.1, 0.9]))
         pset = tag_proposals(seq, TagConfig(), _record(4.0))
         got = {(p.interval.start, p.interval.end): p.score for p in pset}

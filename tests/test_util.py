@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -157,3 +158,51 @@ def test_only_util_opens_files_for_writing():
         if found:
             offenders[path.name] = found
     assert offenders == {}, "write artifacts through tapkit.util.atomic_open"
+
+
+# --------------------------------------------------------------------------
+# guard: every public function is one the package itself calls
+
+
+def _names(node: ast.AST) -> Counter:
+    """Every bare name and attribute name under a node, with multiplicity."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unreferenced_functions(sources: dict[str, str]) -> list[str]:
+    """`module.function` for each public module-level function whose name,
+    or a name it is imported as, appears nowhere in the sources outside its
+    own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.asname:
+                used[node.name] += used[node.asname]
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and used[node.name] == _names(node)[node.name]
+    )
+
+
+def test_guard_detects_unreferenced_functions():
+    sources = {
+        "a": "def called():\n    pass\n\ndef by_attribute():\n    pass\n\n"
+             "def by_alias():\n    pass\n\ndef imported_only():\n    pass\n\n"
+             "def recursive():\n    return recursive()\n\ndef _private():\n    pass\n",
+        "b": "from .a import by_alias as other, called, imported_only, recursive\n"
+             "from . import a\n\n"
+             "def entry():\n    return called(), a.by_attribute(), other()\n\n"
+             "TABLE = {'entry': entry}\n",
+    }
+    assert _unreferenced_functions(sources) == ["a.imported_only", "a.recursive"]
+
+
+def test_every_public_function_is_used_by_the_package():
+    package = Path(tapkit.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _unreferenced_functions(sources) == [], "delete functions that only tests call"
