@@ -3,6 +3,10 @@
 Intervals are half-open [start, end) and zero-length intervals are invalid
 everywhere. All time arithmetic is 64-bit floating point.
 
+A ProposalSet is columnar: start, end, score and source arrays for one video,
+validated and ranked as a whole. Proposal is only a row view of it, yielded
+by iteration; ground truth keeps one TemporalInterval per instance.
+
 tiou_matrix is the one interval kernel: refinement, NMS, target assignment,
 AR-AN and AP all compare intervals through it, so the tIoU formula lives in
 one place.
@@ -12,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,72 +66,76 @@ def tiou_matrix(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
 
 
 def interval_bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end arrays of a sequence of intervals, for tiou_matrix."""
+    """Start and end arrays of a sequence of intervals (ground truth and
+    localization entries), for tiou_matrix."""
     starts = np.fromiter((iv.start for iv in intervals), dtype=np.float64)
     ends = np.fromiter((iv.end for iv in intervals), dtype=np.float64)
     return starts, ends
 
 
-def denormalize(iv: TemporalInterval, duration: float) -> TemporalInterval:
-    """Unit-scale interval back to seconds of a video's duration."""
-    if not (duration > 0.0) or not math.isfinite(duration):
-        raise IntervalError(f"duration must be positive and finite, got {duration}")
-    return TemporalInterval(iv.start * duration, iv.end * duration)
+class Source(IntEnum):
+    """Where a proposal's boundaries came from, stored as uint8 in a set."""
+
+    SSAD = 0
+    TAG = 1
+    REFINED = 2
 
 
-def clip_unit(iv: TemporalInterval) -> TemporalInterval:
-    """Intersect an interval with [0, 1]; error if nothing of positive length is left."""
-    start = max(0.0, iv.start)
-    end = min(1.0, iv.end)
-    if start >= end:
-        raise IntervalError(f"interval [{iv.start}, {iv.end}) clips to nothing on [0, 1]")
-    return TemporalInterval(start, end)
+class Proposal(NamedTuple):
+    """One row of a ProposalSet, as plain floats."""
 
-
-class Source(str, Enum):
-    SSAD = "ssad"
-    TAG = "tag"
-    REFINED = "refined"
-
-
-@dataclass(frozen=True)
-class Proposal:
-    interval: TemporalInterval
+    start: float
+    end: float
     score: float
     source: Source
 
-    def __post_init__(self) -> None:
-        score = float(self.score)
-        if not math.isfinite(score) or score < 0.0 or score > 1.0:
-            raise IntervalError(f"proposal score must be finite in [0, 1], got {self.score}")
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "source", Source(self.source))
 
-
-def proposal_sort_key(p: Proposal) -> tuple[float, float, float]:
-    """Global ranking order: score descending, ties by earlier start then shorter."""
-    return (-p.score, p.interval.start, p.interval.length)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProposalSet:
-    """Scored, ranked proposals for one video. Always kept sorted."""
+    """Scored proposals for one video, held as columns and always ranked:
+    score descending, ties by earlier start, then shorter, then input order.
+
+    Construction checks every row at once (finite, start < end, score in
+    [0, 1]) and raises IntervalError naming the first bad row. A scalar
+    source applies to every row.
+    """
 
     video_id: str
-    proposals: tuple[Proposal, ...] = ()
+    starts: np.ndarray = field(default=(), repr=False)
+    ends: np.ndarray = field(default=(), repr=False)
+    scores: np.ndarray = field(default=(), repr=False)
+    sources: np.ndarray = field(default=Source.SSAD, repr=False)
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.proposals, key=proposal_sort_key))
-        object.__setattr__(self, "proposals", ordered)
+        starts = np.asarray(self.starts, dtype=np.float64)
+        ends = np.asarray(self.ends, dtype=np.float64)
+        scores = np.asarray(self.scores, dtype=np.float64)
+        sources = np.broadcast_to(np.asarray(self.sources, dtype=np.uint8), starts.shape)
+        bad = ~(np.isfinite(starts) & np.isfinite(ends) & (starts < ends)
+                & (scores >= 0.0) & (scores <= 1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise IntervalError(
+                f"row {i}: need finite start < end and a score in [0, 1], "
+                f"got [{starts[i]}, {ends[i]}) scored {scores[i]}")
+        order = np.lexsort((ends - starts, starts, -scores))
+        for name, column in (("starts", starts), ("ends", ends), ("scores", scores),
+                             ("sources", sources)):
+            column = column[order]
+            column.flags.writeable = False  # the ranking holds only if nothing edits a column
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.proposals)
+        return len(self.starts)
 
     def __iter__(self):
-        return iter(self.proposals)
+        return map(Proposal._make, zip(self.starts.tolist(), self.ends.tolist(),
+                                       self.scores.tolist(), map(Source, self.sources.tolist())))
 
-    def top(self, k: int) -> ProposalSet:
-        return ProposalSet(self.video_id, self.proposals[:k])
+    def take(self, idx) -> ProposalSet:
+        """The rows at idx (an index array, list or slice), ranked again."""
+        return ProposalSet(self.video_id, self.starts[idx], self.ends[idx],
+                           self.scores[idx], self.sources[idx])
 
 
 class Subset(str, Enum):

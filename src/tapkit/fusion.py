@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Proposal, ProposalSet, Source, interval_bounds, tiou_matrix
+from .core import ProposalSet, Source, tiou_matrix
 from .errors import ConfigError, MetricError
 
 
@@ -50,41 +50,27 @@ def refine(p_ssad: ProposalSet, p_tag: ProposalSet, cfg: RefineConfig) -> Propos
             f"refine got proposal sets for different videos: "
             f"{p_ssad.video_id!r} vs {p_tag.video_id!r}"
         )
-    ssad = list(p_ssad.proposals)
-    tag = p_tag.proposals
-    # winning claimant per p_s index: (tiou, p_t interval)
-    claims: dict[int, tuple[float, object]] = {}
-    if ssad and tag:
-        s_starts, s_ends = interval_bounds([p.interval for p in ssad])
-        t_starts, t_ends = interval_bounds([p.interval for p in tag])
-        ious = tiou_matrix(t_starts, t_ends, s_starts, s_ends)
-        best = ious.max(axis=1)
-        # among a row's maxima the p_s with the least (start, length) wins,
-        # then the earliest index: first maximum in that column order
-        order = np.lexsort((s_ends - s_starts, s_starts))
-        best_idx = order[np.argmax(ious[:, order] == best[:, None], axis=1)]
-        for t in np.flatnonzero(best > cfg.iou_threshold):
-            p_t, idx, value = tag[t], int(best_idx[t]), float(best[t])
-            held = claims.get(idx)
-            if held is not None:
-                held_iou, held_iv = held
-                if value < held_iou:
-                    continue
-                if value == held_iou and (
-                    (p_t.interval.start, p_t.interval.length)
-                    >= (held_iv.start, held_iv.length)
-                ):
-                    continue
-            claims[idx] = (value, p_t.interval)
+    if len(p_ssad) == 0 or len(p_tag) == 0:
+        return p_ssad
+    s_starts, s_ends = p_ssad.starts, p_ssad.ends
+    t_starts, t_ends = p_tag.starts, p_tag.ends
+    ious = tiou_matrix(t_starts, t_ends, s_starts, s_ends)
+    best = ious.max(axis=1)
+    # among a row's maxima the p_s with the least (start, length) wins,
+    # then the earliest index: first maximum in that column order
+    order = np.lexsort((s_ends - s_starts, s_starts))
+    best_idx = order[np.argmax(ious[:, order] == best[:, None], axis=1)]
+    # claimants ranked by (-tIoU, start, length); the stable sort keeps tag
+    # rank order among full ties, and each p_s takes its first claimant
+    claims = np.flatnonzero(best > cfg.iou_threshold)
+    claims = claims[np.lexsort((t_ends[claims] - t_starts[claims], t_starts[claims],
+                                -best[claims]))]
+    won, first = np.unique(best_idx[claims], return_index=True)
+    winners = claims[first]
 
-    out = []
-    for idx, p_s in enumerate(ssad):
-        claim = claims.get(idx)
-        if claim is None:
-            out.append(p_s)
-        else:
-            out.append(Proposal(claim[1], p_s.score, Source.REFINED))
-    return ProposalSet(p_ssad.video_id, tuple(out))
+    starts, ends, sources = s_starts.copy(), s_ends.copy(), p_ssad.sources.copy()
+    starts[won], ends[won], sources[won] = t_starts[winners], t_ends[winners], Source.REFINED
+    return ProposalSet(p_ssad.video_id, starts, ends, p_ssad.scores, sources)
 
 
 def nms(pset: ProposalSet, cfg: NmsConfig) -> ProposalSet:
@@ -94,16 +80,15 @@ def nms(pset: ProposalSet, cfg: NmsConfig) -> ProposalSet:
     threshold, plus exact interval duplicates (so theta = 1.0 still collapses
     copies). Output is truncated to max_per_video.
     """
-    props = pset.proposals
-    starts, ends = interval_bounds([p.interval for p in props])
+    starts, ends = pset.starts, pset.ends
     suppress = tiou_matrix(starts, ends, starts, ends) > cfg.iou_threshold
     suppress |= (starts[:, None] == starts[None, :]) & (ends[:, None] == ends[None, :])
-    alive = np.ones(len(props), dtype=bool)
-    kept: list[Proposal] = []
-    for i in range(len(props)):
+    alive = np.ones(len(pset), dtype=bool)
+    kept: list[int] = []
+    for i in range(len(pset)):
         if len(kept) >= cfg.max_per_video:
             break
         if alive[i]:
-            kept.append(props[i])
+            kept.append(i)
             alive &= ~suppress[i]
-    return ProposalSet(pset.video_id, tuple(kept))
+    return pset.take(kept)

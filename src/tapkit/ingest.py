@@ -25,9 +25,7 @@ import numpy as np
 from .core import (
     DatasetIndex,
     GroundTruthInstance,
-    Proposal,
     ProposalSet,
-    Source,
     Subset,
     TemporalInterval,
     VideoRecord,
@@ -180,7 +178,9 @@ def load_annotations(path: str | Path) -> DatasetIndex:
                 raise DataFormatError(
                     f"{path}: {where}.segment [{seg[0]}, {seg[1]}] outside [0, {duration}]"
                 )
-            label = str(ann["label"])
+            label = ann["label"]
+            if not isinstance(label, str):
+                raise DataFormatError(f"{path}: {where}.label must be a string, got {label!r}")
             labels.add(label)
             instances.append(
                 GroundTruthInstance(label, TemporalInterval(float(seg[0]), float(seg[1])))
@@ -277,8 +277,7 @@ def _write_results_file(results: dict[str, list[dict]], path: str | Path) -> Non
 def write_results(proposal_sets: dict[str, ProposalSet], path: str | Path) -> None:
     """Write proposal results JSON (labelled files come from write_localization)."""
     _write_results_file({
-        vid: [{"segment": [p.interval.start, p.interval.end], "score": p.score}
-              for p in proposal_sets[vid]]
+        vid: [{"segment": [p.start, p.end], "score": p.score} for p in proposal_sets[vid]]
         for vid in sorted(proposal_sets)
     }, path)
 
@@ -294,7 +293,7 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
         entries = results.pop(vid)  # pop, so the JSON of each finished video is freed
         if not isinstance(entries, list):
             raise DataFormatError(f"{path}: results.{vid} must be a list")
-        proposals = []
+        starts, ends, scores = [], [], []
         for i, entry in enumerate(entries):
             where = f"results.{vid}[{i}]"
             if not isinstance(entry, dict):
@@ -309,12 +308,13 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
             score = entry.get("score")
             if not _is_number(score):
                 raise DataFormatError(f"{path}: {where}.score must be a number")
-            try:
-                interval = TemporalInterval(float(seg[0]), float(seg[1]))
-                proposals.append(Proposal(interval, float(score), Source.SSAD))
-            except IntervalError as exc:
-                raise DataFormatError(f"{path}: {where}: {exc}") from exc
-        out[vid] = ProposalSet(vid, tuple(proposals))
+            starts.append(float(seg[0]))
+            ends.append(float(seg[1]))
+            scores.append(float(score))
+        try:
+            out[vid] = ProposalSet(vid, starts, ends, scores)
+        except IntervalError as exc:
+            raise DataFormatError(f"{path}: results.{vid}: {exc}") from exc
     return out
 
 
@@ -348,7 +348,10 @@ def read_classification(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             score = entry["score"]
             if not _is_number(score) or not (0.0 <= score <= 1.0) or not math.isfinite(score):
                 raise DataFormatError(f"{path}: {vid}[{i}].score must be a number in [0, 1]")
-            rows.append((str(entry["label"]), float(score)))
+            label = entry["label"]
+            if not isinstance(label, str):
+                raise DataFormatError(f"{path}: {vid}[{i}].label must be a string, got {label!r}")
+            rows.append((label, float(score)))
         rows.sort(key=lambda r: -r[1])
         out[vid] = rows
     return out

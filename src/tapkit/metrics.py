@@ -15,16 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    DatasetIndex,
-    Proposal,
-    ProposalSet,
-    Source,
-    Subset,
-    TemporalInterval,
-    interval_bounds,
-    tiou_matrix,
-)
+from .core import DatasetIndex, ProposalSet, Subset, TemporalInterval, interval_bounds, tiou_matrix
 from .errors import MetricError
 from .util import KEY_BASELINE, rng_for
 
@@ -95,15 +86,15 @@ def ar_an(
     thresholds = np.asarray(grid, dtype=np.float64)
     for vid, intervals in gt.items():
         pset = proposals.get(vid)
-        kept = [p.interval for p in pset.proposals[:an_max]] if pset is not None else []
-        if not intervals or not kept:
+        if not intervals or pset is None or len(pset) == 0:
             continue
+        starts, ends = pset.starts[:an_max], pset.ends[:an_max]
         # prefix[r, g]: best tIoU of instance g among the top r + 1 proposals
         prefix = np.maximum.accumulate(
-            tiou_matrix(*interval_bounds(kept), *interval_bounds(intervals)), axis=0)
+            tiou_matrix(starts, ends, *interval_bounds(intervals)), axis=0)
         # the first rank reaching each threshold: prefix is non-decreasing
         ranks = np.count_nonzero(prefix[:, :, None] < thresholds, axis=0)
-        g_idx, t_idx = np.nonzero(ranks < len(kept))
+        g_idx, t_idx = np.nonzero(ranks < len(starts))
         np.add.at(hits, (ranks[g_idx, t_idx] + 1, t_idx), 1)
 
     cum = np.cumsum(hits, axis=0)
@@ -123,14 +114,15 @@ def uniform_random_proposals(
     rng = rng_for(seed, KEY_BASELINE)
     out = {}
     for rec in index.subset_videos(subset):
-        proposals = []
+        starts, ends, scores = [], [], []
         for _ in range(count):
             lo, hi = np.sort(rng.uniform(0.0, rec.duration, size=2))
             while hi <= lo:
                 lo, hi = np.sort(rng.uniform(0.0, rec.duration, size=2))
-            score = float(rng.uniform(0.0, 1.0))
-            proposals.append(Proposal(TemporalInterval(float(lo), float(hi)), score, Source.SSAD))
-        out[rec.video_id] = ProposalSet(rec.video_id, tuple(proposals))
+            starts.append(lo)
+            ends.append(hi)
+            scores.append(rng.uniform(0.0, 1.0))
+        out[rec.video_id] = ProposalSet(rec.video_id, starts, ends, scores)
     return out
 
 
@@ -167,10 +159,12 @@ def attach_labels(
         classes = classification.get(vid)
         if not classes:
             raise MetricError(f"no classification entry for video {vid}")
+        bounds = zip(pset.starts.tolist(), pset.ends.tolist())
+        intervals = [TemporalInterval(start, end) for start, end in bounds]
         entries = []
         for label, confidence in classes[:top_c]:
-            for p in pset.proposals:
-                entries.append((label, p.interval, p.score * confidence))
+            for interval, score in zip(intervals, pset.scores.tolist()):
+                entries.append((label, interval, score * confidence))
         entries.sort(key=_loc_sort_key)
         out[vid] = entries
     return out

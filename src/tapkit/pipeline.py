@@ -408,7 +408,7 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
     ssad_final = {}
     for vid in sorted(ssad_sets):
         p_ssad = ssad_sets[vid]
-        p_tag = tag_sets.get(vid, ProposalSet(vid, ()))
+        p_tag = tag_sets.get(vid, ProposalSet(vid))
         if cfg.nms_placement == "before":
             kept = nms(p_ssad, cfg.nms)
             ssad_final[vid] = kept
@@ -424,9 +424,8 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
     final_path = cfg.output_dir / "proposals_ssad_final.json"
     write_results(refined, refined_path)
     write_results(ssad_final, final_path)
-    n_replaced = sum(
-        1 for pset in refined.values() for p in pset if p.source == Source.REFINED
-    )
+    n_replaced = sum(int(np.count_nonzero(pset.sources == Source.REFINED))
+                     for pset in refined.values())
     logger.info("refine: %d videos, %d boundaries replaced, nms placement %r",
                 len(refined), n_replaced, cfg.nms_placement)
     return [refined_path, final_path]

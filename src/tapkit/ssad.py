@@ -13,17 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    Proposal,
-    ProposalSet,
-    Source,
-    TemporalInterval,
-    VideoRecord,
-    clip_unit,
-    denormalize,
-    interval_bounds,
-    tiou_matrix,
-)
+from .core import ProposalSet, Source, TemporalInterval, VideoRecord, interval_bounds, tiou_matrix
 from .engine import Conv1d, Layer, ReLU, Sequential, Sigmoid, fit
 from .errors import ConfigError, DataFormatError, IntervalError, ShapeError
 from .ingest import FeatureSequence, resize_linear
@@ -71,38 +61,30 @@ class SsadConfig:
             raise ConfigError("top_k must be >= 1")
 
 
-@dataclass(frozen=True)
-class Anchor:
-    layer: int
-    cell: int
-    ratio: float
-    interval: TemporalInterval  # default interval on [0, 1], already clipped
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorPyramid:
-    anchors: tuple[Anchor, ...] = field(repr=False)
+    """Default anchor intervals on [0, 1], already clipped, as start and end
+    arrays in (layer, cell, ratio) lexicographic order."""
+
+    starts: np.ndarray = field(repr=False)
+    ends: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.anchors)
+        return len(self.starts)
 
 
 def build_anchor_pyramid(cfg: SsadConfig) -> AnchorPyramid:
-    """Default anchor intervals in (layer, cell, ratio) lexicographic order.
-
-    A cell i of a length-L map centers its anchors at (i+0.5)/L with widths
-    ratio/L, clipped to [0, 1].
+    """A cell i of a length-L map centers its anchors at (i+0.5)/L with widths
+    ratio/L, clipped to [0, 1]; ratios vary fastest, then cells, then layers.
     """
-    lengths = cfg.resolved_layer_lengths()
-    anchors = []
-    for layer, length in enumerate(lengths):
-        for cell in range(length):
-            center = (cell + 0.5) / length
-            for ratio in cfg.scale_ratios:
-                half = 0.5 * ratio / length
-                iv = clip_unit(TemporalInterval(center - half, center + half))
-                anchors.append(Anchor(layer, cell, ratio, iv))
-    return AnchorPyramid(tuple(anchors))
+    ratios = np.asarray(cfg.scale_ratios, dtype=np.float64)
+    starts, ends = [], []
+    for length in cfg.resolved_layer_lengths():
+        center = ((np.arange(length) + 0.5) / length)[:, None]
+        half = 0.5 * ratios / length
+        starts.append(np.maximum(0.0, center - half).ravel())
+        ends.append(np.minimum(1.0, center + half).ravel())
+    return AnchorPyramid(np.concatenate(starts), np.concatenate(ends))
 
 
 def assign_targets(pyramid: AnchorPyramid, gt: list[TemporalInterval]) -> np.ndarray:
@@ -112,8 +94,7 @@ def assign_targets(pyramid: AnchorPyramid, gt: list[TemporalInterval]) -> np.nda
             raise IntervalError(f"gt interval [{iv.start}, {iv.end}) not normalized")
     if not gt:
         return np.zeros(len(pyramid), dtype=np.float64)
-    ious = tiou_matrix(*interval_bounds([a.interval for a in pyramid.anchors]),
-                       *interval_bounds(gt))
+    ious = tiou_matrix(pyramid.starts, pyramid.ends, *interval_bounds(gt))
     return ious.max(axis=1)
 
 
@@ -276,20 +257,15 @@ def infer(
     model: SsadModel,
     seq: FeatureSequence,
     record: VideoRecord,
-    pyramid: AnchorPyramid | None = None,
+    pyramid: AnchorPyramid,
 ) -> ProposalSet:
     """Score every anchor and emit the top-k default intervals in seconds."""
-    cfg = model.cfg
-    if pyramid is None:
-        pyramid = build_anchor_pyramid(cfg)
-    x = _prepare_input(seq, cfg)[None, :, :]
+    x = _prepare_input(seq, model.cfg)[None, :, :]
     scores = model.forward(x)[0]
     if scores.shape[0] != len(pyramid):
         raise ShapeError(
             f"model emitted {scores.shape[0]} scores for {len(pyramid)} anchors"
         )
-    proposals = [
-        Proposal(denormalize(anchor.interval, record.duration), float(s), Source.SSAD)
-        for anchor, s in zip(pyramid.anchors, scores)
-    ]
-    return ProposalSet(record.video_id, tuple(proposals)).top(cfg.top_k)
+    pset = ProposalSet(record.video_id, pyramid.starts * record.duration,
+                       pyramid.ends * record.duration, scores, Source.SSAD)
+    return pset.take(slice(model.cfg.top_k))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Proposal, ProposalSet, Source, TemporalInterval, VideoRecord
+from .core import ProposalSet, Source, VideoRecord
 from .engine import Dense, ReLU, Sequential, Sigmoid, fit
 from .errors import ConfigError, DataFormatError, ShapeError
 from .ingest import FeatureSequence, snippet_centers
@@ -187,10 +187,10 @@ def tag_proposals(
             return record.duration
         return idx * record.duration / num
 
-    proposals = []
+    starts, ends, scores = [], [], []
     for start, end in sorted(regions):
-        score = min(1.0, max(0.0, float(values[start:end].mean())))
-        interval = TemporalInterval(to_seconds(start), to_seconds(end))
-        proposals.append(Proposal(interval, score, Source.TAG))
-    return ProposalSet(record.video_id, tuple(proposals))
+        starts.append(to_seconds(start))
+        ends.append(to_seconds(end))
+        scores.append(min(1.0, max(0.0, float(values[start:end].mean()))))
+    return ProposalSet(record.video_id, starts, ends, scores, Source.TAG)
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tapkit.core import tiou_matrix
+from tapkit.core import ProposalSet, Source, tiou_matrix
 from tapkit.metrics import ar_an
 from tapkit.pipeline import PipelineConfig, load_config, run_command
 from tapkit.tag import _fragments, _group_fragments
@@ -14,7 +14,8 @@ from tapkit.tag import _fragments, _group_fragments
 os.environ.pop("TAPKIT_SEED", None)
 
 
-# One-call forms of the production kernels, for tests that check one value.
+# One-call forms of the production kernels, for tests that check one value,
+# and a shorthand for proposal sets written as rows.
 
 
 def tiou(a, b):
@@ -25,6 +26,12 @@ def tiou(a, b):
 def recall(proposals, gt, an, threshold):
     """Recall at one AN and one threshold: a single-point ar_an curve."""
     return ar_an(proposals, gt, an_max=an, grid=(threshold,)).ar_at(an)
+
+
+def pset(vid, rows, source=Source.SSAD):
+    """A proposal set from (start, end, score) rows."""
+    columns = np.asarray(rows, dtype=np.float64).reshape(-1, 3).T
+    return ProposalSet(vid, *columns, source)
 
 
 def group(values, tau, gamma, min_frag=1, scan_cutoff=True):

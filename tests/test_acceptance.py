@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import group, recall, record_criterion, tiou
+from conftest import group, pset, recall, record_criterion, tiou
 from oracles import (
     brute_ap,
     brute_ar_an,
@@ -23,8 +23,6 @@ from oracles import (
 from tapkit.core import (
     DatasetIndex,
     GroundTruthInstance,
-    Proposal,
-    ProposalSet,
     Source,
     Subset,
     TemporalInterval,
@@ -46,10 +44,6 @@ from tapkit.ssad import SsadConfig, build_anchor_pyramid, build_model
 
 def iv(s, e):
     return TemporalInterval(s, e)
-
-
-def pset(vid, rows, source=Source.SSAD):
-    return ProposalSet(vid, tuple(Proposal(iv(s, e), score, source) for s, e, score in rows))
 
 
 def _random_conv_stack(rng):
@@ -149,7 +143,7 @@ def test_criterion_2_metric_oracles():
     for _ in range(500):
         props, gt, loc, index = _random_metric_instance(rng)
         plain_props = {
-            vid: [(p.interval.start, p.interval.end, p.score) for p in ps]
+            vid: [(p.start, p.end, p.score) for p in ps]
             for vid, ps in props.items()
         }
         plain_gt = {vid: [(s, e) for _l, s, e in rows] for vid, rows in gt.items()}
@@ -165,7 +159,7 @@ def test_criterion_2_metric_oracles():
         diffs += [abs(a - b) for a, b in zip(curve.ar, want_ar)]
         diffs.append(abs(curve.area - want_area))
 
-        preds = [(vid, p.interval, p.score) for vid, ps in props.items() for p in ps]
+        preds = [(vid, iv(p.start, p.end), p.score) for vid, ps in props.items() for p in ps]
         plain_preds = [(vid, p.start, p.end, s) for vid, p, s in preds]
         diffs.append(abs(average_precision(preds, bare_gt, threshold)
                          - brute_ap(plain_preds, plain_gt, threshold)))
@@ -249,8 +243,8 @@ def test_criterion_5_refinement_contract():
                  ((0.0, 16.0), (4.0, 16.0)), ((10.0, 14.0), (11.0, 14.0))):
         assert tiou(iv(*a), iv(*b)) == 0.75
         out = refine(pset("v", [(*a, 0.5)]), pset("v", [(*b, 0.5)], Source.TAG), cfg)
-        p = out.proposals[0]
-        if (p.interval.start, p.interval.end) != a or p.source is not Source.SSAD:
+        [p] = out
+        if (p.start, p.end) != a or p.source is not Source.SSAD:
             strict = False
     ok = preserved and strict
     record_criterion(

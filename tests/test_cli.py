@@ -147,6 +147,21 @@ class TestExitCodes:
         path.write_text(json.dumps(raw))
         assert main(["eval-prop", *_tiny_args(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("target", ["annotations", "classification"])
+    def test_data_error_on_non_string_label(self, tmp_path, caplog, target):
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        (tmp_path / "proposals_refined.json").write_text('{"results": {}}')
+        path = tmp_path / f"{target}.json"
+        raw = json.loads(path.read_text())
+        if target == "annotations":
+            video = next(v for v in raw["database"].values() if v["annotations"])
+            video["annotations"][0]["label"] = 5
+        else:
+            next(rows for rows in raw.values() if rows)[0]["label"] = 5
+        path.write_text(json.dumps(raw))
+        assert main(["eval-loc", *_tiny_args(tmp_path)]) == 3
+        assert "label must be a string, got 5" in caplog.text
+
     def test_config_error_ssad_feature_dim_key(self, tmp_path):
         # the features fix the dimension, so no config key sets it
         assert main(["synth", *_tiny_args(tmp_path, ["ssad.feature_dim=4"])]) == 2

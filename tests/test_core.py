@@ -1,22 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import tiou
+from conftest import pset, tiou
 from oracles import oracle_tiou
-from tapkit.core import (
-    Proposal,
-    ProposalSet,
-    Source,
-    TemporalInterval,
-    VideoRecord,
-    clip_unit,
-    denormalize,
-    tiou_matrix,
-)
+from tapkit.cli import DATA_ERRORS
+from tapkit.core import ProposalSet, Source, Subset, TemporalInterval, VideoRecord, tiou_matrix
 from tapkit.errors import IntervalError
+from tapkit.ingest import FeatureSequence, read_results
+from tapkit.ssad import AnchorPyramid, SsadConfig, SsadModel, infer
 
 
 def iv(s, e):
@@ -113,23 +108,27 @@ class TestTiouMatrix:
 
 
 class TestNormalize:
-    """Unit scale and back: ssad divides gt by the duration, denormalize inverts it."""
+    """Unit scale and back: ssad divides gt by the duration, and infer scales
+    the unit anchors by it."""
+
+    @staticmethod
+    def _infer(unit_start, unit_end, duration):
+        cfg = SsadConfig(input_length=4, hidden_channels=2, scale_ratios=(1.0,))
+        rec = VideoRecord("v", duration, Subset.VALIDATION)
+        pyramid = AnchorPyramid(np.array([unit_start]), np.array([unit_end]))
+        [p] = infer(SsadModel(2, cfg), FeatureSequence("v", np.zeros((4, 2))), rec, pyramid)
+        return p.start, p.end
 
     def test_full_span(self):
-        out = denormalize(iv(0, 1), 80.0)
-        assert (out.start, out.end) == (0.0, 80.0)
+        assert self._infer(0.0, 1.0, 80.0) == (0.0, 80.0)
 
     def test_interior(self):
-        out = denormalize(iv(0.25, 0.5), 120.0)
-        assert (out.start, out.end) == (30.0, 60.0)
+        assert self._infer(0.25, 0.5, 120.0) == (30.0, 60.0)
 
     def test_bad_duration(self):
-        with pytest.raises(IntervalError):
-            denormalize(iv(0.1, 0.2), 0.0)
-        with pytest.raises(IntervalError):
-            denormalize(iv(0.1, 0.2), -3.0)
-        with pytest.raises(IntervalError):
-            denormalize(iv(0.1, 0.2), math.inf)
+        for duration in (0.0, -3.0, math.inf):
+            with pytest.raises(IntervalError):
+                self._infer(0.1, 0.2, duration)
 
     @given(
         st.tuples(
@@ -140,70 +139,101 @@ class TestNormalize:
     )
     def test_round_trip(self, span, extra):
         duration = span[1] + extra
-        a = iv(span[0], span[1])
-        back = denormalize(iv(a.start / duration, a.end / duration), duration)
-        assert back.start == pytest.approx(a.start, rel=1e-12, abs=1e-12)
-        assert back.end == pytest.approx(a.end, rel=1e-12, abs=1e-12)
-
-
-class TestClipUnit:
-    def test_clips_left(self):
-        out = clip_unit(iv(-0.1, 0.3))
-        assert (out.start, out.end) == (0.0, 0.3)
-
-    def test_identity_inside(self):
-        out = clip_unit(iv(0.2, 0.8))
-        assert (out.start, out.end) == (0.2, 0.8)
-
-    def test_fully_outside(self):
-        with pytest.raises(IntervalError):
-            clip_unit(iv(1.1, 1.5))
-        with pytest.raises(IntervalError):
-            clip_unit(iv(-2.0, 0.0))
+        start, end = self._infer(span[0] / duration, span[1] / duration, duration)
+        assert start == pytest.approx(span[0], rel=1e-12, abs=1e-12)
+        assert end == pytest.approx(span[1], rel=1e-12, abs=1e-12)
 
 
 class TestProposal:
+    """Rows of a set: plain floats and a Source member."""
+
     def test_score_bounds(self):
-        Proposal(iv(0, 1), 0.0, Source.SSAD)
-        Proposal(iv(0, 1), 1.0, Source.TAG)
-        with pytest.raises(IntervalError):
-            Proposal(iv(0, 1), 1.5, Source.SSAD)
-        with pytest.raises(IntervalError):
-            Proposal(iv(0, 1), -0.1, Source.SSAD)
-        with pytest.raises(IntervalError):
-            Proposal(iv(0, 1), math.nan, Source.SSAD)
+        assert len(ProposalSet("v", [0, 0], [1, 1], [0.0, 1.0])) == 2
+        for score in (1.5, -0.1, math.nan):
+            with pytest.raises(IntervalError):
+                ProposalSet("v", [0], [1], [score])
 
     def test_source_coercion(self):
-        p = Proposal(iv(0, 1), 0.5, "refined")
-        assert p.source is Source.REFINED
+        # a scalar source applies to every row; per-row sources follow their rows
+        assert [p.source for p in pset("v", [(0, 1, 0.5), (2, 3, 0.7)], 2)] == [
+            Source.REFINED, Source.REFINED]
+        mixed = ProposalSet("v", [0.0, 2.0], [1.0, 3.0], [0.5, 0.7],
+                            [Source.REFINED, Source.SSAD])
+        rows = list(mixed)
+        assert rows == [(2.0, 3.0, 0.7, Source.SSAD), (0.0, 1.0, 0.5, Source.REFINED)]
+        assert rows[0].source is Source.SSAD and rows[1].source is Source.REFINED
+
+    def test_fields_are_python_floats(self):
+        # json writes Python floats by repr; NumPy scalars would not do
+        [p] = pset("v", [(0.1, 0.7, 0.3)])
+        assert all(type(v) is float for v in (p.start, p.end, p.score))
+
+
+_ROW_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5]) | finite_times
+_ROW_SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+_ROWS = st.lists(
+    st.tuples(_ROW_VALUES, _ROW_VALUES, _ROW_SCORES, st.sampled_from(list(Source)))
+    .filter(lambda r: r[0] < r[1]),
+    max_size=12,
+).flatmap(lambda rows: st.lists(st.sampled_from(rows), max_size=16) if rows else st.just([]))
+_BAD_ROWS = {
+    "nan start": (math.nan, 1.0, 0.5),
+    "infinite end": (0.0, math.inf, 0.5),
+    "reversed": (2.0, 1.0, 0.5),
+    "empty": (1.0, 1.0, 0.5),
+    "negative score": (0.0, 1.0, -0.25),
+    "score above one": (0.0, 1.0, 1.5),
+    "nan score": (0.0, 1.0, math.nan),
+}
+
+
+def _columns(rows):
+    return ([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
 
 
 class TestProposalSet:
     def test_sorted_on_construction(self):
-        ps = ProposalSet("v", (
-            Proposal(iv(5, 9), 0.2, Source.SSAD),
-            Proposal(iv(0, 4), 0.9, Source.SSAD),
-            Proposal(iv(1, 3), 0.5, Source.SSAD),
-        ))
+        ps = pset("v", [(5, 9, 0.2), (0, 4, 0.9), (1, 3, 0.5)])
         assert [p.score for p in ps] == [0.9, 0.5, 0.2]
 
     def test_tie_break_start_then_length(self):
-        ps = ProposalSet("v", (
-            Proposal(iv(2, 4), 0.5, Source.SSAD),
-            Proposal(iv(1, 9), 0.5, Source.SSAD),
-            Proposal(iv(1, 3), 0.5, Source.SSAD),
-        ))
-        got = [(p.interval.start, p.interval.end) for p in ps]
-        assert got == [(1, 3), (1, 9), (2, 4)]
+        ps = pset("v", [(2, 4, 0.5), (1, 9, 0.5), (1, 3, 0.5)])
+        assert [(p.start, p.end) for p in ps] == [(1, 3), (1, 9), (2, 4)]
 
     def test_top(self):
-        ps = ProposalSet("v", tuple(
-            Proposal(iv(i, i + 1), (i + 1) / 10.0, Source.SSAD) for i in range(5)
-        ))
-        top2 = ps.top(2)
-        assert len(top2) == 2
+        ps = pset("v", [(i, i + 1, (i + 1) / 10.0) for i in range(5)])
+        top2 = ps.take(slice(2))
         assert [p.score for p in top2] == [0.5, 0.4]
-        assert len(ps.top(100)) == 5
+        assert len(ps.take(slice(100))) == 5
+        assert [p.score for p in ps.take([3, 1])] == [0.4, 0.2]  # ranked again
+
+    @given(_ROWS)
+    def test_order_is_the_stable_ranking_key(self, rows):
+        # bit for bit: hex() tells -0.0 from 0.0, so a tie that the sort
+        # reordered would show
+        ps = ProposalSet("v", *_columns(rows), [r[3] for r in rows])
+        order = sorted(range(len(rows)),
+                       key=lambda i: (-rows[i][2], rows[i][0], rows[i][1] - rows[i][0]))
+        want = [(rows[i][0].hex(), rows[i][1].hex(), rows[i][2].hex(), rows[i][3]) for i in order]
+        assert [(p.start.hex(), p.end.hex(), p.score.hex(), p.source) for p in ps] == want
+
+    @given(_ROWS, st.sampled_from(sorted(_BAD_ROWS)), st.integers(0, 20))
+    def test_invalid_row_is_named(self, rows, kind, at):
+        at = min(at, len(rows))
+        rows = [r[:3] for r in rows]
+        rows.insert(at, _BAD_ROWS[kind])
+        with pytest.raises(IntervalError, match=f"^row {at}: "):
+            ProposalSet("v", *_columns(rows))
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_ROWS))
+    def test_read_results_names_the_video_and_row(self, tmp_path, kind):
+        start, end, score = _BAD_ROWS[kind]
+        entries = [{"segment": [0.0, 1.0], "score": 0.5},
+                   {"segment": [start, end], "score": score}]
+        path = tmp_path / "props.json"
+        path.write_text(json.dumps({"results": {"vid7": entries}}))
+        with pytest.raises(DATA_ERRORS, match=r"results\.vid7: row 1: "):
+            read_results(path)
 
 
 class TestVideoRecord:

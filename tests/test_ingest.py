@@ -24,7 +24,7 @@ from tapkit.ingest import (
     write_localization,
     write_results,
 )
-from tapkit.core import Proposal, ProposalSet, Source
+from tapkit.core import ProposalSet
 
 
 def _write(tmp_path, name, payload):
@@ -105,6 +105,15 @@ class TestAnnotations:
         # bool is an int subclass; true must not read as 1
         path = _write(tmp_path, "ann.json", {"database": {"v": video}})
         with pytest.raises(DataFormatError):
+            load_annotations(path)
+
+    @pytest.mark.parametrize("label", [None, 5, {"x": 1}, ["a"], True])
+    def test_non_string_label_rejected(self, tmp_path, label):
+        # an int label must not silently match the string "5" of another file
+        path = _write(tmp_path, "ann.json", {"database": {"v": {
+            "duration": 60.0, "subset": "training",
+            "annotations": [{"label": label, "segment": [1.0, 2.0]}]}}})
+        with pytest.raises(DataFormatError, match=r"database\.v\.annotations\[0\]\.label"):
             load_annotations(path)
 
     def test_round_trip(self, tmp_path):
@@ -267,17 +276,14 @@ class TestSynthetic:
 
 class TestResultsFiles:
     def _pset(self):
-        return ProposalSet("v1", (
-            Proposal(TemporalInterval(0.0, 10.0), 0.9, Source.SSAD),
-            Proposal(TemporalInterval(5.0, 25.0), 0.4, Source.SSAD),
-        ))
+        return ProposalSet("v1", [0.0, 5.0], [10.0, 25.0], [0.9, 0.4])
 
     def test_proposal_round_trip(self, tmp_path):
         path = tmp_path / "props.json"
         write_results({"v1": self._pset()}, path)
         back = read_results(path)
         assert set(back) == {"v1"}
-        got = [(p.interval.start, p.interval.end, p.score) for p in back["v1"]]
+        got = [(p.start, p.end, p.score) for p in back["v1"]]
         assert got == [(0.0, 10.0, 0.9), (5.0, 25.0, 0.4)]
 
     def test_proposal_file_tolerates_labels(self, tmp_path):
@@ -292,8 +298,8 @@ class TestResultsFiles:
         write_localization(loc, path)
         entries = json.loads(path.read_text())["results"]
         assert entries == {"v": [{"label": "jump", "segment": [0.0, 5.0], "score": 0.75}]}
-        back = read_results(path)["v"].proposals
-        assert [(p.interval, p.score) for p in back] == [(TemporalInterval(0.0, 5.0), 0.75)]
+        back = read_results(path)["v"]
+        assert [(p.start, p.end, p.score) for p in back] == [(0.0, 5.0, 0.75)]
 
     def test_malformed_segment(self, tmp_path):
         path = _write(tmp_path, "props.json", {
@@ -331,6 +337,15 @@ class TestResultsFiles:
         with pytest.raises(DataFormatError):
             read_results(path)
 
+    @pytest.mark.parametrize("name", ["proposals_ssad.json", "proposals_tag.json",
+                                      "proposals_refined.json", "proposals_ssad_final.json"])
+    def test_pipeline_files_round_trip_byte_for_byte(self, fixture42, tmp_path, name):
+        # scalars must reach json as Python floats: a NumPy float32 or a
+        # repr of np.float64 would change the bytes
+        path = fixture42.cfg.output_dir / name
+        write_results(read_results(path), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == path.read_bytes()
+
 
 class TestClassificationFiles:
     def test_round_trip_sorted_by_confidence(self, tmp_path):
@@ -353,6 +368,13 @@ class TestClassificationFiles:
     def test_missing_keys(self, tmp_path):
         path = _write(tmp_path, "cls.json", {"v": [{"label": "a"}]})
         with pytest.raises(DataFormatError):
+            read_classification(path)
+
+    @pytest.mark.parametrize("label", [None, 5, {"x": 1}, ["a"], True])
+    def test_non_string_label_rejected(self, tmp_path, label):
+        path = _write(tmp_path, "cls.json", {"v": [{"label": "a", "score": 0.9},
+                                                   {"label": label, "score": 0.5}]})
+        with pytest.raises(DataFormatError, match=r"v\[1\]\.label"):
             read_classification(path)
 
 

@@ -58,32 +58,39 @@ class TestAnchorPyramid:
     def test_single_cell_single_ratio(self):
         cfg = SsadConfig(input_length=4, scale_ratios=(1.0,))
         pyramid = build_anchor_pyramid(cfg)
-        assert len(pyramid) == 1
-        a = pyramid.anchors[0]
-        assert (a.layer, a.cell, a.ratio) == (0, 0, 1.0)
-        assert (a.interval.start, a.interval.end) == (0.0, 1.0)
+        assert (pyramid.starts.tolist(), pyramid.ends.tolist()) == ([0.0], [1.0])
 
     def test_two_cell_layer_intervals(self):
         cfg = SsadConfig(input_length=8, scale_ratios=(1.0,))
         pyramid = build_anchor_pyramid(cfg)
-        got = [(a.interval.start, a.interval.end) for a in pyramid.anchors]
+        got = list(zip(pyramid.starts.tolist(), pyramid.ends.tolist()))
         # layer of length 1 first, then the two cells of the length-2 map
         assert got == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
 
     def test_wide_ratio_clipped(self):
         cfg = SsadConfig(input_length=4, scale_ratios=(3.0,))
-        a = build_anchor_pyramid(cfg).anchors[0]
-        assert (a.interval.start, a.interval.end) == (0.0, 1.0)
+        pyramid = build_anchor_pyramid(cfg)
+        assert (pyramid.starts.tolist(), pyramid.ends.tolist()) == ([0.0], [1.0])
 
     def test_lexicographic_order(self):
-        pyramid = build_anchor_pyramid(SsadConfig(input_length=16))
-        keys = [(a.layer, a.cell, a.ratio) for a in pyramid.anchors]
-        assert keys == sorted(keys)
+        # the docstring's formula, one anchor at a time in (layer, cell, ratio) order
+        cfg = SsadConfig(input_length=64, scale_ratios=(0.5, 0.75, 1.0, 2.5))
+        starts, ends = [], []
+        for length in cfg.resolved_layer_lengths():
+            for cell in range(length):
+                center = (cell + 0.5) / length
+                for ratio in cfg.scale_ratios:
+                    half = 0.5 * ratio / length
+                    starts.append(max(0.0, center - half))
+                    ends.append(min(1.0, center + half))
+        pyramid = build_anchor_pyramid(cfg)
+        assert [v.hex() for v in pyramid.starts.tolist()] == [v.hex() for v in starts]
+        assert [v.hex() for v in pyramid.ends.tolist()] == [v.hex() for v in ends]
 
     def test_half_ratio_centered(self):
         cfg = SsadConfig(input_length=4, scale_ratios=(0.5,))
-        a = build_anchor_pyramid(cfg).anchors[0]
-        assert (a.interval.start, a.interval.end) == (0.25, 0.75)
+        pyramid = build_anchor_pyramid(cfg)
+        assert (pyramid.starts.tolist(), pyramid.ends.tolist()) == ([0.25], [0.75])
 
 
 class TestAssignTargets:
@@ -120,11 +127,10 @@ class TestAssignTargets:
                 s = int(rng.integers(0, 8))
                 gt.append(iv(s / 8, int(rng.integers(s + 1, 9)) / 8))
             want = []
-            for anchor in pyramid.anchors:
+            for anchor in zip(pyramid.starts.tolist(), pyramid.ends.tolist()):
                 best = 0.0
                 for g in gt:
-                    a = anchor.interval
-                    best = max(best, oracle_tiou((a.start, a.end), (g.start, g.end)))
+                    best = max(best, oracle_tiou(anchor, (g.start, g.end)))
                 want.append(best)
             assert assign_targets(pyramid, gt).tolist() == want
 
@@ -163,9 +169,9 @@ class TestModel:
         model = SsadModel(4, cfg, rng=None)
         rec = VideoRecord("v", 20.0, Subset.VALIDATION)
         seq = FeatureSequence("v", np.zeros((10, 4), dtype=np.float32))
-        pset = infer(model, seq, rec)
+        pset = infer(model, seq, rec, build_anchor_pyramid(cfg))
         assert len(pset) == 5
-        keys = [(p.interval.start, p.interval.length) for p in pset]
+        keys = [(p.start, p.end - p.start) for p in pset]
         assert keys == sorted(keys)
 
     def test_infer_bounds_and_topk(self):
@@ -173,10 +179,10 @@ class TestModel:
         model = build_model(4, cfg, seed=3)
         rec = VideoRecord("v", 37.5, Subset.VALIDATION)
         seq = FeatureSequence("v", np.random.default_rng(3).standard_normal((9, 4)).astype(np.float32))
-        pset = infer(model, seq, rec)
+        pset = infer(model, seq, rec, build_anchor_pyramid(cfg))
         assert len(pset) == 11
         for p in pset:
-            assert 0.0 <= p.interval.start < p.interval.end <= 37.5
+            assert 0.0 <= p.start < p.end <= 37.5
             assert 0.0 <= p.score <= 1.0
 
 
@@ -248,9 +254,10 @@ class TestCheckpoint:
         loaded = load_weights(SsadModel(4, cfg), path)
         rec = VideoRecord("v", 25.0, Subset.VALIDATION)
         seq = FeatureSequence("v", np.random.default_rng(9).standard_normal((7, 4)).astype(np.float32))
-        a = infer(model, seq, rec)
-        b = infer(loaded, seq, rec)
-        assert a == b
+        pyramid = build_anchor_pyramid(cfg)
+        a = infer(model, seq, rec, pyramid)
+        b = infer(loaded, seq, rec, pyramid)
+        assert list(a) == list(b)
 
     def test_architecture_mismatch(self, tmp_path):
         cfg = SsadConfig(input_length=16, hidden_channels=8)

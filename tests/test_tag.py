@@ -143,20 +143,20 @@ class TestTagProposals:
         seq = ActionnessSequence("v", np.ones(8))
         pset = tag_proposals(seq, TagConfig(), _record(8.0))
         assert len(pset) == 1
-        p = pset.proposals[0]
-        assert (p.interval.start, p.interval.end, p.score) == (0.0, 8.0, 1.0)
+        [p] = pset
+        assert (p.start, p.end, p.score) == (0.0, 8.0, 1.0)
         assert p.source is Source.TAG
 
     def test_worked_example_grid(self):
         # same 4 snippets as TestGroup's worked example, full default grid, 4 s video
         seq = ActionnessSequence("v", np.array([0.9, 0.9, 0.1, 0.9]))
         pset = tag_proposals(seq, TagConfig(), _record(4.0))
-        got = {(p.interval.start, p.interval.end): p.score for p in pset}
+        got = {(p.start, p.end): p.score for p in pset}
         assert set(got) == {(0.0, 2.0), (3.0, 4.0), (0.0, 4.0)}
         assert got[(0.0, 2.0)] == pytest.approx(0.9)
         assert got[(3.0, 4.0)] == pytest.approx(0.9)
         assert got[(0.0, 4.0)] == pytest.approx(0.7)
-        assert pset.proposals[0].score == pytest.approx(0.9)
+        assert pset.scores[0] == pytest.approx(0.9)
 
     def test_intervals_inside_duration(self):
         rng = np.random.default_rng(4)
@@ -164,7 +164,7 @@ class TestTagProposals:
             values = rng.uniform(0, 1, size=int(rng.integers(1, 30)))
             rec = _record(float(rng.uniform(5, 100)))
             for p in tag_proposals(ActionnessSequence("v", values), TagConfig(), rec):
-                assert 0.0 <= p.interval.start < p.interval.end <= rec.duration
+                assert 0.0 <= p.start < p.end <= rec.duration
 
 
 class TestMlp:

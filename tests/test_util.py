@@ -10,9 +10,7 @@ import tapkit.util
 from tapkit.core import (
     DatasetIndex,
     GroundTruthInstance,
-    Proposal,
     ProposalSet,
-    Source,
     Subset,
     TemporalInterval,
     VideoRecord,
@@ -38,7 +36,7 @@ WRITERS = {
         label_set=("a",)), p),
     "save_features": lambda p: save_features(FeatureSequence("v", np.ones((3, 2))), p),
     "write_results": lambda p: write_results(
-        {"v": ProposalSet("v", (Proposal(_IV, 0.5, Source.SSAD),))}, p),
+        {"v": ProposalSet("v", [_IV.start], [_IV.end], [0.5])}, p),
     "write_localization": lambda p: write_localization({"v": [("a", _IV, 0.5)]}, p),
     "write_classification": lambda p: write_classification({"v": [("a", 1.0)]}, p),
     "save_model": lambda p: save_model([Dense(2, 3), ReLU()], p),
