@@ -66,8 +66,7 @@ def tiou_matrix(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
 
 
 def interval_bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end arrays of a sequence of intervals (ground truth and
-    localization entries), for tiou_matrix."""
+    """Start and end arrays of a sequence of ground-truth intervals, for tiou_matrix."""
     starts = np.fromiter((iv.start for iv in intervals), dtype=np.float64)
     ends = np.fromiter((iv.end for iv in intervals), dtype=np.float64)
     return starts, ends
@@ -158,8 +157,8 @@ class VideoRecord:
     instances: tuple[GroundTruthInstance, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (float(self.duration) > 0.0):
-            raise IntervalError(f"video {self.video_id}: duration must be > 0, got {self.duration}")
+        if not 0.0 < float(self.duration) < math.inf:
+            raise IntervalError(f"video {self.video_id}: duration must be finite and > 0, got {self.duration}")
         object.__setattr__(self, "duration", float(self.duration))
         object.__setattr__(self, "subset", Subset(self.subset))
         object.__setattr__(self, "instances", tuple(self.instances))

@@ -319,11 +319,11 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
 
 
 def write_localization(
-    localization: dict[str, list[tuple[str, TemporalInterval, float]]], path: str | Path
+    localization: dict[str, list[tuple[str, float, float, float]]], path: str | Path
 ) -> None:
     _write_results_file({
-        vid: [{"label": label, "segment": [iv.start, iv.end], "score": score}
-              for label, iv, score in localization[vid]]
+        vid: [{"label": label, "segment": [start, end], "score": score}
+              for label, start, end, score in localization[vid]]
         for vid in sorted(localization)
     }, path)
 

@@ -3,8 +3,18 @@
 Recall is pooled over instances, not averaged per video: a ground-truth
 instance counts as recalled when any of the top-AN proposals of its video
 reaches the tIoU threshold. AR averages recall over the standard 10-threshold
-grid, and the AR-AN curve samples AN = 1..AN_max with area = mean. Detection
-AP follows the usual greedy-matching, monotone-envelope formulation.
+grid, and the AR-AN curve samples AN = 1..AN_max with area = mean.
+
+Detection AP follows the usual greedy-matching, monotone-envelope
+formulation. Each class's predictions are ranked once by (-score, start,
+length, video), ties kept in input order, and matched in that order: a
+prediction takes the first untaken ground truth of its video with the
+strictly largest positive tIoU, and is a hit when that tIoU reaches the
+threshold. Within one video and class this order is the video's own rank
+under _loc_sort_key, so truncating every video to its top n keeps a prefix
+of each video's predictions; since a video's match depends only on its
+earlier predictions, the top-n match is the full match restricted to ranks
+below n. mean_ap therefore matches once per threshold and masks per n.
 """
 
 from __future__ import annotations
@@ -129,13 +139,13 @@ def uniform_random_proposals(
 # --------------------------------------------------------------------------
 # localization metrics
 
-# LocalizationResult: per-video lists of (label, interval, score)
-LocEntry = tuple[str, TemporalInterval, float]
+# LocalizationResult: per-video lists of (label, start, end, score) rows
+LocEntry = tuple[str, float, float, float]
 
 
 def _loc_sort_key(entry: LocEntry):
-    label, interval, score = entry
-    return (-score, interval.start, interval.length, label)
+    label, start, end, score = entry
+    return (-score, start, end - start, label)
 
 
 def attach_labels(
@@ -143,121 +153,69 @@ def attach_labels(
     classification: Mapping[str, Sequence[tuple[str, float]]],
     top_c: int = 1,
 ) -> dict[str, list[LocEntry]]:
-    """Label each proposal with the video's top-c classes.
+    """Label each proposal with the video's top-c classes, ranked by _loc_sort_key.
 
     Entry score = proposal score x class confidence; a video with proposals
-    but no classification entry is an error.
+    but no classification entry is an error, and one whose entry lists no
+    class gets no entries.
     """
     if top_c < 1:
         raise MetricError(f"top_c must be >= 1, got {top_c}")
     out: dict[str, list[LocEntry]] = {}
     for vid in sorted(proposals):
         pset = proposals[vid]
-        if len(pset) == 0:
-            out[vid] = []
-            continue
-        classes = classification.get(vid)
-        if not classes:
+        if len(pset) and vid not in classification:
             raise MetricError(f"no classification entry for video {vid}")
-        bounds = zip(pset.starts.tolist(), pset.ends.tolist())
-        intervals = [TemporalInterval(start, end) for start, end in bounds]
-        entries = []
-        for label, confidence in classes[:top_c]:
-            for interval, score in zip(intervals, pset.scores.tolist()):
-                entries.append((label, interval, score * confidence))
-        entries.sort(key=_loc_sort_key)
-        out[vid] = entries
+        rows = list(zip(pset.starts.tolist(), pset.ends.tolist(), pset.scores.tolist()))
+        out[vid] = sorted(
+            ((label, start, end, score * confidence)
+             for label, confidence in classification.get(vid, ())[:top_c]
+             for start, end, score in rows),
+            key=_loc_sort_key)
     return out
 
 
-def average_precision(
-    predictions: Sequence[tuple[str, TemporalInterval, float]],
-    gt: Mapping[str, Sequence[TemporalInterval]],
-    threshold: float,
-) -> float:
-    """Greedy-matched AP for one class pooled over videos."""
-    if not 0.0 < threshold <= 1.0:
-        raise MetricError(f"threshold must lie in (0, 1], got {threshold}")
-    total = sum(len(v) for v in gt.values())
-    if total == 0:
-        raise MetricError("AP undefined: class has no ground truth")
-    if not predictions:
-        return 0.0
-
-    ordered = sorted(
-        predictions,
-        key=lambda e: (-e[2], e[1].start, e[1].length, e[0]),
-    )
-    # ious[k]: tIoU of prediction k against each gt instance of its video
-    rows_by_vid: dict[str, list[int]] = {}
-    for k, (vid, _interval, _score) in enumerate(ordered):
-        rows_by_vid.setdefault(vid, []).append(k)
-    ious: list[list[float]] = [[] for _ in ordered]
-    for vid, rows in rows_by_vid.items():
-        candidates = gt.get(vid, ())
-        if not candidates:
-            continue
-        matrix = tiou_matrix(*interval_bounds([ordered[k][1] for k in rows]),
-                             *interval_bounds(candidates))
-        for k, row in zip(rows, matrix.tolist()):
-            ious[k] = row
-
-    used: dict[str, set[int]] = {}
-    tp = np.zeros(len(ordered), dtype=np.float64)
-    for k, (vid, _interval, _score) in enumerate(ordered):
-        taken = used.setdefault(vid, set())
-        best_iou = 0.0
-        best_idx = -1
-        for gi, value in enumerate(ious[k]):
-            if gi in taken:
-                continue
-            if value > best_iou:
-                best_iou = value
-                best_idx = gi
-        if best_idx >= 0 and best_iou >= threshold:
-            taken.add(best_idx)
-            tp[k] = 1.0
-
-    cum_tp = np.cumsum(tp)
-    precision = cum_tp / np.arange(1, len(ordered) + 1)
+def _average_precision(hits: np.ndarray, total: int) -> np.ndarray:
+    """AP of each row of (thresholds, predictions) hit flags in AP order: the
+    monotone envelope of precision summed over recall increments, one term
+    at a time in rank order."""
+    if hits.shape[1] == 0:
+        return np.zeros(len(hits))
+    cum_tp = np.cumsum(hits, axis=1, dtype=np.float64)
+    precision = cum_tp / np.arange(1, hits.shape[1] + 1)
     recall_pts = cum_tp / total
-    # monotone envelope, then sum precision over recall increments
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    prev = 0.0
-    ap = 0.0
-    for k in range(len(ordered)):
-        if tp[k] > 0.0:
-            ap += (recall_pts[k] - prev) * envelope[k]
-            prev = recall_pts[k]
-    return float(ap)
-
-
-def _split_by_class(
-    localization: Mapping[str, Sequence[LocEntry]],
-    index: DatasetIndex,
-    subset: Subset,
-):
-    records = index.subset_videos(subset)
-    gt_by_class: dict[str, dict[str, list[TemporalInterval]]] = {}
-    preds_by_class: dict[str, list[tuple[str, TemporalInterval, float]]] = {}
-    for rec in records:
-        for inst in rec.instances:
-            gt_by_class.setdefault(inst.label, {}).setdefault(rec.video_id, []).append(
-                inst.interval
-            )
-        for label, interval, score in localization.get(rec.video_id, ()):
-            preds_by_class.setdefault(label, []).append((rec.video_id, interval, score))
-    return gt_by_class, preds_by_class
+    envelope = np.flip(np.maximum.accumulate(np.flip(precision, axis=1), axis=1), axis=1)
+    terms = np.diff(recall_pts, axis=1, prepend=0.0) * envelope  # exactly 0 off the hits
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def mean_ap(
     localization: Mapping[str, Sequence[LocEntry]],
     index: DatasetIndex,
-    threshold: float,
+    thresholds: Sequence[float],
+    at_n: Sequence[int] = (),
     subset: Subset = Subset.VALIDATION,
-) -> float:
-    """Mean AP over the classes that have ground truth in the subset."""
-    gt_by_class, preds_by_class = _split_by_class(localization, index, subset)
+) -> dict[int | None, dict[float, float]]:
+    """Mean AP over the classes that have ground truth in the subset.
+
+    Returns {None: {threshold: mAP}} over every entry, plus {n: {threshold:
+    mAP}} over each video's top n entries (rank under _loc_sort_key) for
+    each n of at_n. Each class is ranked and matched once (see the module
+    docstring); each n only masks the match.
+    """
+    thresholds = tuple(dict.fromkeys(_check_grid(thresholds)))
+    for n in at_n:
+        if n < 1:
+            raise MetricError(f"n must be >= 1, got {n}")
+    records = index.subset_videos(subset)
+    gt_by_class: dict[str, dict[int, list[TemporalInterval]]] = {}
+    preds_by_class: dict[str, list[tuple]] = {}
+    for v, rec in enumerate(records):
+        for inst in rec.instances:
+            gt_by_class.setdefault(inst.label, {}).setdefault(v, []).append(inst.interval)
+        ranked = sorted(localization.get(rec.video_id, ()), key=_loc_sort_key)
+        for rank, (label, start, end, score) in enumerate(ranked):
+            preds_by_class.setdefault(label, []).append((-score, start, end - start, v, end, rank))
     for label in index.label_set:
         if label not in gt_by_class:
             warnings.warn(
@@ -267,25 +225,31 @@ def mean_ap(
             )
     if not gt_by_class:
         raise MetricError(f"mAP undefined: no ground truth in subset {subset.value}")
-    aps = [
-        average_precision(preds_by_class.get(label, ()), gt_by_class[label], threshold)
-        for label in sorted(gt_by_class)
-    ]
-    return float(np.mean(np.asarray(aps)))
 
-
-def eval_at_n(
-    localization: Mapping[str, Sequence[LocEntry]],
-    index: DatasetIndex,
-    n: int,
-    grid=None,
-    subset: Subset = Subset.VALIDATION,
-) -> float:
-    """Grid mean of mean_ap with each video's predictions truncated to its top n."""
-    if n < 1:
-        raise MetricError(f"n must be >= 1, got {n}")
-    truncated = {
-        vid: sorted(entries, key=_loc_sort_key)[:n]
-        for vid, entries in localization.items()
-    }
-    return float(np.mean([mean_ap(truncated, index, t, subset) for t in _check_grid(grid)]))
+    cutoffs = (None, *dict.fromkeys(at_n))
+    t = np.asarray(thresholds)
+    per_t = np.arange(len(t))
+    aps = {n: np.zeros((len(t), len(gt_by_class))) for n in cutoffs}
+    for c, label in enumerate(sorted(gt_by_class)):
+        gt = gt_by_class[label]
+        # AP order (-score, start, length, video), ties in input order
+        rows = sorted(preds_by_class.get(label, ()), key=lambda r: r[:4])
+        _, starts, _, vids, ends, ranks = np.array(rows, dtype=np.float64).reshape(-1, 6).T
+        hits = np.zeros((len(t), len(rows)), dtype=bool)
+        for v, instances in gt.items():
+            mine = np.flatnonzero(vids == v)
+            ious = tiou_matrix(starts[mine], ends[mine], *interval_bounds(instances))
+            taken = np.zeros((len(t), len(instances)), dtype=bool)
+            # the greedy match, all thresholds at once; a row below every
+            # threshold against every gt can never hit
+            for k in np.flatnonzero(ious.max(axis=1) >= t.min()):
+                free = np.where(taken, 0.0, ious[k])
+                best = np.argmax(free, axis=1)  # the first of the largest untaken
+                hit = free[per_t, best] >= t
+                taken[per_t[hit], best[hit]] = True
+                hits[:, mine[k]] = hit
+        total = sum(len(v) for v in gt.values())
+        for n in cutoffs:
+            aps[n][:, c] = _average_precision(hits if n is None else hits[:, ranks < n], total)
+    return {n: {thr: float(np.mean(table[i])) for i, thr in enumerate(thresholds)}
+            for n, table in aps.items()}

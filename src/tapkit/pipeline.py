@@ -51,7 +51,6 @@ from .ingest import (
 from .metrics import (
     ar_an,
     attach_labels,
-    eval_at_n,
     gt_intervals,
     mean_ap,
     tiou_grid,
@@ -479,19 +478,16 @@ def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     write_localization(localization, loc_path)
 
     grid = tiou_grid()
-    grid_map = {t: mean_ap(localization, index, t, subset) for t in grid}
+    maps = mean_ap(localization, index, grid + cfg.eval.map_points, cfg.eval.at_n, subset)
     report = {
-        "map": {
-            str(t): grid_map[t] if t in grid_map else mean_ap(localization, index, t, subset)
-            for t in cfg.eval.map_points
-        },
-        "average_map": float(np.mean(list(grid_map.values()))),
-        "at_n": {str(n): eval_at_n(localization, index, n, grid, subset) for n in cfg.eval.at_n},
+        "map": {str(t): maps[None][t] for t in cfg.eval.map_points},
+        "average_map": float(np.mean([maps[None][t] for t in grid])),
+        "at_n": {str(n): float(np.mean([maps[n][t] for t in grid])) for n in cfg.eval.at_n},
     }
     report_path = cfg.output_dir / "eval_loc.json"
     write_json_atomic(report_path, report)
     csv_path = cfg.output_dir / "eval_loc.csv"
-    _write_csv(csv_path, "tiou,map", grid_map.items())
+    _write_csv(csv_path, "tiou,map", ((t, maps[None][t]) for t in grid))
     logger.info("eval-loc: average_map=%.4f %s", report["average_map"],
                 " ".join(f"map@{k}={v:.4f}" for k, v in report["map"].items()))
     return [loc_path, report_path, csv_path]

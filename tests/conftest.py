@@ -5,8 +5,17 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tapkit.core import ProposalSet, Source, tiou_matrix
-from tapkit.metrics import ar_an
+from tapkit.core import (
+    DatasetIndex,
+    GroundTruthInstance,
+    ProposalSet,
+    Source,
+    Subset,
+    TemporalInterval,
+    VideoRecord,
+    tiou_matrix,
+)
+from tapkit.metrics import ar_an, mean_ap
 from tapkit.pipeline import PipelineConfig, load_config, run_command
 from tapkit.tag import _fragments, _group_fragments
 
@@ -26,6 +35,20 @@ def tiou(a, b):
 def recall(proposals, gt, an, threshold):
     """Recall at one AN and one threshold: a single-point ar_an curve."""
     return ar_an(proposals, gt, an_max=an, grid=(threshold,)).ar_at(an)
+
+
+def average_precision(preds, gt, threshold):
+    """AP of one class at one threshold: mean_ap over an index whose only
+    class is "x". preds: [(vid, start, end, score)], gt: vid -> [(start, end)]."""
+    videos = {
+        vid: VideoRecord(vid, 1e6, Subset.VALIDATION, tuple(
+            GroundTruthInstance("x", TemporalInterval(s, e)) for s, e in gt.get(vid, ())))
+        for vid in sorted({*gt, *(p[0] for p in preds)})
+    }
+    loc = {}
+    for vid, start, end, score in preds:
+        loc.setdefault(vid, []).append(("x", start, end, score))
+    return mean_ap(loc, DatasetIndex(videos, ("x",)), [threshold])[None][threshold]
 
 
 def pset(vid, rows, source=Source.SSAD):

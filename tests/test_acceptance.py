@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import group, pset, recall, record_criterion, tiou
+from conftest import average_precision, group, pset, recall, record_criterion, tiou
 from oracles import (
     brute_ap,
     brute_ar_an,
@@ -33,7 +33,6 @@ from tapkit.fusion import RefineConfig, refine
 from tapkit.ingest import load_annotations, read_results
 from tapkit.metrics import (
     ar_an,
-    average_precision,
     gt_intervals,
     mean_ap,
     tiou_grid,
@@ -116,7 +115,7 @@ def _random_metric_instance(rng):
             for _ in range(int(rng.integers(0, 7)))
         ]
         props[vid] = pset(vid, rows)
-        loc[vid] = [(labels[int(rng.integers(0, 2))], iv(s, e), score) for s, e, score in rows]
+        loc[vid] = [(labels[int(rng.integers(0, 2))], s, e, score) for s, e, score in rows]
         spans = []
         for _ in range(int(rng.integers(0, 3))):
             s = float(rng.uniform(0, 40))
@@ -159,16 +158,12 @@ def test_criterion_2_metric_oracles():
         diffs += [abs(a - b) for a, b in zip(curve.ar, want_ar)]
         diffs.append(abs(curve.area - want_area))
 
-        preds = [(vid, iv(p.start, p.end), p.score) for vid, ps in props.items() for p in ps]
-        plain_preds = [(vid, p.start, p.end, s) for vid, p, s in preds]
-        diffs.append(abs(average_precision(preds, bare_gt, threshold)
-                         - brute_ap(plain_preds, plain_gt, threshold)))
+        preds = [(vid, p.start, p.end, p.score) for vid, ps in props.items() for p in ps]
+        diffs.append(abs(average_precision(preds, plain_gt, threshold)
+                         - brute_ap(preds, plain_gt, threshold)))
 
-        plain_loc = {vid: [(l, p.start, p.end, s) for l, p, s in rows]
-                     for vid, rows in loc.items()}
-        labeled_gt = {vid: rows for vid, rows in gt.items()}
-        diffs.append(abs(mean_ap(loc, index, threshold)
-                         - brute_mean_ap(plain_loc, labeled_gt, threshold)))
+        diffs.append(abs(mean_ap(loc, index, [threshold])[None][threshold]
+                         - brute_mean_ap(loc, gt, threshold)))
         worst = max(worst, max(diffs))
     elapsed = time.time() - started
     ok = worst <= tol and elapsed < 60.0

@@ -330,6 +330,20 @@ class TestPipeline:
             assert (out_b / rel).read_bytes() == (out_a / rel).read_bytes(), rel
             assert sha256_file(out_b / rel) == digest, rel
 
+    # with at most one instance per video, some class has no validation gt
+    @pytest.mark.filterwarnings("ignore:class .* has no ground truth:RuntimeWarning")
+    def test_video_without_instances_gets_no_localization(self, tmp_path):
+        # synth writes an empty classification list for a video without
+        # instances; eval-loc labels none of its proposals
+        out = tmp_path / "pipe"
+        args = _tiny_args(out, ["synth.num_videos=20", "synth.instances_range=[0,1]"])
+        args[args.index("--seed") + 1] = "3"
+        assert main(["pipeline", *args]) == 0
+        classification = json.loads((out / "classification.json").read_text())
+        localization = json.loads((out / "localization.json").read_text())["results"]
+        empty = [vid for vid in localization if classification[vid] == []]
+        assert empty and all(localization[vid] == [] for vid in empty)
+
     def test_pipeline_writes_single_manifest(self, tmp_path):
         out = tmp_path / "pipe"
         assert main(["pipeline", *_tiny_args(out)]) == 0

@@ -247,3 +247,8 @@ class TestVideoRecord:
     def test_nonpositive_duration(self):
         with pytest.raises(IntervalError):
             VideoRecord("v", 0.0, "training")
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_non_finite_duration(self, duration):
+        with pytest.raises(IntervalError, match="finite"):
+            VideoRecord("v", duration, "training")

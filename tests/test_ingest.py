@@ -293,7 +293,7 @@ class TestResultsFiles:
         assert len(read_results(path)["v"]) == 1
 
     def test_localization_round_trip(self, tmp_path):
-        loc = {"v": [("jump", TemporalInterval(0.0, 5.0), 0.75)]}
+        loc = {"v": [("jump", 0.0, 5.0, 0.75)]}
         path = tmp_path / "loc.json"
         write_localization(loc, path)
         entries = json.loads(path.read_text())["results"]

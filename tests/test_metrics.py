@@ -2,9 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import pset, recall
-from oracles import brute_ap, brute_ar_an, brute_average_recall, brute_recall, oracle_tiou
+from conftest import average_precision, pset, recall
+from oracles import (
+    brute_ap,
+    brute_ar_an,
+    brute_average_recall,
+    brute_mean_ap,
+    brute_recall,
+    oracle_tiou,
+)
 from tapkit.core import (
     DatasetIndex,
     GroundTruthInstance,
@@ -18,8 +26,6 @@ from tapkit.metrics import (
     ArAnCurve,
     ar_an,
     attach_labels,
-    average_precision,
-    eval_at_n,
     gt_intervals,
     mean_ap,
     tiou_grid,
@@ -170,12 +176,12 @@ class TestAttachLabels:
     def test_full_confidence_keeps_scores(self):
         props = {"v": pset("v", [(0.0, 10.0, 0.8), (5.0, 15.0, 0.4)])}
         loc = attach_labels(props, {"v": [("jump", 1.0)]})
-        assert loc["v"] == [("jump", iv(0.0, 10.0), 0.8), ("jump", iv(5.0, 15.0), 0.4)]
+        assert loc["v"] == [("jump", 0.0, 10.0, 0.8), ("jump", 5.0, 15.0, 0.4)]
 
     def test_confidence_scales_scores(self):
         props = {"v": pset("v", [(0.0, 10.0, 0.8)])}
         loc = attach_labels(props, {"v": [("jump", 0.5)]})
-        assert loc["v"][0][2] == 0.4
+        assert loc["v"][0][3] == 0.4
 
     def test_top_c_duplicates_proposals(self):
         props = {"v": pset("v", [(0.0, 10.0, 0.8), (5.0, 15.0, 0.4)])}
@@ -183,7 +189,7 @@ class TestAttachLabels:
         loc = attach_labels(props, cls, top_c=2)
         assert len(loc["v"]) == 4
         assert {e[0] for e in loc["v"]} == {"jump", "swim"}
-        scores = [e[2] for e in loc["v"]]
+        scores = [e[3] for e in loc["v"]]
         assert scores == sorted(scores, reverse=True)
 
     def test_empty_proposals_allowed(self):
@@ -195,53 +201,61 @@ class TestAttachLabels:
         with pytest.raises(MetricError, match="v"):
             attach_labels(props, {})
 
+    def test_empty_classification_gives_no_entries(self):
+        # synth writes [] for a video without instances: no class, no entries
+        props = {"v": pset("v", [(0.0, 10.0, 0.8)]), "w": pset("w", [(1.0, 2.0, 0.5)])}
+        loc = attach_labels(props, {"v": [], "w": [("jump", 1.0)]})
+        assert loc == {"v": [], "w": [("jump", 1.0, 2.0, 0.5)]}
+
 
 class TestAveragePrecision:
     def test_perfect(self):
-        preds = [("v", iv(0.0, 10.0), 0.9)]
-        assert average_precision(preds, {"v": [iv(0.0, 10.0)]}, 0.5) == 1.0
+        preds = [("v", 0.0, 10.0, 0.9)]
+        assert average_precision(preds, {"v": [(0.0, 10.0)]}, 0.5) == 1.0
 
     def test_miss_then_hit(self):
         # false positive outranks the true positive: precision at the hit is 1/2
-        preds = [("v", iv(50.0, 60.0), 0.9), ("v", iv(0.0, 10.0), 0.5)]
-        assert average_precision(preds, {"v": [iv(0.0, 10.0)]}, 0.5) == 0.5
+        preds = [("v", 50.0, 60.0, 0.9), ("v", 0.0, 10.0, 0.5)]
+        assert average_precision(preds, {"v": [(0.0, 10.0)]}, 0.5) == 0.5
 
     def test_hit_then_miss_keeps_full_ap(self):
-        preds = [("v", iv(0.0, 10.0), 0.9), ("v", iv(50.0, 60.0), 0.5)]
-        assert average_precision(preds, {"v": [iv(0.0, 10.0)]}, 0.5) == 1.0
+        preds = [("v", 0.0, 10.0, 0.9), ("v", 50.0, 60.0, 0.5)]
+        assert average_precision(preds, {"v": [(0.0, 10.0)]}, 0.5) == 1.0
 
     def test_two_gt_one_pred(self):
-        gt = {"v": [iv(0.0, 10.0), iv(20.0, 30.0)]}
-        preds = [("v", iv(0.0, 10.0), 0.9)]
+        gt = {"v": [(0.0, 10.0), (20.0, 30.0)]}
+        preds = [("v", 0.0, 10.0, 0.9)]
         assert average_precision(preds, gt, 0.5) == 0.5
 
     def test_gt_matched_once(self):
         # duplicate detections of one instance: the second is a false positive
-        gt = {"v": [iv(0.0, 10.0)]}
-        preds = [("v", iv(0.0, 10.0), 0.9), ("v", iv(0.0, 10.0), 0.8)]
+        gt = {"v": [(0.0, 10.0)]}
+        preds = [("v", 0.0, 10.0, 0.9), ("v", 0.0, 10.0, 0.8)]
         assert average_precision(preds, gt, 0.5) == 1.0
 
+    def test_tied_iou_takes_the_first_gt(self):
+        # the first prediction overlaps both gts at tIoU 0.6 and takes the
+        # first, so the second prediction's only match is already taken
+        gt = {"v": [(0.0, 10.0), (5.0, 15.0)]}
+        preds = [("v", 2.5, 12.5, 0.9), ("v", 0.0, 10.0, 0.8)]
+        assert average_precision(preds, gt, 0.5) == brute_ap(preds, gt, 0.5) == 0.5
+
     def test_no_predictions(self):
-        assert average_precision([], {"v": [iv(0, 1)]}, 0.5) == 0.0
+        assert average_precision([], {"v": [(0, 1)]}, 0.5) == 0.0
 
     def test_no_gt_rejected(self):
-        with pytest.raises(MetricError):
-            average_precision([("v", iv(0, 1), 0.5)], {}, 0.5)
+        with pytest.warns(RuntimeWarning, match="'x'"), pytest.raises(MetricError):
+            average_precision([("v", 0, 1, 0.5)], {}, 0.5)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             props, gt = _random_instance(rng)
-            preds = [
-                (vid, iv(p.start, p.end), p.score)
-                for vid, ps in props.items()
-                for p in ps
-            ]
+            preds = [(vid, p.start, p.end, p.score) for vid, ps in props.items() for p in ps]
             gt_plain = {vid: [(g.start, g.end) for g in rows] for vid, rows in gt.items()}
-            preds_plain = [(vid, p.start, p.end, s) for vid, p, s in preds]
             for threshold in (0.3, 0.5, 0.75):
-                got = average_precision(preds, gt, threshold)
-                want = brute_ap(preds_plain, gt_plain, threshold)
+                got = average_precision(preds, gt_plain, threshold)
+                want = brute_ap(preds, gt_plain, threshold)
                 assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -258,8 +272,8 @@ class TestMeanAp:
         }
         index = DatasetIndex(videos=videos, label_set=("dive", "jump", "swim"))
         loc = {
-            "a": [("jump", iv(0.0, 10.0), 0.9), ("swim", iv(50.0, 60.0), 0.8)],
-            "b": [("jump", iv(20.0, 40.0), 0.7)],
+            "a": [("jump", 0.0, 10.0, 0.9), ("swim", 50.0, 60.0, 0.8)],
+            "b": [("jump", 20.0, 40.0, 0.7)],
         }
         return index, loc
 
@@ -267,12 +281,12 @@ class TestMeanAp:
         index, loc = self._fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert mean_ap(loc, index, 0.5) == 1.0
+            assert mean_ap(loc, index, [0.5]) == {None: {0.5: 1.0}}
 
     def test_zero_gt_class_warns_and_is_excluded(self):
         index, loc = self._fixture()
         with pytest.warns(RuntimeWarning, match="dive"):
-            value = mean_ap(loc, index, 0.5)
+            value = mean_ap(loc, index, [0.5])[None][0.5]
         assert value == 1.0  # mean over jump and swim only
 
     def test_subset_filter(self):
@@ -281,7 +295,21 @@ class TestMeanAp:
             # no labels have validation gt here, so every class warns first
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(MetricError):
-                mean_ap(loc, index, 0.5, subset=Subset.TRAINING)
+                mean_ap(loc, index, [0.5], subset=Subset.TRAINING)
+
+    def test_one_value_per_threshold_and_n(self):
+        index, loc = self._fixture()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            maps = mean_ap(loc, index, [0.95, 0.5, 0.95], at_n=[2, 1, 2])
+        assert list(maps) == [None, 2, 1]
+        assert all(list(by_t) == [0.95, 0.5] for by_t in maps.values())
+
+    def test_bad_threshold(self):
+        index, loc = self._fixture()
+        for thresholds in ([], [0.0], [1.5]):
+            with pytest.raises(MetricError):
+                mean_ap(loc, index, thresholds)
 
 
 class TestEvalAtN:
@@ -289,8 +317,8 @@ class TestEvalAtN:
         index, loc = TestMeanAp()._fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            grid_mean = float(np.mean([mean_ap(loc, index, t) for t in tiou_grid()]))
-            assert eval_at_n(loc, index, 100) == grid_mean
+            maps = mean_ap(loc, index, tiou_grid(), at_n=[100])
+        assert maps[100] == maps[None]
 
     def test_truncation_drops_low_scores(self):
         videos = {
@@ -300,14 +328,59 @@ class TestEvalAtN:
         }
         index = DatasetIndex(videos=videos, label_set=("jump",))
         # the matching entry is ranked second within the video
-        loc = {"a": [("jump", iv(40.0, 80.0), 0.9), ("jump", iv(0.0, 10.0), 0.5)]}
-        assert eval_at_n(loc, index, 1, grid=(0.5,)) == 0.0
-        assert eval_at_n(loc, index, 2, grid=(0.5,)) == 0.5
+        loc = {"a": [("jump", 40.0, 80.0, 0.9), ("jump", 0.0, 10.0, 0.5)]}
+        maps = mean_ap(loc, index, [0.5], at_n=[1, 2])
+        assert maps[1][0.5] == 0.0
+        assert maps[2][0.5] == 0.5
 
     def test_bad_n(self):
         index, loc = TestMeanAp()._fixture()
         with pytest.raises(MetricError):
-            eval_at_n(loc, index, 0)
+            mean_ap(loc, index, tiou_grid(), at_n=[0])
+
+
+_LABELS = ("a", "b", "c")
+_span = st.tuples(st.integers(0, 8), st.integers(1, 4)).map(
+    lambda p: (float(p[0]), float(p[0] + p[1]))
+) | st.tuples(st.floats(0.0, 30.0), st.floats(0.5, 15.0)).map(lambda p: (p[0], p[0] + p[1]))
+_entry = st.tuples(st.sampled_from(_LABELS), _span,
+                   st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)).map(
+    lambda e: (e[0], *e[1], e[2]))
+_video = st.tuples(
+    st.lists(_entry, max_size=8).flatmap(  # repeat a prefix: duplicate rows
+        lambda rows: st.integers(0, len(rows)).map(lambda k: rows + rows[:k])),
+    st.lists(st.tuples(st.sampled_from(_LABELS), _span).map(lambda g: (g[0], *g[1])),
+             max_size=3),
+)
+
+
+class TestTableMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        videos=st.lists(_video, min_size=1, max_size=3),
+        thresholds=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+        extra_n=st.integers(0, 3),
+    )
+    def test_top_n_against_brute_mean_ap(self, videos, thresholds, extra_n):
+        loc = {f"v{k}": rows for k, (rows, _gt) in enumerate(videos)}
+        gt = {f"v{k}": spans for k, (_rows, spans) in enumerate(videos)}
+        if not any(gt.values()):
+            gt["v0"] = [("a", 0.0, 5.0)]
+        index = DatasetIndex(videos={
+            vid: VideoRecord(vid, 100.0, Subset.VALIDATION,
+                             tuple(GroundTruthInstance(lbl, iv(s, e)) for lbl, s, e in spans))
+            for vid, spans in gt.items()
+        }, label_set=_LABELS)
+        at_n = range(1, max(map(len, loc.values())) + extra_n + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            maps = mean_ap(loc, index, thresholds, at_n)
+        for n in (None, *at_n):
+            # each video's top n under the localization ranking
+            top = {vid: sorted(rows, key=lambda r: (-r[3], r[1], r[2] - r[1], r[0]))[:n]
+                   for vid, rows in loc.items()}
+            for t in thresholds:
+                assert abs(maps[n][t] - brute_mean_ap(top, gt, t)) <= 1e-9
 
 
 class TestGtIntervals:

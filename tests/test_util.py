@@ -37,7 +37,7 @@ WRITERS = {
     "save_features": lambda p: save_features(FeatureSequence("v", np.ones((3, 2))), p),
     "write_results": lambda p: write_results(
         {"v": ProposalSet("v", [_IV.start], [_IV.end], [0.5])}, p),
-    "write_localization": lambda p: write_localization({"v": [("a", _IV, 0.5)]}, p),
+    "write_localization": lambda p: write_localization({"v": [("a", _IV.start, _IV.end, 0.5)]}, p),
     "write_classification": lambda p: write_classification({"v": [("a", 1.0)]}, p),
     "save_model": lambda p: save_model([Dense(2, 3), ReLU()], p),
     "write_json_atomic": lambda p: write_json_atomic(p, {"x": [1, 2.5]}),
