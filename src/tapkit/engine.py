@@ -2,9 +2,12 @@
 
 1D convolutions, relu/sigmoid, dense layers, MSE loss, Adam, the one
 training loop, a finite-difference gradient checker and checkpoints. Two
-numeric modes: float32 for training, float64 for gradient checking. No
-threads, no implicit parallelism; a batch is the leading tensor dimension
-and every op is pure given (params, input).
+numeric modes: float32 for training, float64 for gradient checking. A batch
+is the leading tensor dimension and every op is pure given (params, input).
+The engine starts no threads itself, but `matmul` runs on the BLAS library's
+threads, as many as OPENBLAS_NUM_THREADS / OMP_NUM_THREADS allow. Outputs
+do not depend on that count: tests/test_cli.py trains a checkpoint with one
+and with two BLAS threads and compares the bytes.
 
 Tensor conventions: conv ops take (N, C, T) arrays, dense ops take (N, F).
 """
@@ -35,19 +38,32 @@ def conv_output_length(t: int, kernel: int, stride: int, pad: int) -> int:
     return (t + 2 * pad - kernel) // stride + 1
 
 
-def _unfold(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """(N, C, T) -> column tensor (N, C, k, T') of sliding windows."""
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    t_out = (x.shape[2] - kernel) // stride + 1
-    idx = np.arange(kernel)[:, None] + stride * np.arange(t_out)[None, :]
-    return x[:, :, idx]
+def _unfold(x: np.ndarray, kernel: int, stride: int, pad: int, t_out: int) -> np.ndarray:
+    """(N, C, T) -> contiguous columns (N, C*k, T') with
+    cols[n, c*k + j, t] = x_padded[n, c, t*stride + j].
+
+    Filled one tap j at a time from a strided slice of x; the entries that
+    fall in the zero padding keep the zeros they were allocated with.
+    """
+    n, c, t = x.shape
+    cols = np.zeros((n, c, kernel, t_out), dtype=x.dtype)
+    for j in range(kernel):
+        # outputs lo..hi-1 read x[lo*stride + j - pad], ... inside [0, T)
+        lo = max(0, -((j - pad) // stride))
+        hi = min(t_out, (t - 1 - j + pad) // stride + 1)
+        if hi > lo:
+            first = lo * stride + j - pad
+            cols[:, :, j, lo:hi] = x[:, :, first : first + (hi - lo - 1) * stride + 1 : stride]
+    return cols.reshape(n, c * kernel, t_out)
 
 
 def conv1d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """y[n,o,t] = b[o] + sum_{c,j} w[o,c,j] * x_padded[n,c,t*stride+j]."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """y[n,o,t] = b[o] + sum_{c,j} w[o,c,j] * x_padded[n,c,t*stride+j].
+
+    Returns y and the (N, C*k, T') columns of x, which conv1d_backward takes.
+    """
     n, c, t = x.shape
     out_ch, in_ch, kernel = w.shape
     if c != in_ch:
@@ -57,19 +73,21 @@ def conv1d_forward(
         raise ShapeError(
             f"conv1d: output length {t_out} < 1 for T={t}, k={kernel}, s={stride}, p={pad}"
         )
-    cols = _unfold(x, kernel, stride, pad).reshape(n, in_ch * kernel, t_out)
+    cols = _unfold(x, kernel, stride, pad, t_out)
     y = np.matmul(w.reshape(out_ch, in_ch * kernel), cols)
-    return y + b[None, :, None]
+    return y + b[None, :, None], cols
 
 
 def conv1d_backward(
     x: np.ndarray,
+    cols: np.ndarray,
     w: np.ndarray,
     grad_y: np.ndarray,
     stride: int = 1,
     pad: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv1d_forward w.r.t. input, weights and bias."""
+    """Gradients of conv1d_forward w.r.t. input, weights and bias, given
+    the columns conv1d_forward returned for x."""
     n, c, t = x.shape
     out_ch, in_ch, kernel = w.shape
     if c != in_ch:
@@ -79,7 +97,10 @@ def conv1d_backward(
         raise ShapeError(
             f"conv1d backward: grad_y shape {grad_y.shape} != {(n, out_ch, t_out)}"
         )
-    cols = _unfold(x, kernel, stride, pad).reshape(n, in_ch * kernel, t_out)
+    if cols.shape != (n, in_ch * kernel, t_out):
+        raise ShapeError(
+            f"conv1d backward: columns shape {cols.shape} != {(n, in_ch * kernel, t_out)}"
+        )
 
     grad_b = grad_y.sum(axis=(0, 2))
     grad_w = np.einsum("not,nmt->om", grad_y, cols).reshape(out_ch, in_ch, kernel)
@@ -241,6 +262,12 @@ class Layer:
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _cached(self, value: np.ndarray | None) -> np.ndarray:
+        """What forward saved for backward; ShapeError if forward never ran."""
+        if value is None:
+            raise ShapeError(f"{self.spec.kind}: backward called before forward")
+        return value
+
 
 class Conv1d(Layer):
     def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
@@ -256,6 +283,7 @@ class Conv1d(Layer):
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
+        self._cols: np.ndarray | None = None
 
     def params(self):
         return [self.w, self.b]
@@ -264,11 +292,13 @@ class Conv1d(Layer):
         return [self.gw, self.gb]
 
     def forward(self, x):
+        y, self._cols = conv1d_forward(x, self.w, self.b, self.spec.stride, self.spec.pad)
         self._x = x
-        return conv1d_forward(x, self.w, self.b, self.spec.stride, self.spec.pad)
+        return y
 
     def backward(self, grad_y):
-        grad_x, gw, gb = conv1d_backward(self._x, self.w, grad_y, self.spec.stride, self.spec.pad)
+        grad_x, gw, gb = conv1d_backward(self._x, self._cached(self._cols), self.w, grad_y,
+                                         self.spec.stride, self.spec.pad)
         self.gw += gw
         self.gb += gb
         return grad_x
@@ -284,7 +314,7 @@ class ReLU(Layer):
         return relu_forward(x)
 
     def backward(self, grad_y):
-        return relu_backward(self._x, grad_y)
+        return relu_backward(self._cached(self._x), grad_y)
 
 
 class Sigmoid(Layer):
@@ -297,7 +327,7 @@ class Sigmoid(Layer):
         return self._y
 
     def backward(self, grad_y):
-        return sigmoid_backward(self._y, grad_y)
+        return sigmoid_backward(self._cached(self._y), grad_y)
 
 
 class Dense(Layer):
@@ -324,7 +354,7 @@ class Dense(Layer):
         return dense_forward(x, self.w, self.b)
 
     def backward(self, grad_y):
-        grad_x, gw, gb = dense_backward(self._x, self.w, grad_y)
+        grad_x, gw, gb = dense_backward(self._cached(self._x), self.w, grad_y)
         self.gw += gw
         self.gb += gb
         return grad_x

@@ -565,6 +565,8 @@ STAGES = {
 
 
 def write_manifest(cfg: PipelineConfig, command: str, artifacts: list[Path], started: float) -> Path:
+    """Checksums of the artifacts plus the command's wall time since `started`,
+    a time.perf_counter() reading, so a clock set mid-run cannot skew it."""
     checksums = {}
     for path in artifacts:
         try:
@@ -577,7 +579,7 @@ def write_manifest(cfg: PipelineConfig, command: str, artifacts: list[Path], sta
         "config": cfg.snapshot,
         "seed": cfg.seed,
         "artifacts": checksums,
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
         "version": __version__,
     }
     manifest_path = cfg.output_dir / f"manifest_{command}.json"
@@ -588,7 +590,7 @@ def write_manifest(cfg: PipelineConfig, command: str, artifacts: list[Path], sta
 def run_command(cfg: PipelineConfig, command: str) -> Path:
     if command not in STAGES:
         raise ConfigError(f"unknown command {command!r}")
-    started = time.time()
+    started = time.perf_counter()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     artifacts = STAGES[command](cfg)
     manifest = write_manifest(cfg, command, artifacts, started)

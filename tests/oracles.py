@@ -1,8 +1,9 @@
 """Brute-force reference implementations, independent of the package.
 
-Everything here works on plain (start, end) / (start, end, score) tuples and
-recomputes results straight from the definitions with plain loops. Slow on
-purpose; the tests adapt package objects down to tuples before comparing.
+Everything here recomputes results straight from the definitions with plain
+loops. Slow on purpose. The interval oracles work on plain (start, end) /
+(start, end, score) tuples, and the tests adapt package objects down to tuples
+before comparing; the conv oracle reads arrays one element at a time.
 """
 
 from __future__ import annotations
@@ -206,3 +207,31 @@ def brute_refine(ssad, tag, threshold):
         else:
             out.append((p[0], p[1], p[2], False))
     return sorted(out, key=_rank_key)
+
+
+def brute_conv1d(x, w, b, stride, pad, grad_y):
+    """y[n,o,t] = b[o] + sum_{c,j} w[o,c,j] * x_pad[n,c,t*stride+j], where x_pad
+    is x with pad zeros on each side, and the gradients of sum(grad_y * y)
+    w.r.t. x, w and b. Returns (y, grad_x, grad_w, grad_b) as float64."""
+    n_batch, n_in, length = x.shape
+    n_out, _, kernel = w.shape
+    t_out = (length + 2 * pad - kernel) // stride + 1
+
+    y = np.zeros((n_batch, n_out, t_out))
+    grad_x = np.zeros(x.shape)
+    grad_w = np.zeros(w.shape)
+    grad_b = np.zeros(b.shape)
+    for n in range(n_batch):
+        for o in range(n_out):
+            for t in range(t_out):
+                g = float(grad_y[n, o, t])
+                y[n, o, t] = float(b[o])
+                grad_b[o] += g
+                for c in range(n_in):
+                    for j in range(kernel):
+                        i = t * stride + j - pad  # index into x; outside is padding
+                        if 0 <= i < length:
+                            y[n, o, t] += float(w[o, c, j]) * float(x[n, c, i])
+                            grad_w[o, c, j] += g * float(x[n, c, i])
+                            grad_x[n, c, i] += g * float(w[o, c, j])
+    return y, grad_x, grad_w, grad_b

@@ -1,11 +1,18 @@
 import dataclasses
 import json
+import os
+import shutil
 import struct
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tapkit
 from tapkit import __version__
 from tapkit.cli import main
 from tapkit.errors import ConfigError
@@ -302,6 +309,14 @@ class TestManifest:
         for rel, digest in manifest["artifacts"].items():
             assert sha256_file(tmp_path / rel) == digest
 
+    def test_wall_time_ignores_a_set_clock(self, tmp_path, monkeypatch):
+        # a wall clock stepped back an hour at every reading
+        readings = iter(range(10**6))
+        monkeypatch.setattr(time, "time", lambda: 1e9 - 3600.0 * next(readings))
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest_synth.json").read_text())
+        assert 0.0 <= manifest["wall_time_s"] < 600.0
+
     def test_snapshot_replays_identically(self, tmp_path):
         out_a = tmp_path / "a"
         assert main(["synth", *_tiny_args(out_a)]) == 0
@@ -369,6 +384,22 @@ class TestPipeline:
         grad = json.loads((out / "gradcheck.json").read_text())
         assert grad["pass"] is True
         assert grad["max_rel_error"] < 1e-3
+
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # TINY's data and epochs with the default net width: its stem matmul
+        # is large enough for OpenBLAS to split across two threads
+        wide = ["synth.feature_dim=16", "ssad.input_length=256", "ssad.hidden_channels=32"]
+        assert main(["synth", *_tiny_args(tmp_path / "synth", wide)]) == 0
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            shutil.copytree(tmp_path / "synth", out)
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(tapkit.__file__).parents[1])}
+            subprocess.run([sys.executable, "-m", "tapkit.cli", "train-ssad",
+                            *_tiny_args(out, wide)], env=env, check=True, capture_output=True)
+            blobs.append((out / "ssad_model.tapm").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_feature_dim_comes_from_features(self, tmp_path):
         assert main(["pipeline", *_tiny_args(tmp_path, ["synth.feature_dim=6"])]) == 0

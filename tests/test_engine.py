@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from oracles import brute_conv1d
 
 from tapkit.cli import DATA_ERRORS
 from tapkit.engine import (
@@ -15,6 +16,7 @@ from tapkit.engine import (
     Sequential,
     Sigmoid,
     adam_step,
+    conv1d_backward,
     conv1d_forward,
     conv_output_length,
     grad_check,
@@ -27,6 +29,7 @@ from tapkit.engine import (
     sigmoid_forward,
 )
 from tapkit.errors import ConfigError, DataFormatError, DivergenceError, ShapeError
+from tapkit.ssad import SsadConfig, SsadModel
 
 
 def test_conv_output_length():
@@ -41,26 +44,26 @@ class TestConv1d:
         x = np.array([[[1.0, 2.0, 3.0]]])          # (N=1, C=1, L=3)
         w = np.array([[[1.0, 0.0, -1.0]]])          # (O=1, C=1, K=3)
         b = np.zeros(1)
-        y = conv1d_forward(x, w, b, stride=1, pad=0)
+        y, _ = conv1d_forward(x, w, b, stride=1, pad=0)
         assert y.shape == (1, 1, 1)
         assert y[0, 0, 0] == 1.0 * 1 + 2.0 * 0 + 3.0 * (-1)  # -2
 
     def test_stride_two_kernel_one(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
         w = np.array([[[1.0]]])
-        y = conv1d_forward(x, w, np.zeros(1), stride=2, pad=0)
+        y, _ = conv1d_forward(x, w, np.zeros(1), stride=2, pad=0)
         assert y[0, 0].tolist() == [1.0, 3.0]
 
     def test_same_padding_identity_kernel(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
         w = np.array([[[0.0, 1.0, 0.0]]])
-        y = conv1d_forward(x, w, np.zeros(1), stride=1, pad=1)
+        y, _ = conv1d_forward(x, w, np.zeros(1), stride=1, pad=1)
         assert y[0, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_bias_added(self):
         x = np.zeros((1, 1, 4))
         w = np.zeros((2, 1, 1))
-        y = conv1d_forward(x, w, np.array([0.5, -1.0]), stride=1, pad=0)
+        y, _ = conv1d_forward(x, w, np.array([0.5, -1.0]), stride=1, pad=0)
         assert np.all(y[0, 0] == 0.5) and np.all(y[0, 1] == -1.0)
 
     def test_shape_mismatch(self):
@@ -75,6 +78,136 @@ class TestConv1d:
         target = rng.standard_normal((2, 3, 4))
         err = grad_check(model, x, lambda y: mse_loss(y, target))
         assert err < 1e-6
+
+    def test_columns_shape_checked(self):
+        x = np.zeros((1, 2, 8))
+        w = np.zeros((3, 2, 3))
+        _, cols = conv1d_forward(x, w, np.zeros(3), 1, 1)
+        with pytest.raises(ShapeError, match="columns"):
+            conv1d_backward(x, cols[:, :, 1:], w, np.zeros((1, 3, 8)), 1, 1)
+
+    def test_backward_uses_latest_forward(self):
+        rng = np.random.default_rng(8)
+        layer = Conv1d(2, 3, 3, stride=2, pad=1, rng=rng)
+        first = rng.standard_normal((2, 2, 8)).astype(np.float32)
+        latest = rng.standard_normal((2, 2, 8)).astype(np.float32)
+        grad_y = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        layer.forward(first)
+        layer.forward(latest)
+        grad_x = layer.backward(grad_y)
+        want = _reference_backward(latest, layer.w, grad_y, 2, 1)
+        _assert_same_bits((grad_x, layer.gw, layer.gb), want)
+        stale = _reference_backward(first, layer.w, grad_y, 2, 1)
+        assert not np.array_equal(layer.gw, stale[1])
+
+
+@st.composite
+def _conv_case(draw):
+    kernel = draw(st.integers(1, 9))
+    stride = draw(st.integers(1, 3))
+    pad = draw(st.integers(0, kernel))
+    t_min = max(1, kernel - 2 * pad)  # the shortest input with one output
+    return (draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3)), kernel,
+            stride, pad, draw(st.integers(t_min, t_min + 12)), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestConvOracle:
+    """conv1d_forward/backward against brute_conv1d's loops, in float64."""
+
+    # (N, C, O, kernel, stride, pad, T, seed): one input channel, stride past
+    # the kernel, and a single output position
+    @example(case=(2, 1, 2, 3, 1, 1, 5, 0))
+    @example(case=(1, 2, 2, 1, 3, 0, 10, 1))
+    @example(case=(2, 2, 1, 2, 3, 1, 4, 2))
+    @example(case=(1, 2, 3, 9, 2, 0, 9, 3))
+    @example(case=(2, 1, 1, 5, 3, 5, 1, 4))
+    @settings(max_examples=200, deadline=None)
+    @given(case=_conv_case())
+    def test_matches_brute_force(self, case):
+        n, c, o, kernel, stride, pad, t, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, t))
+        w = rng.standard_normal((o, c, kernel))
+        b = rng.standard_normal(o)
+        y, cols = conv1d_forward(x, w, b, stride, pad)
+        grad_y = rng.standard_normal(y.shape)
+        got = (y, *conv1d_backward(x, cols, w, grad_y, stride, pad))
+        want = brute_conv1d(x, w, b, stride, pad, grad_y)
+        for name, g, e in zip(("y", "grad_x", "grad_w", "grad_b"), got, want):
+            assert g.shape == e.shape, name
+            np.testing.assert_allclose(g, e, rtol=0, atol=1e-12, err_msg=name)
+
+
+# Reference: conv1d on a fancy-index unfold (np.pad, x[:, :, idx], then a
+# reshape copy). Its forward matmul, grad_w einsum and grad_x scatter are the
+# engine's, so the tap-by-tap columns must give the same bits.
+
+
+def _reference_unfold(x, kernel, stride, pad):
+    n, c, _ = x.shape
+    if pad > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    t_out = (x.shape[2] - kernel) // stride + 1
+    idx = np.arange(kernel)[:, None] + stride * np.arange(t_out)[None, :]
+    return x[:, :, idx].reshape(n, c * kernel, t_out)
+
+
+def _reference_forward(x, w, b, stride, pad):
+    out_ch, in_ch, kernel = w.shape
+    cols = _reference_unfold(x, kernel, stride, pad)
+    return np.matmul(w.reshape(out_ch, in_ch * kernel), cols) + b[None, :, None]
+
+
+def _reference_backward(x, w, grad_y, stride, pad):
+    n, _, t = x.shape
+    out_ch, in_ch, kernel = w.shape
+    t_out = grad_y.shape[2]
+    cols = _reference_unfold(x, kernel, stride, pad)
+    grad_b = grad_y.sum(axis=(0, 2))
+    grad_w = np.einsum("not,nmt->om", grad_y, cols).reshape(out_ch, in_ch, kernel)
+    grad_cols = np.matmul(w.reshape(out_ch, in_ch * kernel).T, grad_y)
+    grad_cols = grad_cols.reshape(n, in_ch, kernel, t_out)
+    grad_xp = np.zeros((n, in_ch, t + 2 * pad), dtype=x.dtype)
+    for j in range(kernel):
+        grad_xp[:, :, j : j + stride * t_out : stride] += grad_cols[:, :, j, :]
+    return grad_xp[:, :, pad : pad + t] if pad > 0 else grad_xp, grad_w, grad_b
+
+
+def _assert_same_bits(got, want, where=""):
+    for name, g, e in zip(("grad_x", "grad_w", "grad_b"), got, want):
+        assert g.dtype == e.dtype and g.shape == e.shape, (where, name)
+        assert np.array_equal(g, e) and g.tobytes() == e.tobytes(), (where, name)
+
+
+class TestColumnsBitwise:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ssad_shapes(self, dtype):
+        # every conv of the default anchor net at training batch size: the
+        # stem, the eight stride-2 down blocks and the seven heads
+        rng = np.random.default_rng(9)
+        model = SsadModel(16, SsadConfig(), rng=rng, dtype=dtype)
+        model.forward(rng.standard_normal((8, 16, 256)).astype(dtype))
+        convs = [layer for layer in model.layers if isinstance(layer, Conv1d)]
+        assert len(convs) == 16
+        for i, layer in enumerate(convs):
+            x, w, b = layer._x, layer.w, layer.b
+            s, p = layer.spec.stride, layer.spec.pad
+            where = f"conv {i}, x {x.shape}, w {w.shape}"
+            y, cols = conv1d_forward(x, w, b, s, p)
+            want_y = _reference_forward(x, w, b, s, p)
+            assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes(), where
+            assert np.array_equal(y, want_y), where
+            assert cols.flags.c_contiguous, where
+            grad_y = rng.standard_normal(y.shape).astype(dtype)
+            _assert_same_bits(conv1d_backward(x, cols, w, grad_y, s, p),
+                              _reference_backward(x, w, grad_y, s, p), where)
+
+
+@pytest.mark.parametrize("make", [lambda: Conv1d(2, 3, 3, pad=1), lambda: Dense(4, 3), ReLU, Sigmoid],
+                         ids=["conv1d", "dense", "relu", "sigmoid"])
+def test_backward_before_forward(make):
+    with pytest.raises(ShapeError, match="backward called before forward"):
+        make().backward(np.ones((2, 3, 4)))
 
 
 class TestActivations:
