@@ -3,9 +3,11 @@
 Intervals are half-open [start, end) and zero-length intervals are invalid
 everywhere. All time arithmetic is 64-bit floating point.
 
-A ProposalSet is columnar: start, end, score and source arrays for one video,
-validated and ranked as a whole. Proposal is only a row view of it, yielded
-by iteration; ground truth keeps one TemporalInterval per instance.
+Proposals and ground truth are both columnar. A ProposalSet holds start,
+end, score and source arrays for one video, validated and ranked as a whole;
+Proposal is only a row view of it, yielded by iteration. A VideoRecord holds
+its instances' labels, starts and ends, validated once and kept in input
+order.
 
 tiou_matrix is the one interval kernel: refinement, NMS, target assignment,
 AR-AN and AP all compare intervals through it, so the tIoU formula lives in
@@ -22,28 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IntervalError
-
-
-@dataclass(frozen=True)
-class TemporalInterval:
-    """A [start, end) time span, in seconds or in normalized [0, 1] units."""
-
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        start = float(self.start)
-        end = float(self.end)
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise IntervalError(f"non-finite interval [{self.start}, {self.end})")
-        if start >= end:
-            raise IntervalError(f"degenerate interval [{start}, {end}): start must be < end")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
 
 
 def tiou_matrix(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
@@ -63,13 +43,6 @@ def tiou_matrix(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
     out = np.zeros(inter.shape, dtype=np.float64)
     np.divide(inter, union, out=out, where=inter > 0.0)
     return out
-
-
-def interval_bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end arrays of a sequence of ground-truth intervals, for tiou_matrix."""
-    starts = np.fromiter((iv.start for iv in intervals), dtype=np.float64)
-    ends = np.fromiter((iv.end for iv in intervals), dtype=np.float64)
-    return starts, ends
 
 
 class Source(IntEnum):
@@ -143,36 +116,52 @@ class Subset(str, Enum):
     TESTING = "testing"
 
 
-@dataclass(frozen=True)
-class GroundTruthInstance:
-    label: str
-    interval: TemporalInterval
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VideoRecord:
+    """One annotated video. Its ground truth is held as columns in input
+    order: labels, and read-only float64 starts and ends in seconds.
+
+    Construction checks every instance once (0 <= start < end <= duration;
+    the finite duration also rules out NaN and infinities) and raises
+    IntervalError naming the first bad instance.
+    """
+
     video_id: str
     duration: float
     subset: Subset
-    instances: tuple[GroundTruthInstance, ...] = ()
+    labels: tuple[str, ...] = ()
+    starts: np.ndarray = field(default=(), repr=False)
+    ends: np.ndarray = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < float(self.duration) < math.inf:
+        duration = float(self.duration)
+        if not 0.0 < duration < math.inf:
             raise IntervalError(f"video {self.video_id}: duration must be finite and > 0, got {self.duration}")
-        object.__setattr__(self, "duration", float(self.duration))
+        labels = tuple(self.labels)
+        # plain floats: one chained comparison per instance is cheaper than
+        # numpy calls on the few instances a video has
+        starts = [float(s) for s in self.starts]
+        ends = [float(e) for e in self.ends]
+        if not len(labels) == len(starts) == len(ends):
+            raise IntervalError(f"video {self.video_id}: {len(labels)} labels, "
+                                f"{len(starts)} starts and {len(ends)} ends")
+        for i, (start, end) in enumerate(zip(starts, ends)):
+            if not 0.0 <= start < end <= duration:
+                raise IntervalError(f"instance {i}: need 0 <= start < end <= {duration}, "
+                                    f"got [{start}, {end})")
+        object.__setattr__(self, "duration", duration)
         object.__setattr__(self, "subset", Subset(self.subset))
-        object.__setattr__(self, "instances", tuple(self.instances))
-        for inst in self.instances:
-            if inst.interval.start < 0.0 or inst.interval.end > self.duration:
-                raise IntervalError(
-                    f"video {self.video_id}: instance [{inst.interval.start}, "
-                    f"{inst.interval.end}) outside [0, {self.duration}]"
-                )
+        object.__setattr__(self, "labels", labels)
+        for name, column in (("starts", starts), ("ends", ends)):
+            column = np.array(column, dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetIndex:
-    """All video records keyed by id, plus the ordered label vocabulary."""
+    """All video records keyed by id, plus the ordered label vocabulary.
+    Like a record, an index compares by identity."""
 
     videos: dict[str, VideoRecord] = field(default_factory=dict)
     label_set: tuple[str, ...] = ()
@@ -180,10 +169,10 @@ class DatasetIndex:
     def __post_init__(self) -> None:
         known = set(self.label_set)
         for rec in self.videos.values():
-            for inst in rec.instances:
-                if inst.label not in known:
+            for label in rec.labels:
+                if label not in known:
                     raise IntervalError(
-                        f"video {rec.video_id}: label {inst.label!r} not in label_set"
+                        f"video {rec.video_id}: label {label!r} not in label_set"
                     )
 
     def subset_videos(self, subset: Subset | str) -> list[VideoRecord]:

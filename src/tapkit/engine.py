@@ -493,8 +493,8 @@ def load_weights(model: Sequential, path: str | Path) -> Sequential:
 
     The file is checked against the model before any weight is read: its
     layer table must equal the model's layer specs (else ConfigError) and
-    its payload must be exactly the model's float32 parameters (else
-    DataFormatError).
+    its payload must be exactly the model's float32 parameters, all finite
+    (else DataFormatError).
     """
     try:
         blob = Path(path).read_bytes()
@@ -516,6 +516,10 @@ def load_weights(model: Sequential, path: str | Path) -> Sequential:
         raise DataFormatError(
             f"{path}: parameter payload has {len(blob) - offset} bytes, the model needs {expected}"
         )
+    finite = np.isfinite(np.frombuffer(blob, dtype="<f4", offset=offset))
+    if not finite.all():
+        raise DataFormatError(
+            f"{path}: parameter {int(np.argmin(finite))} of the payload is not finite")
     for p in params:
         p[...] = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset).reshape(p.shape)
         offset += 4 * p.size

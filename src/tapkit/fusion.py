@@ -24,16 +24,25 @@ class RefineConfig:
             raise ConfigError(f"refine iou_threshold must lie in (0, 1), got {self.iou_threshold}")
 
 
+NMS_PLACEMENTS = ("before", "after", "off")
+
+
 @dataclass(frozen=True)
 class NmsConfig:
+    """NMS settings; placement is where the refine stage applies NMS:
+    before refinement, after it, or off."""
+
     iou_threshold: float = 0.8
     max_per_video: int = 100
+    placement: str = "after"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ConfigError(f"nms iou_threshold must lie in (0, 1], got {self.iou_threshold}")
         if self.max_per_video < 1:
             raise ConfigError(f"nms max_per_video must be >= 1, got {self.max_per_video}")
+        if self.placement not in NMS_PLACEMENTS:
+            raise ConfigError(f"nms.placement must be one of {NMS_PLACEMENTS}, got {self.placement!r}")
 
 
 def refine(p_ssad: ProposalSet, p_tag: ProposalSet, cfg: RefineConfig) -> ProposalSet:

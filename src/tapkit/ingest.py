@@ -22,14 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    DatasetIndex,
-    GroundTruthInstance,
-    ProposalSet,
-    Subset,
-    TemporalInterval,
-    VideoRecord,
-)
+from .core import DatasetIndex, ProposalSet, Subset, VideoRecord
 from .errors import ConfigError, DataFormatError, IntervalError, PlacementError
 from .util import atomic_open, rng_for, write_json_atomic, KEY_SYNTH
 
@@ -140,14 +133,13 @@ def load_annotations(path: str | Path) -> DatasetIndex:
         raise DataFormatError(f"{path}: missing or malformed 'database' map")
 
     videos: dict[str, VideoRecord] = {}
-    labels: set[str] = set()
+    label_set: set[str] = set()
     for vid, entry in raw["database"].items():
         if not isinstance(entry, dict):
             raise DataFormatError(f"{path}: database.{vid} is not an object")
         duration = entry.get("duration")
-        if not _is_number(duration) or not 0 < duration < math.inf:
-            raise DataFormatError(
-                f"{path}: database.{vid}.duration must be a positive finite number")
+        if not _is_number(duration):
+            raise DataFormatError(f"{path}: database.{vid}.duration must be a number")
         subset = entry.get("subset")
         try:
             subset = Subset(subset)
@@ -158,7 +150,7 @@ def load_annotations(path: str | Path) -> DatasetIndex:
         annotations = entry.get("annotations", [])
         if not isinstance(annotations, list):
             raise DataFormatError(f"{path}: database.{vid}.annotations must be a list")
-        instances = []
+        labels, starts, ends = [], [], []
         for i, ann in enumerate(annotations):
             where = f"database.{vid}.annotations[{i}]"
             if not isinstance(ann, dict) or "label" not in ann or "segment" not in ann:
@@ -170,23 +162,18 @@ def load_annotations(path: str | Path) -> DatasetIndex:
                 or not all(_is_number(x) for x in seg)
             ):
                 raise DataFormatError(f"{path}: {where}.segment must be a [start, end] pair")
-            if not (float(seg[0]) < float(seg[1])):
-                raise DataFormatError(
-                    f"{path}: {where}.segment [{seg[0]}, {seg[1]}] is reversed or empty"
-                )
-            if float(seg[0]) < 0 or float(seg[1]) > float(duration):
-                raise DataFormatError(
-                    f"{path}: {where}.segment [{seg[0]}, {seg[1]}] outside [0, {duration}]"
-                )
             label = ann["label"]
             if not isinstance(label, str):
                 raise DataFormatError(f"{path}: {where}.label must be a string, got {label!r}")
-            labels.add(label)
-            instances.append(
-                GroundTruthInstance(label, TemporalInterval(float(seg[0]), float(seg[1])))
-            )
-        videos[vid] = VideoRecord(vid, float(duration), subset, tuple(instances))
-    return DatasetIndex(videos=videos, label_set=tuple(sorted(labels)))
+            labels.append(label)
+            starts.append(seg[0])
+            ends.append(seg[1])
+        try:
+            videos[vid] = VideoRecord(vid, duration, subset, labels, starts, ends)
+        except IntervalError as exc:
+            raise DataFormatError(f"{path}: database.{vid}: {exc}") from exc
+        label_set.update(labels)
+    return DatasetIndex(videos=videos, label_set=tuple(sorted(label_set)))
 
 
 def save_annotations(index: DatasetIndex, path: str | Path) -> None:
@@ -197,8 +184,8 @@ def save_annotations(index: DatasetIndex, path: str | Path) -> None:
             "duration": rec.duration,
             "subset": rec.subset.value,
             "annotations": [
-                {"label": inst.label, "segment": [inst.interval.start, inst.interval.end]}
-                for inst in rec.instances
+                {"label": label, "segment": [start, end]}
+                for label, start, end in zip(rec.labels, rec.starts.tolist(), rec.ends.tolist())
             ],
         }
     write_json_atomic(path, {"version": "1.0", "database": database})
@@ -375,24 +362,23 @@ def snippet_centers(num_snippets: int, duration: float) -> np.ndarray:
 
 def _place_instances(
     rng: np.random.Generator, duration: float, count: int, frac_range: tuple[float, float]
-) -> list[TemporalInterval]:
-    placed: list[TemporalInterval] = []
+) -> list[tuple[float, float]]:
+    """count non-overlapping (start, end) spans inside [0, duration], sorted by start."""
+    placed: list[tuple[float, float]] = []
     for _ in range(count):
-        ok = False
         for _attempt in range(100):
             length = duration * rng.uniform(frac_range[0], frac_range[1])
             start = rng.uniform(0.0, duration - length)
-            cand = TemporalInterval(start, start + length)
-            if all(min(cand.end, p.end) <= max(cand.start, p.start) for p in placed):
-                placed.append(cand)
-                ok = True
+            end = start + length
+            if all(min(end, e) <= max(start, s) for s, e in placed):
+                placed.append((start, end))
                 break
-        if not ok:
+        else:
             raise PlacementError(
                 f"could not place {count} non-overlapping instances in a "
                 f"{duration:.1f}s video after 100 attempts"
             )
-    placed.sort(key=lambda iv: iv.start)
+    placed.sort(key=lambda span: span[0])
     return placed
 
 
@@ -425,15 +411,17 @@ def generate_synthetic(
 
         data = rng.normal(0.0, cfg.noise_sigma, size=(t, cfg.feature_dim))
         centers = snippet_centers(t, duration)
-        for iv in instances:
-            inside = (centers >= iv.start) & (centers < iv.end)
+        for start, end in instances:
+            inside = (centers >= start) & (centers < end)
             data[inside, cls] += cfg.signal_strength
 
         videos[vid] = VideoRecord(
             vid,
             duration,
             subset,
-            tuple(GroundTruthInstance(labels[cls], iv) for iv in instances),
+            (labels[cls],) * len(instances),
+            [start for start, _ in instances],
+            [end for _, end in instances],
         )
         features[vid] = FeatureSequence(vid, data.astype(np.float32))
         if instances:

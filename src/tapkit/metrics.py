@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DatasetIndex, ProposalSet, Subset, TemporalInterval, interval_bounds, tiou_matrix
+from .core import DatasetIndex, ProposalSet, Subset, VideoRecord, tiou_matrix
 from .errors import MetricError
 from .util import KEY_BASELINE, rng_for
 
@@ -49,14 +49,6 @@ def _check_grid(grid) -> tuple[float, ...]:
     return grid
 
 
-def gt_intervals(index: DatasetIndex, subset: Subset) -> dict[str, list[TemporalInterval]]:
-    """Label-agnostic ground-truth intervals for every video of a subset."""
-    return {
-        rec.video_id: [inst.interval for inst in rec.instances]
-        for rec in index.subset_videos(subset)
-    }
-
-
 # --------------------------------------------------------------------------
 # proposal metrics
 
@@ -75,11 +67,12 @@ class ArAnCurve:
 
 def ar_an(
     proposals: Mapping[str, ProposalSet],
-    gt: Mapping[str, Sequence[TemporalInterval]],
+    records: Sequence[VideoRecord],
     an_max: int = DEFAULT_AN_MAX,
     grid=None,
 ) -> ArAnCurve:
-    """AR at every AN in 1..an_max plus the mean-of-curve area.
+    """AR at every AN in 1..an_max plus the mean-of-curve area, over the
+    label-agnostic ground truth of the given records.
 
     Computed by ranking, for each (instance, threshold) pair, the first
     proposal that reaches the threshold, then counting cumulatively.
@@ -87,21 +80,21 @@ def ar_an(
     grid = _check_grid(grid)
     if an_max < 1:
         raise MetricError(f"an_max must be >= 1, got {an_max}")
-    total = sum(len(v) for v in gt.values())
+    total = sum(len(rec.starts) for rec in records)
     if total == 0:
         raise MetricError("recall undefined: no ground-truth instances")
 
     # hits[r, t]: (instance, threshold) pairs first recalled at rank r (1-based)
     hits = np.zeros((an_max + 1, len(grid)), dtype=np.int64)
     thresholds = np.asarray(grid, dtype=np.float64)
-    for vid, intervals in gt.items():
-        pset = proposals.get(vid)
-        if not intervals or pset is None or len(pset) == 0:
+    for rec in records:
+        pset = proposals.get(rec.video_id)
+        if len(rec.starts) == 0 or pset is None or len(pset) == 0:
             continue
         starts, ends = pset.starts[:an_max], pset.ends[:an_max]
         # prefix[r, g]: best tIoU of instance g among the top r + 1 proposals
         prefix = np.maximum.accumulate(
-            tiou_matrix(starts, ends, *interval_bounds(intervals)), axis=0)
+            tiou_matrix(starts, ends, rec.starts, rec.ends), axis=0)
         # the first rank reaching each threshold: prefix is non-decreasing
         ranks = np.count_nonzero(prefix[:, :, None] < thresholds, axis=0)
         g_idx, t_idx = np.nonzero(ranks < len(starts))
@@ -208,11 +201,12 @@ def mean_ap(
         if n < 1:
             raise MetricError(f"n must be >= 1, got {n}")
     records = index.subset_videos(subset)
-    gt_by_class: dict[str, dict[int, list[TemporalInterval]]] = {}
+    # gt_by_class[label][v]: the indices of that class's instances in records[v], in order
+    gt_by_class: dict[str, dict[int, list[int]]] = {}
     preds_by_class: dict[str, list[tuple]] = {}
     for v, rec in enumerate(records):
-        for inst in rec.instances:
-            gt_by_class.setdefault(inst.label, {}).setdefault(v, []).append(inst.interval)
+        for i, label in enumerate(rec.labels):
+            gt_by_class.setdefault(label, {}).setdefault(v, []).append(i)
         ranked = sorted(localization.get(rec.video_id, ()), key=_loc_sort_key)
         for rank, (label, start, end, score) in enumerate(ranked):
             preds_by_class.setdefault(label, []).append((-score, start, end - start, v, end, rank))
@@ -236,10 +230,11 @@ def mean_ap(
         rows = sorted(preds_by_class.get(label, ()), key=lambda r: r[:4])
         _, starts, _, vids, ends, ranks = np.array(rows, dtype=np.float64).reshape(-1, 6).T
         hits = np.zeros((len(t), len(rows)), dtype=bool)
-        for v, instances in gt.items():
+        for v, inst in gt.items():
             mine = np.flatnonzero(vids == v)
-            ious = tiou_matrix(starts[mine], ends[mine], *interval_bounds(instances))
-            taken = np.zeros((len(t), len(instances)), dtype=bool)
+            rec = records[v]
+            ious = tiou_matrix(starts[mine], ends[mine], rec.starts[inst], rec.ends[inst])
+            taken = np.zeros((len(t), len(inst)), dtype=bool)
             # the greedy match, all thresholds at once; a row below every
             # threshold against every gt can never hit
             for k in np.flatnonzero(ious.max(axis=1) >= t.min()):

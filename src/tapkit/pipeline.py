@@ -51,7 +51,6 @@ from .ingest import (
 from .metrics import (
     ar_an,
     attach_labels,
-    gt_intervals,
     mean_ap,
     tiou_grid,
     uniform_random_proposals,
@@ -63,8 +62,6 @@ from .tag import TagConfig, build_mlp, predict_actionness, tag_proposals, train_
 from .util import KEY_GRADCHECK, atomic_open, rng_for, sha256_file, write_json_atomic
 
 logger = logging.getLogger("tapkit")
-
-NMS_PLACEMENTS = ("before", "after", "off")
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,7 @@ def config_defaults() -> dict:
         "ssad": _section_defaults(SsadConfig),
         "tag": _section_defaults(TagConfig),
         "refine": _section_defaults(RefineConfig),
-        "nms": {**_section_defaults(NmsConfig), "placement": "after"},
+        "nms": _section_defaults(NmsConfig),
         "eval": _section_defaults(EvalOptions),
     }
 
@@ -192,32 +189,32 @@ class PipelineConfig:
     tag: TagConfig
     refine: RefineConfig
     nms: NmsConfig
-    nms_placement: str
     eval: EvalOptions
     snapshot: dict = field(repr=False)
 
     @staticmethod
     def from_dict(data: dict) -> "PipelineConfig":
         merged = _deep_merge(config_defaults(), data)
-        if not isinstance(merged["seed"], int) or isinstance(merged["seed"], bool):
-            raise ConfigError(f"seed must be an integer, got {merged['seed']!r}")
+        seed = merged["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        if not isinstance(merged["output_dir"], str):
+            raise ConfigError(f"output_dir must be a string, got {json.dumps(merged['output_dir'])}")
+        for key in ("annotations", "features_dir", "classification"):
+            if merged[key] is not None and not isinstance(merged[key], str):
+                raise ConfigError(f"{key} must be a string or null, got {json.dumps(merged[key])}")
         out_dir = Path(merged["output_dir"])
-        nms_section = dict(merged["nms"])
-        placement = nms_section.pop("placement")
-        if placement not in NMS_PLACEMENTS:
-            raise ConfigError(f"nms.placement must be one of {NMS_PLACEMENTS}, got {placement!r}")
         cfg = PipelineConfig(
-            seed=merged["seed"],
+            seed=seed,
             output_dir=out_dir,
             annotations=Path(merged["annotations"]) if merged["annotations"] else out_dir / "annotations.json",
             features_dir=Path(merged["features_dir"]) if merged["features_dir"] else out_dir / "features",
             classification=Path(merged["classification"]) if merged["classification"] else out_dir / "classification.json",
-            synth=_build_section(SynthConfig, merged["synth"], "synth", seed=merged["seed"]),
+            synth=_build_section(SynthConfig, merged["synth"], "synth", seed=seed),
             ssad=_build_section(SsadConfig, merged["ssad"], "ssad"),
             tag=_build_section(TagConfig, merged["tag"], "tag"),
             refine=_build_section(RefineConfig, merged["refine"], "refine"),
-            nms=_build_section(NmsConfig, nms_section, "nms"),
-            nms_placement=placement,
+            nms=_build_section(NmsConfig, merged["nms"], "nms"),
             eval=_build_section(EvalOptions, merged["eval"], "eval"),
             snapshot=merged,
         )
@@ -408,11 +405,11 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
     for vid in sorted(ssad_sets):
         p_ssad = ssad_sets[vid]
         p_tag = tag_sets.get(vid, ProposalSet(vid))
-        if cfg.nms_placement == "before":
+        if cfg.nms.placement == "before":
             kept = nms(p_ssad, cfg.nms)
             ssad_final[vid] = kept
             refined[vid] = refine(kept, p_tag, cfg.refine)
-        elif cfg.nms_placement == "after":
+        elif cfg.nms.placement == "after":
             ssad_final[vid] = nms(p_ssad, cfg.nms)
             refined[vid] = nms(refine(p_ssad, p_tag, cfg.refine), cfg.nms)
         else:
@@ -426,7 +423,7 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
     n_replaced = sum(int(np.count_nonzero(pset.sources == Source.REFINED))
                      for pset in refined.values())
     logger.info("refine: %d videos, %d boundaries replaced, nms placement %r",
-                len(refined), n_replaced, cfg.nms_placement)
+                len(refined), n_replaced, cfg.nms.placement)
     return [refined_path, final_path]
 
 
@@ -434,7 +431,7 @@ def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
     """Proposal metrics: AR@AN and the AR-AN curve/area."""
     index = _load_index(cfg)
     subset = _eval_subset(cfg)
-    gt = gt_intervals(index, subset)
+    records = index.subset_videos(subset)
     refined_path = cfg.output_dir / "proposals_refined.json"
     final_path = cfg.output_dir / "proposals_ssad_final.json"
     _require(refined_path, "refine")
@@ -447,7 +444,7 @@ def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
     )
     paths = []
     for name, props in sources:
-        curve = ar_an(props, gt, cfg.eval.an_max)
+        curve = ar_an(props, records, cfg.eval.an_max)
         report = {
             "ar_at": {str(n): curve.ar_at(n) for n in cfg.eval.ar_at},
             "ar_an_area": curve.area,

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProposalSet, Source, TemporalInterval, VideoRecord, interval_bounds, tiou_matrix
+from .core import ProposalSet, Source, VideoRecord, tiou_matrix
 from .engine import Conv1d, Layer, ReLU, Sequential, Sigmoid, fit
-from .errors import ConfigError, DataFormatError, IntervalError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError
 from .ingest import FeatureSequence, resize_linear
 from .util import KEY_SSAD_INIT, KEY_SSAD_SHUFFLE, rng_for
 
@@ -87,15 +87,12 @@ def build_anchor_pyramid(cfg: SsadConfig) -> AnchorPyramid:
     return AnchorPyramid(np.concatenate(starts), np.concatenate(ends))
 
 
-def assign_targets(pyramid: AnchorPyramid, gt: list[TemporalInterval]) -> np.ndarray:
-    """Per-anchor regression target: max tIoU against the (normalized) gt set."""
-    for iv in gt:
-        if iv.start < 0.0 or iv.end > 1.0:
-            raise IntervalError(f"gt interval [{iv.start}, {iv.end}) not normalized")
-    if not gt:
+def assign_targets(pyramid: AnchorPyramid, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per-anchor regression target: max tIoU against the gt spans, given as
+    start and end arrays normalized to [0, 1]."""
+    if len(starts) == 0:
         return np.zeros(len(pyramid), dtype=np.float64)
-    ious = tiou_matrix(pyramid.starts, pyramid.ends, *interval_bounds(gt))
-    return ious.max(axis=1)
+    return tiou_matrix(pyramid.starts, pyramid.ends, starts, ends).max(axis=1)
 
 
 class SsadModel(Sequential):
@@ -220,14 +217,6 @@ def _prepare_input(seq: FeatureSequence, cfg: SsadConfig) -> np.ndarray:
     return np.ascontiguousarray(resized.data.T, dtype=np.float32)
 
 
-def _video_targets(record: VideoRecord, pyramid: AnchorPyramid) -> np.ndarray:
-    gt = [
-        TemporalInterval(inst.interval.start / record.duration, inst.interval.end / record.duration)
-        for inst in record.instances
-    ]
-    return assign_targets(pyramid, gt)
-
-
 def train(
     model: SsadModel,
     records: list[VideoRecord],
@@ -247,7 +236,8 @@ def train(
     if missing:
         raise DataFormatError(f"no features for training video {missing[0]}")
     inputs = np.stack([_prepare_input(features[r.video_id], cfg) for r in records])
-    targets = np.stack([_video_targets(r, pyramid) for r in records]).astype(np.float32)
+    targets = np.stack([assign_targets(pyramid, r.starts / r.duration, r.ends / r.duration)
+                        for r in records]).astype(np.float32)
 
     return fit(model, inputs, targets, cfg.epochs, cfg.batch_size, cfg.learning_rate,
                rng_for(seed, KEY_SSAD_SHUFFLE))

@@ -75,8 +75,8 @@ def actionness_targets(record: VideoRecord, num_snippets: int) -> np.ndarray:
         raise ShapeError(f"num_snippets must be >= 1, got {num_snippets}")
     centers = snippet_centers(num_snippets, record.duration)
     labels = np.zeros(num_snippets, dtype=np.float64)
-    for inst in record.instances:
-        inside = (centers >= inst.interval.start) & (centers < inst.interval.end)
+    for start, end in zip(record.starts, record.ends):
+        inside = (centers >= start) & (centers < end)
         labels[inside] = 1.0
     return labels
 

@@ -5,16 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from tapkit.core import (
-    DatasetIndex,
-    GroundTruthInstance,
-    ProposalSet,
-    Source,
-    Subset,
-    TemporalInterval,
-    VideoRecord,
-    tiou_matrix,
-)
+from tapkit.core import DatasetIndex, ProposalSet, Source, Subset, VideoRecord, tiou_matrix
 from tapkit.metrics import ar_an, mean_ap
 from tapkit.pipeline import PipelineConfig, load_config, run_command
 from tapkit.tag import _fragments, _group_fragments
@@ -24,27 +15,31 @@ os.environ.pop("TAPKIT_SEED", None)
 
 
 # One-call forms of the production kernels, for tests that check one value,
-# and a shorthand for proposal sets written as rows.
+# and shorthands for proposal sets and ground truth written as rows.
 
 
 def tiou(a, b):
-    """tIoU of two intervals: a 1x1 tiou_matrix."""
-    return float(tiou_matrix([a.start], [a.end], [b.start], [b.end])[0, 0])
+    """tIoU of two (start, end) intervals: a 1x1 tiou_matrix."""
+    return float(tiou_matrix([a[0]], [a[1]], [b[0]], [b[1]])[0, 0])
+
+
+def gt_records(gt):
+    """Validation records of class "x", by video id, from gt: vid -> [(start, end)]."""
+    return [VideoRecord(vid, 1e6, Subset.VALIDATION, ("x",) * len(spans),
+                        [s for s, _ in spans], [e for _, e in spans])
+            for vid, spans in sorted(gt.items())]
 
 
 def recall(proposals, gt, an, threshold):
     """Recall at one AN and one threshold: a single-point ar_an curve."""
-    return ar_an(proposals, gt, an_max=an, grid=(threshold,)).ar_at(an)
+    return ar_an(proposals, gt_records(gt), an_max=an, grid=(threshold,)).ar_at(an)
 
 
 def average_precision(preds, gt, threshold):
     """AP of one class at one threshold: mean_ap over an index whose only
     class is "x". preds: [(vid, start, end, score)], gt: vid -> [(start, end)]."""
-    videos = {
-        vid: VideoRecord(vid, 1e6, Subset.VALIDATION, tuple(
-            GroundTruthInstance("x", TemporalInterval(s, e)) for s, e in gt.get(vid, ())))
-        for vid in sorted({*gt, *(p[0] for p in preds)})
-    }
+    vids = {*gt, *(p[0] for p in preds)}
+    videos = {rec.video_id: rec for rec in gt_records({vid: gt.get(vid, ()) for vid in vids})}
     loc = {}
     for vid, start, end, score in preds:
         loc.setdefault(vid, []).append(("x", start, end, score))

@@ -20,29 +20,13 @@ from oracles import (
     mc_tiou,
     oracle_tiou,
 )
-from tapkit.core import (
-    DatasetIndex,
-    GroundTruthInstance,
-    Source,
-    Subset,
-    TemporalInterval,
-    VideoRecord,
-)
+from tapkit.core import DatasetIndex, Source, Subset, VideoRecord
 from tapkit.engine import Conv1d, Dense, ReLU, Sequential, Sigmoid, grad_check, mse_loss, relu_margin
 from tapkit.fusion import RefineConfig, refine
 from tapkit.ingest import load_annotations, read_results
-from tapkit.metrics import (
-    ar_an,
-    gt_intervals,
-    mean_ap,
-    tiou_grid,
-)
+from tapkit.metrics import ar_an, mean_ap, tiou_grid
 from tapkit.pipeline import load_config, run_command
 from tapkit.ssad import SsadConfig, build_anchor_pyramid, build_model
-
-
-def iv(s, e):
-    return TemporalInterval(s, e)
 
 
 def _random_conv_stack(rng):
@@ -125,10 +109,7 @@ def _random_metric_instance(rng):
     if total_gt == 0:
         gt[vids[0]] = [("jump", 0.0, 5.0)]
     for vid in vids:
-        records[vid] = VideoRecord(
-            vid, 100.0, Subset.VALIDATION,
-            tuple(GroundTruthInstance(lbl, iv(s, e)) for lbl, s, e in gt[vid]),
-        )
+        records[vid] = VideoRecord(vid, 100.0, Subset.VALIDATION, *zip(*gt[vid]))
     index = DatasetIndex(videos=records, label_set=tuple(sorted(
         {lbl for rows in gt.values() for lbl, _s, _e in rows})))
     return props, gt, loc, index
@@ -146,13 +127,12 @@ def test_criterion_2_metric_oracles():
             for vid, ps in props.items()
         }
         plain_gt = {vid: [(s, e) for _l, s, e in rows] for vid, rows in gt.items()}
-        bare_gt = {vid: [iv(s, e) for _l, s, e in rows] for vid, rows in gt.items()}
         an = int(rng.integers(1, 7))
         threshold = float(rng.choice(tiou_grid()))
 
-        diffs = [abs(recall(props, bare_gt, an, threshold)
+        diffs = [abs(recall(props, plain_gt, an, threshold)
                      - brute_recall(plain_props, plain_gt, an, threshold))]
-        curve = ar_an(props, bare_gt, an_max=an)
+        curve = ar_an(props, index.subset_videos(Subset.VALIDATION), an_max=an)
         diffs.append(abs(curve.ar_at(an) - brute_average_recall(plain_props, plain_gt, an)))
         want_ar, want_area = brute_ar_an(plain_props, plain_gt, an)
         diffs += [abs(a - b) for a, b in zip(curve.ar, want_ar)]
@@ -201,7 +181,7 @@ def test_criterion_4_tiou_monte_carlo():
         b_start = float(rng.uniform(0, 10))
         a = (a_start, a_start + float(rng.uniform(0.5, 10)))
         b = (b_start, b_start + float(rng.uniform(0.5, 10)))
-        analytic = tiou(iv(*a), iv(*b))
+        analytic = tiou(a, b)
         assert analytic == oracle_tiou(a, b)
         estimate = mc_tiou(a, b, 10**6, rng)
         worst = max(worst, abs(analytic - estimate))
@@ -236,7 +216,7 @@ def test_criterion_5_refinement_contract():
     strict = True
     for a, b in (((0.0, 4.0), (1.0, 4.0)), ((0.0, 8.0), (2.0, 8.0)),
                  ((0.0, 16.0), (4.0, 16.0)), ((10.0, 14.0), (11.0, 14.0))):
-        assert tiou(iv(*a), iv(*b)) == 0.75
+        assert tiou(a, b) == 0.75
         out = refine(pset("v", [(*a, 0.5)]), pset("v", [(*b, 0.5)], Source.TAG), cfg)
         [p] = out
         if (p.start, p.end) != a or p.source is not Source.SSAD:
@@ -256,10 +236,10 @@ def test_criterion_6_end_to_end_ordering(fixture42):
         for name in ("refined", "ssad", "baseline")
     }
     index = load_annotations(out / "annotations.json")
-    gt = gt_intervals(index, Subset.VALIDATION)
+    records = index.subset_videos(Subset.VALIDATION)
     an = cfg.eval.an_max
     r95 = {
-        name: recall(read_results(out / path), gt, an, 0.95)
+        name: ar_an(read_results(out / path), records, an, (0.95,)).ar_at(an)
         for name, path in (("refined", "proposals_refined.json"),
                            ("ssad", "proposals_ssad_final.json"))
     }

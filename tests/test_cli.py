@@ -100,6 +100,10 @@ class TestExitCodes:
         monkeypatch.setenv("TAPKIT_SEED", "notanint")
         assert main(["synth", *_tiny_args(tmp_path)]) == 2
 
+    def test_negative_env_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TAPKIT_SEED", "-2")
+        assert main(["synth", *_tiny_args(tmp_path)]) == 2
+
     def test_config_error_non_utf8_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_bytes(b'{"seed": "\xff"}')
@@ -143,6 +147,15 @@ class TestExitCodes:
         save_features(FeatureSequence(video, np.zeros((5, 8))), tmp_path / "features" / f"{video}.feat")
         assert main([command, *_tiny_args(tmp_path)]) == 3
         assert f"video {video} has feature dimension 8" in caplog.text
+
+    @pytest.mark.parametrize("name", ["ssad_model.tapm", "tag_model.tapm"])
+    def test_data_error_on_non_finite_checkpoint(self, tmp_path, caplog, name):
+        for command in ("synth", "train-ssad", "train-tag"):
+            assert main([command, *_tiny_args(tmp_path)]) == 0, command
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+        assert main(["infer", *_tiny_args(tmp_path)]) == 3
+        assert f"{path}: parameter " in caplog.text and "not finite" in caplog.text
 
     def test_data_error_on_infinite_duration(self, tmp_path):
         assert main(["synth", *_tiny_args(tmp_path)]) == 0
@@ -202,6 +215,11 @@ class TestExitCodes:
         "ssad.epochs=-1",
         "ssad.batch_size=0",
         "ssad.learning_rate=0",
+        "output_dir=5",
+        "output_dir=null",
+        "annotations=[1]",
+        "features_dir=true",
+        "classification={}",
     ])
     def test_config_error_bad_section_value(self, tmp_path, assignment):
         assert main(["synth", *_tiny_args(tmp_path, [assignment])]) == 2
@@ -272,6 +290,10 @@ class TestConfigPrecedence:
             load_config(None, ["seed=true"])
         with pytest.raises(ConfigError):
             load_config(None, ["seed=1.5"])
+        with pytest.raises(ConfigError):
+            load_config(None, ["seed=-3"])
+        with pytest.raises(ConfigError):
+            load_config(None, [], seed=-1)
 
     def test_set_parses_json_values(self):
         cfg = load_config(None, [
@@ -281,7 +303,7 @@ class TestConfigPrecedence:
             "eval.subset=validation",  # bare string fallback
         ])
         assert cfg.synth.duration_range == (20.0, 30.0)
-        assert cfg.nms_placement == "off"
+        assert cfg.nms.placement == "off"
         assert cfg.tag.scan_cutoff is False
         assert cfg.eval.subset == "validation"
 

@@ -8,14 +8,10 @@ from hypothesis import given, strategies as st
 from conftest import pset, tiou
 from oracles import oracle_tiou
 from tapkit.cli import DATA_ERRORS
-from tapkit.core import ProposalSet, Source, Subset, TemporalInterval, VideoRecord, tiou_matrix
-from tapkit.errors import IntervalError
-from tapkit.ingest import FeatureSequence, read_results
+from tapkit.core import ProposalSet, Source, Subset, VideoRecord, tiou_matrix
+from tapkit.errors import DataFormatError, IntervalError
+from tapkit.ingest import FeatureSequence, load_annotations, read_results
 from tapkit.ssad import AnchorPyramid, SsadConfig, SsadModel, infer
-
-
-def iv(s, e):
-    return TemporalInterval(s, e)
 
 
 # finite, and far enough from overflow that length arithmetic stays exact-ish
@@ -23,60 +19,37 @@ finite_times = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 def interval_strategy():
-    return st.tuples(finite_times, finite_times).filter(lambda p: p[0] < p[1]).map(
-        lambda p: TemporalInterval(p[0], p[1])
-    )
-
-
-class TestTemporalInterval:
-    def test_length(self):
-        assert iv(2.0, 5.0).length == 3.0
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(IntervalError):
-            iv(5.0, 5.0)
-        with pytest.raises(IntervalError):
-            iv(7.0, 3.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(IntervalError):
-            iv(0.0, math.inf)
-        with pytest.raises(IntervalError):
-            iv(math.nan, 1.0)
-
-    def test_coerces_to_float(self):
-        a = iv(1, 4)
-        assert isinstance(a.start, float) and isinstance(a.end, float)
+    return st.tuples(finite_times, finite_times).filter(lambda p: p[0] < p[1])
 
 
 class TestTiou:
     def test_identical(self):
-        assert tiou(iv(0, 10), iv(0, 10)) == 1.0
+        assert tiou((0, 10), (0, 10)) == 1.0
 
     def test_disjoint_is_zero_regardless_of_gap(self):
-        assert tiou(iv(0, 10), iv(20, 30)) == 0.0
-        assert tiou(iv(0, 10), iv(1000, 1010)) == 0.0
+        assert tiou((0, 10), (20, 30)) == 0.0
+        assert tiou((0, 10), (1000, 1010)) == 0.0
 
     def test_touching_is_zero(self):
-        assert tiou(iv(0, 10), iv(10, 20)) == 0.0
+        assert tiou((0, 10), (10, 20)) == 0.0
 
     def test_partial(self):
-        assert tiou(iv(0, 10), iv(5, 15)) == pytest.approx(5.0 / 15.0, rel=0, abs=0)
+        assert tiou((0, 10), (5, 15)) == pytest.approx(5.0 / 15.0, rel=0, abs=0)
 
     def test_containment(self):
-        assert tiou(iv(0, 10), iv(2, 4)) == pytest.approx(0.2)
+        assert tiou((0, 10), (2, 4)) == pytest.approx(0.2)
 
     @given(st.lists(interval_strategy(), max_size=6), st.lists(interval_strategy(), max_size=6))
     def test_symmetric_and_bounded(self, a_list, b_list):
-        a_bounds = ([a.start for a in a_list], [a.end for a in a_list])
-        b_bounds = ([b.start for b in b_list], [b.end for b in b_list])
+        a_bounds = ([a[0] for a in a_list], [a[1] for a in a_list])
+        b_bounds = ([b[0] for b in b_list], [b[1] for b in b_list])
         m = tiou_matrix(*a_bounds, *b_bounds)
         assert np.array_equal(m, tiou_matrix(*b_bounds, *a_bounds).T)
         assert np.all((0.0 <= m) & (m <= 1.0))
 
     @given(interval_strategy(), interval_strategy())
     def test_matches_oracle(self, a, b):
-        assert tiou(a, b) == oracle_tiou((a.start, a.end), (b.start, b.end))
+        assert tiou(a, b) == oracle_tiou(a, b)
 
 
 def _assert_matrix_is_oracle(a_rows, b_rows):
@@ -92,8 +65,7 @@ def _assert_matrix_is_oracle(a_rows, b_rows):
 class TestTiouMatrix:
     @given(st.lists(interval_strategy(), max_size=6), st.lists(interval_strategy(), max_size=6))
     def test_matches_oracle_bitwise(self, a_list, b_list):
-        _assert_matrix_is_oracle([(a.start, a.end) for a in a_list],
-                                 [(b.start, b.end) for b in b_list])
+        _assert_matrix_is_oracle(a_list, b_list)
 
     def test_edge_pairs(self):
         a_rows = [(0.0, 10.0), (0.1, 0.7), (-3.5, 2.25), (1e-9, 2e-9)]
@@ -236,13 +208,56 @@ class TestProposalSet:
             read_results(path)
 
 
-class TestVideoRecord:
-    def test_instance_must_fit_duration(self):
-        from tapkit.core import GroundTruthInstance
+# each kind as (start, end) in a 10 s video
+_BAD_INSTANCES = {
+    "empty": (5.0, 5.0),
+    "reversed": (7.0, 3.0),
+    "nan start": (math.nan, 1.0),
+    "infinite end": (0.0, math.inf),
+    "negative start": (-1.0, 2.0),
+    "end after duration": (5.0, 12.0),
+}
 
-        with pytest.raises(IntervalError):
-            VideoRecord("v", 10.0, "training",
-                        (GroundTruthInstance("a", iv(5.0, 12.0)),))
+
+def _spans_with_bad(kind, at):
+    """Good spans with one bad kind at index at, and a reversed one after it."""
+    spans = [(1.0, 2.0), (3.0, 4.0)]
+    spans.insert(at, _BAD_INSTANCES[kind])
+    return spans + [(9.0, 8.0)]
+
+
+class TestVideoRecord:
+    @pytest.mark.parametrize("at", [0, 2])
+    @pytest.mark.parametrize("kind", sorted(_BAD_INSTANCES))
+    def test_first_bad_instance_is_named(self, kind, at):
+        spans = _spans_with_bad(kind, at)
+        with pytest.raises(IntervalError, match=f"^instance {at}: "):
+            VideoRecord("v", 10.0, "training", ("a",) * len(spans), *zip(*spans))
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_INSTANCES))
+    def test_load_annotations_names_the_video_and_instance(self, tmp_path, kind):
+        anns = [{"label": "a", "segment": list(span)} for span in _spans_with_bad(kind, 1)]
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({"database": {"vid7": {
+            "duration": 10.0, "subset": "training", "annotations": anns}}}))
+        with pytest.raises(DataFormatError, match=r"database\.vid7: instance 1: "):
+            load_annotations(path)
+
+    @pytest.mark.parametrize("labels, starts, ends", [
+        (("a",), [1.0, 3.0], [2.0, 4.0]),
+        (("a", "b"), [1.0], [2.0, 4.0]),
+        (("a", "b"), [1.0, 3.0], [2.0]),
+    ], ids=["labels", "starts", "ends"])
+    def test_column_lengths_must_match(self, labels, starts, ends):
+        with pytest.raises(IntervalError, match="labels"):
+            VideoRecord("v", 10.0, "training", labels, starts, ends)
+
+    def test_columns_are_read_only_float64(self):
+        rec = VideoRecord("v", 10, "training", ["a"], [1], [4])
+        assert type(rec.duration) is float and rec.labels == ("a",)
+        assert (rec.starts.tolist(), rec.ends.tolist()) == ([1.0], [4.0])
+        for column in (rec.starts, rec.ends):
+            assert column.dtype == np.float64 and not column.flags.writeable
 
     def test_nonpositive_duration(self):
         with pytest.raises(IntervalError):

@@ -3,13 +3,9 @@ import pytest
 
 from conftest import pset, tiou
 from oracles import brute_nms, brute_refine
-from tapkit.core import ProposalSet, Source, TemporalInterval
+from tapkit.core import ProposalSet, Source
 from tapkit.errors import ConfigError, MetricError
 from tapkit.fusion import NmsConfig, RefineConfig, nms, refine
-
-
-def iv(s, e):
-    return TemporalInterval(s, e)
 
 
 def _random_pset(rng, vid, n, source):
@@ -35,7 +31,7 @@ class TestRefine:
     def test_high_overlap_replaces_boundaries(self):
         p_ssad = pset("v", [(0.0, 10.0, 0.8)])
         p_tag = pset("v", [(0.5, 10.0, 0.3)], Source.TAG)
-        assert tiou(iv(0, 10), iv(0.5, 10)) > 0.75
+        assert tiou((0, 10), (0.5, 10)) > 0.75
         out = refine(p_ssad, p_tag, self.CFG)
         assert len(out) == 1
         [p] = out
@@ -54,7 +50,7 @@ class TestRefine:
     def test_exact_threshold_keeps(self):
         # tiou([0,4), [1,4)) == 3/4 exactly; the comparison is strict
         for a, b in (((0.0, 4.0), (1.0, 4.0)), ((0.0, 8.0), (2.0, 8.0))):
-            assert tiou(iv(*a), iv(*b)) == 0.75
+            assert tiou(a, b) == 0.75
             out = refine(pset("v", [(*a, 0.5)]), pset("v", [(*b, 0.5)], Source.TAG), self.CFG)
             [p] = out
             assert (p.start, p.end) == a
@@ -72,7 +68,7 @@ class TestRefine:
         p_ssad = pset("v", [(0.0, 10.0, 0.8)])
         # both claimants at iou 9/10; [−?]: pick earlier start, then shorter
         p_tag = pset("v", [(1.0, 10.0, 0.2), (0.0, 9.0, 0.3)], Source.TAG)
-        assert tiou(iv(0, 10), iv(1, 10)) == tiou(iv(0, 10), iv(0, 9))
+        assert tiou((0, 10), (1, 10)) == tiou((0, 10), (0, 9))
         out = refine(p_ssad, p_tag, self.CFG)
         [p] = out
         assert (p.start, p.end) == (0.0, 9.0)
@@ -83,7 +79,7 @@ class TestRefine:
         cfg = RefineConfig(0.6)
         for tag_iv, winner, loser in (((2.0, 8.0), (0.0, 9.0), (3.0, 7.0)),
                                       ((0.0, 6.0), (0.0, 4.0), (0.0, 9.0))):
-            assert tiou(iv(*tag_iv), iv(*winner)) == tiou(iv(*tag_iv), iv(*loser))
+            assert tiou(tag_iv, winner) == tiou(tag_iv, loser)
             p_ssad = pset("v", [(*winner, 0.1), (*loser, 0.9)])
             out = refine(p_ssad, pset("v", [(*tag_iv, 0.5)], Source.TAG), cfg)
             refined = {p.score: p.source for p in out}
@@ -96,7 +92,7 @@ class TestRefine:
         out = refine(p_ssad, p_tag, self.CFG)
         replaced = [p for p in out if p.source is Source.REFINED]
         assert len(replaced) == 1
-        best = max(p_ssad, key=lambda p: tiou(p, iv(0.4, 10.0)))
+        best = max(p_ssad, key=lambda p: tiou(p, (0.4, 10.0)))
         assert replaced[0].score == best.score
 
     def test_video_mismatch(self):

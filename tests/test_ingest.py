@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tapkit.cli import DATA_ERRORS
-from tapkit.core import Subset, TemporalInterval
+from tapkit.core import Subset
 from tapkit.errors import ConfigError, DataFormatError
 from tapkit.ingest import (
     FeatureSequence,
@@ -25,6 +25,11 @@ from tapkit.ingest import (
     write_results,
 )
 from tapkit.core import ProposalSet
+
+
+def _annotation_bytes(index, path):
+    save_annotations(index, path)
+    return path.read_bytes()
 
 
 def _write(tmp_path, name, payload):
@@ -51,32 +56,12 @@ class TestAnnotations:
         assert index.label_set == ("jump",)
         rec = index.videos["va"]
         assert rec.subset is Subset.TRAINING
-        assert rec.instances[0].interval == TemporalInterval(10.0, 20.0)
+        assert (rec.labels, rec.starts.tolist(), rec.ends.tolist()) == (("jump",), [10.0], [20.0])
 
     def test_empty_database_is_valid(self, tmp_path):
         path = _write(tmp_path, "ann.json", {"version": "1.0", "database": {}})
         index = load_annotations(path)
         assert index.videos == {} and index.label_set == ()
-
-    def test_reversed_segment_rejected(self, tmp_path):
-        path = _write(tmp_path, "ann.json", {
-            "database": {
-                "v": {"duration": 60.0, "subset": "training",
-                      "annotations": [{"label": "x", "segment": [20.0, 10.0]}]},
-            },
-        })
-        with pytest.raises(DataFormatError, match="reversed"):
-            load_annotations(path)
-
-    def test_segment_outside_duration_rejected(self, tmp_path):
-        path = _write(tmp_path, "ann.json", {
-            "database": {
-                "v": {"duration": 15.0, "subset": "training",
-                      "annotations": [{"label": "x", "segment": [10.0, 20.0]}]},
-            },
-        })
-        with pytest.raises(DataFormatError):
-            load_annotations(path)
 
     def test_bad_subset_rejected(self, tmp_path):
         path = _write(tmp_path, "ann.json", {
@@ -122,7 +107,8 @@ class TestAnnotations:
         path = tmp_path / "ann.json"
         save_annotations(index, path)
         back = load_annotations(path)
-        assert back == index
+        assert back.label_set == index.label_set
+        assert _annotation_bytes(back, tmp_path / "back.json") == path.read_bytes()
 
 
 class TestResizeLinear:
@@ -215,19 +201,20 @@ class TestFeatureFiles:
 
 
 class TestSynthetic:
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         cfg = SynthConfig(num_videos=10, seed=9)
         a_index, a_feats, a_cls = generate_synthetic(cfg)
         b_index, b_feats, b_cls = generate_synthetic(cfg)
-        assert a_index == b_index
+        assert (_annotation_bytes(a_index, tmp_path / "a.json")
+                == _annotation_bytes(b_index, tmp_path / "b.json"))
         assert a_cls == b_cls
         for vid in a_feats:
             assert np.array_equal(a_feats[vid].data, b_feats[vid].data)
 
-    def test_seed_changes_output(self):
+    def test_seed_changes_output(self, tmp_path):
         a = generate_synthetic(SynthConfig(num_videos=10, seed=1))[0]
         b = generate_synthetic(SynthConfig(num_videos=10, seed=2))[0]
-        assert a != b
+        assert _annotation_bytes(a, tmp_path / "a.json") != _annotation_bytes(b, tmp_path / "b.json")
 
     def test_feature_dim_must_cover_classes(self):
         with pytest.raises(ConfigError):
@@ -241,12 +228,12 @@ class TestSynthetic:
     def test_instances_sorted_and_disjoint(self):
         index, _, _ = generate_synthetic(SynthConfig(num_videos=40, seed=5))
         for rec in index.videos.values():
-            spans = [inst.interval for inst in rec.instances]
+            spans = list(zip(rec.starts.tolist(), rec.ends.tolist()))
             for a, b in zip(spans, spans[1:]):
-                assert a.start <= b.start
-                assert min(a.end, b.end) <= max(a.start, b.start)  # no overlap
-            for s in spans:
-                assert 0.0 <= s.start < s.end <= rec.duration
+                assert a[0] <= b[0]
+                assert min(a[1], b[1]) <= max(a[0], b[0])  # no overlap
+            for start, end in spans:
+                assert 0.0 <= start < end <= rec.duration
 
     def test_signal_mean_matches_generator(self):
         cfg = SynthConfig(num_videos=60, seed=11)
@@ -257,8 +244,8 @@ class TestSynthetic:
             col = label_col[cls[rec.video_id][0][0]]
             data = feats[rec.video_id].data
             centers = snippet_centers(data.shape[0], rec.duration)
-            for inst in rec.instances:
-                mask = (centers >= inst.interval.start) & (centers < inst.interval.end)
+            for start, end in zip(rec.starts, rec.ends):
+                mask = (centers >= start) & (centers < end)
                 inside_vals.append(data[mask, col])
         pooled = np.concatenate(inside_vals)
         bound = 3.0 * cfg.noise_sigma / np.sqrt(pooled.size)
@@ -269,7 +256,7 @@ class TestSynthetic:
         for vid, rows in cls.items():
             assert len(rows) >= 1
             assert rows[0][1] == 1.0
-            labels = {inst.label for inst in index.videos[vid].instances}
+            labels = set(index.videos[vid].labels)
             if labels:
                 assert rows[0][0] in labels
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import average_precision, pset, recall
+from conftest import average_precision, gt_records, pset, recall
 from oracles import (
     brute_ap,
     brute_ar_an,
@@ -13,28 +13,21 @@ from oracles import (
     brute_recall,
     oracle_tiou,
 )
-from tapkit.core import (
-    DatasetIndex,
-    GroundTruthInstance,
-    ProposalSet,
-    Subset,
-    TemporalInterval,
-    VideoRecord,
-)
+from tapkit.core import DatasetIndex, ProposalSet, Subset, VideoRecord
 from tapkit.errors import MetricError
 from tapkit.metrics import (
     ArAnCurve,
     ar_an,
     attach_labels,
-    gt_intervals,
     mean_ap,
     tiou_grid,
     uniform_random_proposals,
 )
 
 
-def iv(s, e):
-    return TemporalInterval(s, e)
+def _record(vid, rows, duration=100.0, subset=Subset.VALIDATION):
+    """A record from (label, start, end) rows."""
+    return VideoRecord(vid, duration, subset, *zip(*rows))
 
 
 def test_grid_is_exact():
@@ -44,13 +37,13 @@ def test_grid_is_exact():
 class TestRecall:
     def test_perfect_proposal(self):
         props = {"v": pset("v", [(0.0, 10.0, 0.9)])}
-        gt = {"v": [iv(0.0, 10.0)]}
+        gt = {"v": [(0.0, 10.0)]}
         assert recall(props, gt, an=1, threshold=0.95) == 1.0
 
     def test_top_an_cutoff(self):
         # the matching proposal is ranked second, so AN=1 misses it
         props = {"v": pset("v", [(50.0, 60.0, 0.9), (0.0, 10.0, 0.5)])}
-        gt = {"v": [iv(0.0, 10.0)]}
+        gt = {"v": [(0.0, 10.0)]}
         assert recall(props, gt, an=1, threshold=0.5) == 0.0
         assert recall(props, gt, an=2, threshold=0.5) == 1.0
 
@@ -59,12 +52,12 @@ class TestRecall:
             "a": pset("a", [(0.0, 10.0, 0.9)]),
             "b": pset("b", [(90.0, 95.0, 0.9)]),
         }
-        gt = {"a": [iv(0.0, 10.0), iv(20.0, 30.0)], "b": [iv(0.0, 5.0)]}
+        gt = {"a": [(0.0, 10.0), (20.0, 30.0)], "b": [(0.0, 5.0)]}
         # 1 of 3 pooled instances recalled
         assert recall(props, gt, an=5, threshold=0.5) == pytest.approx(1 / 3)
 
     def test_video_without_proposals_counts_misses(self):
-        gt = {"a": [iv(0.0, 10.0)], "b": [iv(0.0, 5.0)]}
+        gt = {"a": [(0.0, 10.0)], "b": [(0.0, 5.0)]}
         props = {"a": pset("a", [(0.0, 10.0, 0.9)])}
         assert recall(props, gt, an=1, threshold=0.5) == 0.5
 
@@ -73,7 +66,7 @@ class TestRecall:
             recall({}, {"v": []}, an=1, threshold=0.5)
 
     def test_bad_args(self):
-        gt = {"v": [iv(0, 1)]}
+        gt = {"v": [(0, 1)]}
         with pytest.raises(MetricError):
             recall({}, gt, an=0, threshold=0.5)
         with pytest.raises(MetricError):
@@ -86,19 +79,19 @@ class TestAverageRecall:
     def test_half_grid_match(self):
         # proposal overlaps gt at tiou 0.72: thresholds 0.50..0.70 hit (5 of 10)
         props = {"v": pset("v", [(0.0, 7.2, 0.9)])}
-        gt = {"v": [iv(0.0, 10.0)]}
+        gt = {"v": [(0.0, 10.0)]}
         value = 0.72
         hits = sum(1 for t in tiou_grid() if value >= t)
         assert hits == 5
-        assert ar_an(props, gt, an_max=1).ar_at(1) == 0.5
+        assert ar_an(props, gt_records(gt), an_max=1).ar_at(1) == 0.5
 
 
 class TestArAn:
     def test_two_instance_curve(self):
         # rank 1 recalls one instance everywhere, rank 2 adds the other
         props = {"v": pset("v", [(0.0, 10.0, 0.9), (20.0, 30.0, 0.8)])}
-        gt = {"v": [iv(0.0, 10.0), iv(20.0, 30.0)]}
-        curve = ar_an(props, gt, an_max=2)
+        gt = {"v": [(0.0, 10.0), (20.0, 30.0)]}
+        curve = ar_an(props, gt_records(gt), an_max=2)
         assert curve.ar == (0.5, 1.0)
         assert curve.area == 0.75
         assert curve.ar_at(1) == 0.5 and curve.ar_at(2) == 1.0
@@ -108,7 +101,7 @@ class TestArAn:
         rng = np.random.default_rng(0)
         for _ in range(20):
             props, gt = _random_instance(rng)
-            curve = ar_an(props, gt, an_max=4)
+            curve = ar_an(props, gt_records(gt), an_max=4)
             for an in range(1, 5):
                 per_threshold = [recall(props, gt, an, t) for t in tiou_grid()]
                 assert curve.ar_at(an) == float(np.mean(per_threshold))
@@ -124,31 +117,40 @@ class TestArAn:
                     s = float(rng.integers(0, 16))
                     rows.append((s, s + float(rng.integers(1, 9)), float(rng.integers(1, 4)) / 4))
                 props[vid] = pset(vid, rows)
-                gt[vid] = [iv(s, s + float(k)) for s, k in
+                gt[vid] = [(float(s), s + float(k)) for s, k in
                            zip(rng.integers(0, 16, size=2), rng.integers(1, 9, size=2))]
             an_max = int(rng.integers(1, 10))
-            curve = ar_an(props, gt, an_max=an_max)
+            curve = ar_an(props, gt_records(gt), an_max=an_max)
             assert curve == _loop_ar_an(props, gt, an_max)
 
     def test_ar_at_bounds(self):
         props = {"v": pset("v", [(0.0, 10.0, 0.9)])}
-        gt = {"v": [iv(0.0, 10.0)]}
-        curve = ar_an(props, gt, an_max=3)
+        gt = {"v": [(0.0, 10.0)]}
+        curve = ar_an(props, gt_records(gt), an_max=3)
         with pytest.raises(MetricError):
             curve.ar_at(0)
         with pytest.raises(MetricError):
             curve.ar_at(4)
 
+    def test_counts_only_the_given_records(self):
+        # eval-prop passes one subset's records; other videos' gt is not counted
+        index = DatasetIndex(videos={
+            "a": _record("a", [("x", 1.0, 2.0)], duration=10.0),
+            "b": _record("b", [("x", 3.0, 4.0)], duration=10.0, subset=Subset.TRAINING),
+        }, label_set=("x",))
+        props = {"a": pset("a", [(1.0, 2.0, 0.9)])}
+        curve = ar_an(props, index.subset_videos(Subset.VALIDATION), an_max=1)
+        assert curve.ar == (1.0,)
+
     def test_no_proposals_flat_zero(self):
-        curve = ar_an({}, {"v": [iv(0.0, 10.0)]}, an_max=3)
+        curve = ar_an({}, gt_records({"v": [(0.0, 10.0)]}), an_max=3)
         assert curve.ar == (0.0, 0.0, 0.0) and curve.area == 0.0
 
 
 class TestUniformBaseline:
     def _index(self):
         videos = {
-            "a": VideoRecord("a", 30.0, Subset.VALIDATION,
-                             (GroundTruthInstance("x", iv(5.0, 10.0)),)),
+            "a": _record("a", [("x", 5.0, 10.0)], duration=30.0),
             "b": VideoRecord("b", 60.0, Subset.VALIDATION),
             "c": VideoRecord("c", 45.0, Subset.TRAINING),
         }
@@ -252,23 +254,17 @@ class TestAveragePrecision:
         for _ in range(50):
             props, gt = _random_instance(rng)
             preds = [(vid, p.start, p.end, p.score) for vid, ps in props.items() for p in ps]
-            gt_plain = {vid: [(g.start, g.end) for g in rows] for vid, rows in gt.items()}
             for threshold in (0.3, 0.5, 0.75):
-                got = average_precision(preds, gt_plain, threshold)
-                want = brute_ap(preds, gt_plain, threshold)
+                got = average_precision(preds, gt, threshold)
+                want = brute_ap(preds, gt, threshold)
                 assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestMeanAp:
     def _fixture(self):
         videos = {
-            "a": VideoRecord("a", 100.0, Subset.VALIDATION, (
-                GroundTruthInstance("jump", iv(0.0, 10.0)),
-                GroundTruthInstance("swim", iv(50.0, 60.0)),
-            )),
-            "b": VideoRecord("b", 100.0, Subset.VALIDATION, (
-                GroundTruthInstance("jump", iv(20.0, 40.0)),
-            )),
+            "a": _record("a", [("jump", 0.0, 10.0), ("swim", 50.0, 60.0)]),
+            "b": _record("b", [("jump", 20.0, 40.0)]),
         }
         index = DatasetIndex(videos=videos, label_set=("dive", "jump", "swim"))
         loc = {
@@ -322,9 +318,7 @@ class TestEvalAtN:
 
     def test_truncation_drops_low_scores(self):
         videos = {
-            "a": VideoRecord("a", 100.0, Subset.VALIDATION, (
-                GroundTruthInstance("jump", iv(0.0, 10.0)),
-            )),
+            "a": _record("a", [("jump", 0.0, 10.0)]),
         }
         index = DatasetIndex(videos=videos, label_set=("jump",))
         # the matching entry is ranked second within the video
@@ -367,9 +361,7 @@ class TestTableMatchesOracle:
         if not any(gt.values()):
             gt["v0"] = [("a", 0.0, 5.0)]
         index = DatasetIndex(videos={
-            vid: VideoRecord(vid, 100.0, Subset.VALIDATION,
-                             tuple(GroundTruthInstance(lbl, iv(s, e)) for lbl, s, e in spans))
-            for vid, spans in gt.items()
+            vid: _record(vid, spans) for vid, spans in gt.items()
         }, label_set=_LABELS)
         at_n = range(1, max(map(len, loc.values())) + extra_n + 1)
         with warnings.catch_warnings():
@@ -381,20 +373,6 @@ class TestTableMatchesOracle:
                    for vid, rows in loc.items()}
             for t in thresholds:
                 assert abs(maps[n][t] - brute_mean_ap(top, gt, t)) <= 1e-9
-
-
-class TestGtIntervals:
-    def test_filters_subset(self):
-        videos = {
-            "a": VideoRecord("a", 10.0, Subset.VALIDATION,
-                             (GroundTruthInstance("x", iv(1.0, 2.0)),)),
-            "b": VideoRecord("b", 10.0, Subset.TRAINING,
-                             (GroundTruthInstance("x", iv(3.0, 4.0)),)),
-        }
-        index = DatasetIndex(videos=videos, label_set=("x",))
-        gt = gt_intervals(index, Subset.VALIDATION)
-        assert set(gt) == {"a"}
-        assert gt["a"] == [iv(1.0, 2.0)]
 
 
 def _loop_ar_an(proposals, gt, an_max):
@@ -409,7 +387,7 @@ def _loop_ar_an(proposals, gt, an_max):
             best = 0.0
             prefix = np.empty(len(kept), dtype=np.float64)
             for r, p in enumerate(kept):
-                best = max(best, oracle_tiou((p.start, p.end), (g.start, g.end)))
+                best = max(best, oracle_tiou((p.start, p.end), g))
                 prefix[r] = best
             for ti, t in enumerate(grid):
                 rank = int(np.searchsorted(prefix, t, side="left"))
@@ -437,11 +415,11 @@ def _random_instance(rng):
         spans = []
         for _ in range(int(rng.integers(0, 3))):
             s = float(rng.uniform(0, 40))
-            spans.append(iv(s, s + float(rng.uniform(1, 20))))
+            spans.append((s, s + float(rng.uniform(1, 20))))
         gt[vid] = spans
         total_gt += len(spans)
     if total_gt == 0:
-        gt[vids[0]] = [iv(0.0, 5.0)]
+        gt[vids[0]] = [(0.0, 5.0)]
     return props, gt
 
 
@@ -454,13 +432,12 @@ class TestOracleEquivalence:
                 vid: [(p.start, p.end, p.score) for p in ps]
                 for vid, ps in props.items()
             }
-            plain_gt = {vid: [(g.start, g.end) for g in rows] for vid, rows in gt.items()}
             an = int(rng.integers(1, 7))
             threshold = float(rng.choice(tiou_grid()))
-            assert recall(props, gt, an, threshold) == brute_recall(plain_props, plain_gt, an, threshold)
-            curve = ar_an(props, gt, an_max=an)
+            assert recall(props, gt, an, threshold) == brute_recall(plain_props, gt, an, threshold)
+            curve = ar_an(props, gt_records(gt), an_max=an)
             assert curve.ar_at(an) == pytest.approx(
-                brute_average_recall(plain_props, plain_gt, an), abs=1e-12)
-            want_ar, want_area = brute_ar_an(plain_props, plain_gt, an)
+                brute_average_recall(plain_props, gt, an), abs=1e-12)
+            want_ar, want_area = brute_ar_an(plain_props, gt, an)
             assert list(curve.ar) == pytest.approx(want_ar, abs=1e-12)
             assert curve.area == pytest.approx(want_area, abs=1e-12)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import oracle_tiou
-from tapkit.core import GroundTruthInstance, Subset, TemporalInterval, VideoRecord
+from tapkit.core import Subset, VideoRecord
 from tapkit.engine import load_weights, save_model
-from tapkit.errors import ConfigError, DataFormatError, IntervalError
+from tapkit.errors import ConfigError, DataFormatError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.ssad import (
     SsadConfig,
@@ -17,8 +17,9 @@ from tapkit.ssad import (
 )
 
 
-def iv(s, e):
-    return TemporalInterval(s, e)
+def _targets(pyramid, spans):
+    """assign_targets for normalized (start, end) spans."""
+    return assign_targets(pyramid, np.array([s for s, _ in spans]), np.array([e for _, e in spans]))
 
 
 class TestConfig:
@@ -97,24 +98,24 @@ class TestAssignTargets:
     def test_exact_match_scores_one(self):
         cfg = SsadConfig(input_length=8, scale_ratios=(1.0,))
         pyramid = build_anchor_pyramid(cfg)
-        targets = assign_targets(pyramid, [iv(0.0, 0.5)])
+        targets = _targets(pyramid, [(0.0, 0.5)])
         # second anchor is exactly [0, 0.5)
         assert targets[1] == 1.0
 
     def test_no_gt_all_zero(self):
         pyramid = build_anchor_pyramid(SsadConfig(input_length=8))
-        assert assign_targets(pyramid, []).tolist() == [0.0] * len(pyramid)
+        assert _targets(pyramid, []).tolist() == [0.0] * len(pyramid)
 
     def test_max_over_instances(self):
         cfg = SsadConfig(input_length=4, scale_ratios=(1.0,))
         pyramid = build_anchor_pyramid(cfg)  # single [0, 1) anchor
-        targets = assign_targets(pyramid, [iv(0.5, 1.0), iv(0.0, 0.25)])
+        targets = _targets(pyramid, [(0.5, 1.0), (0.0, 0.25)])
         assert targets[0] == pytest.approx(0.5)
 
     def test_known_overlap(self):
         cfg = SsadConfig(input_length=4, scale_ratios=(0.5,))
         pyramid = build_anchor_pyramid(cfg)  # [0.25, 0.75)
-        targets = assign_targets(pyramid, [iv(0.5, 1.0)])
+        targets = _targets(pyramid, [(0.5, 1.0)])
         assert targets[0] == pytest.approx(0.25 / 0.75)
 
     def test_matches_scalar_loop_reference(self):
@@ -125,19 +126,14 @@ class TestAssignTargets:
             gt = []
             for _ in range(int(rng.integers(1, 5))):
                 s = int(rng.integers(0, 8))
-                gt.append(iv(s / 8, int(rng.integers(s + 1, 9)) / 8))
+                gt.append((s / 8, int(rng.integers(s + 1, 9)) / 8))
             want = []
             for anchor in zip(pyramid.starts.tolist(), pyramid.ends.tolist()):
                 best = 0.0
                 for g in gt:
-                    best = max(best, oracle_tiou(anchor, (g.start, g.end)))
+                    best = max(best, oracle_tiou(anchor, g))
                 want.append(best)
-            assert assign_targets(pyramid, gt).tolist() == want
-
-    def test_unnormalized_gt_rejected(self):
-        pyramid = build_anchor_pyramid(SsadConfig(input_length=4))
-        with pytest.raises(IntervalError):
-            assign_targets(pyramid, [iv(0.0, 2.0)])
+            assert _targets(pyramid, gt).tolist() == want
 
 
 class TestModel:
@@ -235,8 +231,7 @@ class TestTraining:
 
     def test_single_video_converges(self):
         # one video, many epochs: the net should memorize its target vector
-        rec = VideoRecord("v", 30.0, Subset.TRAINING,
-                          (GroundTruthInstance("a", iv(10.0, 20.0)),))
+        rec = VideoRecord("v", 30.0, Subset.TRAINING, ("a",), [10.0], [20.0])
         feats = {"v": FeatureSequence("v", np.random.default_rng(8).standard_normal((15, 4)).astype(np.float32))}
         cfg = SsadConfig(input_length=16, hidden_channels=8,
                          epochs=200, batch_size=1, learning_rate=3e-3)

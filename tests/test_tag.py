@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import group
 from oracles import brute_group
-from tapkit.core import GroundTruthInstance, Source, Subset, TemporalInterval, VideoRecord
+from tapkit.core import Source, Subset, VideoRecord
 from tapkit.errors import ConfigError, ShapeError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.tag import (
@@ -19,10 +19,9 @@ from tapkit.tag import (
 )
 
 
-def _record(duration=10.0, instances=()):
-    return VideoRecord("v", duration, Subset.TRAINING,
-                       tuple(GroundTruthInstance("a", TemporalInterval(s, e))
-                             for s, e in instances))
+def _record(duration=10.0, spans=()):
+    return VideoRecord("v", duration, Subset.TRAINING, ("a",) * len(spans),
+                       [s for s, _ in spans], [e for _, e in spans])
 
 
 class TestActionnessSequence:

@@ -7,14 +7,7 @@ import pytest
 
 import tapkit
 import tapkit.util
-from tapkit.core import (
-    DatasetIndex,
-    GroundTruthInstance,
-    ProposalSet,
-    Subset,
-    TemporalInterval,
-    VideoRecord,
-)
+from tapkit.core import DatasetIndex, ProposalSet, Subset, VideoRecord
 from tapkit.engine import Dense, ReLU, save_model
 from tapkit.ingest import (
     FeatureSequence,
@@ -27,17 +20,17 @@ from tapkit.ingest import (
 from tapkit.pipeline import _write_csv
 from tapkit.util import atomic_open, write_json_atomic
 
-_IV = TemporalInterval(1.0, 4.0)
+_IV = (1.0, 4.0)
 
 # One call per artifact writer, each given only the target path.
 WRITERS = {
     "save_annotations": lambda p: save_annotations(DatasetIndex(
-        videos={"v": VideoRecord("v", 10.0, Subset.TRAINING, (GroundTruthInstance("a", _IV),))},
+        videos={"v": VideoRecord("v", 10.0, Subset.TRAINING, ("a",), [_IV[0]], [_IV[1]])},
         label_set=("a",)), p),
     "save_features": lambda p: save_features(FeatureSequence("v", np.ones((3, 2))), p),
     "write_results": lambda p: write_results(
-        {"v": ProposalSet("v", [_IV.start], [_IV.end], [0.5])}, p),
-    "write_localization": lambda p: write_localization({"v": [("a", _IV.start, _IV.end, 0.5)]}, p),
+        {"v": ProposalSet("v", [_IV[0]], [_IV[1]], [0.5])}, p),
+    "write_localization": lambda p: write_localization({"v": [("a", *_IV, 0.5)]}, p),
     "write_classification": lambda p: write_classification({"v": [("a", 1.0)]}, p),
     "save_model": lambda p: save_model([Dense(2, 3), ReLU()], p),
     "write_json_atomic": lambda p: write_json_atomic(p, {"x": [1, 2.5]}),
