@@ -10,6 +10,11 @@ do not depend on that count: tests/test_cli.py trains a checkpoint with one
 and with two BLAS threads and compares the bytes.
 
 Tensor conventions: conv ops take (N, C, T) arrays, dense ops take (N, F).
+
+Parameter layout: a model keeps all its weights in one flat vector
+`model.params` and their gradients in `model.grads`, in layer order, then each
+layer's `param_names` order (w before b), each array flattened in C order.
+This is also the order of a checkpoint's payload.
 """
 
 from __future__ import annotations
@@ -165,57 +170,34 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def adam_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    t: int,
-    lr: float = ADAM_LR,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bias-corrected Adam update; returns new (param, m, v) for step t >= 1."""
-    if param.shape != grad.shape or m.shape != grad.shape or v.shape != grad.shape:
-        raise ShapeError("adam: param/grad/state shapes differ")
-    if not np.isfinite(grad).all():
-        raise DivergenceError("adam: non-finite gradient")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return param, m, v
-
-
 class Adam:
-    """Owns first/second-moment state for a fixed parameter list."""
+    """Bias-corrected Adam over one flat parameter vector, updated in place."""
 
-    def __init__(self, params, lr=ADAM_LR, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
-        self.params = list(params)
+    def __init__(self, params: np.ndarray, lr=ADAM_LR, beta1=ADAM_BETA1, beta2=ADAM_BETA2,
+                 eps=ADAM_EPS):
+        self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, grads) -> None:
-        grads = list(grads)
-        if len(grads) != len(self.params):
-            raise ShapeError("adam: wrong number of gradients")
+    def step(self, grad: np.ndarray) -> None:
+        if grad.shape != self.params.shape:
+            raise ShapeError(f"adam: gradient shape {grad.shape} != parameter shape "
+                             f"{self.params.shape}")
+        if not np.isfinite(grad).all():
+            raise DivergenceError("adam: non-finite gradient")
         self.t += 1
-        for i, g in enumerate(grads):
-            p, m, v = adam_step(
-                self.params[i], g, self.m[i], self.v[i], self.t,
-                self.lr, self.beta1, self.beta2, self.eps,
-            )
-            # update in place so layers keep referring to the same arrays
-            self.params[i][...] = p
-            self.m[i] = m
-            self.v[i] = v
+        beta1, beta2 = self.beta1, self.beta2
+        self.m = beta1 * self.m + (1.0 - beta1) * grad
+        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
+        m_hat = self.m / (1.0 - beta1**self.t)
+        v_hat = self.v / (1.0 - beta2**self.t)
+        # in place, so the layers' w/b views see the update
+        self.params[...] = self.params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 # --------------------------------------------------------------------------
@@ -242,19 +224,12 @@ class LayerSpec:
 
 
 class Layer:
-    """Forward/backward pair with internally cached activations."""
+    """Forward/backward pair with internally cached activations. A layer
+    with weights names them in param_names; the gradient of weight "w"
+    accumulates in "gw"."""
 
     spec: LayerSpec
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
-
-    def zero_grads(self) -> None:
-        for g in self.grads():
-            g[...] = 0.0
+    param_names: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -270,6 +245,8 @@ class Layer:
 
 
 class Conv1d(Layer):
+    param_names = ("w", "b")
+
     def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         self.spec = LayerSpec("conv1d", in_channels, out_channels, kernel, stride, pad)
@@ -284,12 +261,6 @@ class Conv1d(Layer):
         self.gb = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
         self._cols: np.ndarray | None = None
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.gw, self.gb]
 
     def forward(self, x):
         y, self._cols = conv1d_forward(x, self.w, self.b, self.spec.stride, self.spec.pad)
@@ -331,6 +302,8 @@ class Sigmoid(Layer):
 
 
 class Dense(Layer):
+    param_names = ("w", "b")
+
     def __init__(self, in_width, out_width, rng: np.random.Generator | None = None,
                  dtype=np.float32):
         self.spec = LayerSpec("dense", in_width, out_width)
@@ -342,12 +315,6 @@ class Dense(Layer):
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
         self._x = None
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.gw, self.gb]
 
     def forward(self, x):
         self._x = x
@@ -361,21 +328,32 @@ class Dense(Layer):
 
 
 class Sequential:
-    """A layer chain. Subclasses with another wiring (the anchor net) keep
-    every layer in self.layers and override only forward/backward."""
+    """A layer chain owning one flat parameter vector and one gradient vector.
+
+    The layers are built first, so their initialisation draws from the RNG
+    in layer order; then their weights move into self.params and each layer's
+    w/b/gw/gb become views of self.params/self.grads (layout in the module
+    docstring). Subclasses with another wiring (the anchor net) keep every
+    layer in self.layers and override only forward/backward.
+    """
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
-
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
-
-    def grads(self):
-        return [g for layer in self.layers for g in layer.grads()]
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
+        named = [(layer, name) for layer in self.layers for name in layer.param_names]
+        dtypes = {getattr(layer, name).dtype for layer, name in named}
+        if len(dtypes) > 1:
+            raise ShapeError(f"model parameters mix dtypes {sorted(map(str, dtypes))}")
+        self.params = np.empty(sum(getattr(layer, name).size for layer, name in named),
+                               dtype=dtypes.pop() if dtypes else np.float32)
+        self.grads = np.zeros_like(self.params)
+        offset = 0
+        for layer, name in named:
+            value = getattr(layer, name)
+            end = offset + value.size
+            self.params[offset:end] = value.reshape(-1)
+            setattr(layer, name, self.params[offset:end].reshape(value.shape))
+            setattr(layer, "g" + name, self.grads[offset:end].reshape(value.shape))
+            offset = end
 
     def forward(self, x):
         for layer in self.layers:
@@ -397,9 +375,10 @@ def fit(model: Sequential, x: np.ndarray, y: np.ndarray, epochs: int, batch_size
     """Minibatch MSE training with Adam; returns the per-epoch mean loss trace.
 
     Each epoch visits the rows of x in an order drawn from rng. Raises
-    DivergenceError naming the epoch if the mean loss goes non-finite.
+    DivergenceError naming the epoch if a gradient or the mean loss goes
+    non-finite.
     """
-    optim = Adam(model.params(), lr=lr)
+    optim = Adam(model.params, lr=lr)
     trace: list[float] = []
     n = x.shape[0]
     for epoch in range(epochs):
@@ -408,9 +387,12 @@ def fit(model: Sequential, x: np.ndarray, y: np.ndarray, epochs: int, batch_size
         for lo in range(0, n, batch_size):
             batch = order[lo : lo + batch_size]
             loss, grad = mse_loss(model.forward(x[batch]), y[batch])
-            model.zero_grads()
+            model.grads[...] = 0.0
             model.backward(grad)
-            optim.step(model.grads())
+            try:
+                optim.step(model.grads)
+            except DivergenceError as exc:
+                raise DivergenceError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
             total += loss * len(batch)
         mean_loss = total / n
         if not math.isfinite(mean_loss):
@@ -437,27 +419,26 @@ def grad_check(model, x: np.ndarray, loss_fn, eps: float = 1e-4) -> float:
     parameter entry is perturbed, so keep the model small. Run models in
     float64; float32 rounding drowns the finite differences.
     """
-    model.zero_grads()
+    model.grads[...] = 0.0
     y = model.forward(x)
     _, grad_y = loss_fn(y)
     model.backward(grad_y)
 
-    analytic = [g.copy() for g in model.grads()]
+    analytic = model.grads.copy()
+    params = model.params
     worst = 0.0
-    for p, g_analytic in zip(model.params(), analytic):
-        flat = p.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lo_plus, _ = loss_fn(model.forward(x))
-            flat[i] = orig - eps
-            lo_minus, _ = loss_fn(model.forward(x))
-            flat[i] = orig
-            numeric = (lo_plus - lo_minus) / (2.0 * eps)
-            a = float(g_analytic.reshape(-1)[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if err > worst:
-                worst = err
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + eps
+        lo_plus, _ = loss_fn(model.forward(x))
+        params[i] = orig - eps
+        lo_minus, _ = loss_fn(model.forward(x))
+        params[i] = orig
+        numeric = (lo_plus - lo_minus) / (2.0 * eps)
+        a = float(analytic[i])
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        if err > worst:
+            worst = err
     return worst
 
 
@@ -477,15 +458,13 @@ def _spec_table(layers: list[Layer]) -> bytes:
     )
 
 
-def save_model(layers: list[Layer], path: str | Path) -> None:
-    """Checkpoint: magic, version, layer-spec table, float32 params in order."""
+def save_model(model: Sequential, path: str | Path) -> None:
+    """Checkpoint: magic, version, layer-spec table, model.params as float32."""
     with atomic_open(path, "wb") as f:
         f.write(MODEL_MAGIC)
-        f.write(struct.pack("<II", MODEL_VERSION, len(layers)))
-        f.write(_spec_table(layers))
-        for layer in layers:
-            for p in layer.params():
-                f.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
+        f.write(struct.pack("<II", MODEL_VERSION, len(model.layers)))
+        f.write(_spec_table(model.layers))
+        f.write(model.params.astype("<f4").tobytes())
 
 
 def load_weights(model: Sequential, path: str | Path) -> Sequential:
@@ -510,17 +489,15 @@ def load_weights(model: Sequential, path: str | Path) -> Sequential:
         raise DataFormatError(f"{path}: truncated layer table")
     if blob[12:offset] != _spec_table(model.layers):
         raise ConfigError(f"checkpoint {path} does not match the configured architecture")
-    params = model.params()
-    expected = 4 * sum(p.size for p in params)
+    expected = 4 * model.params.size
     if len(blob) - offset != expected:
         raise DataFormatError(
             f"{path}: parameter payload has {len(blob) - offset} bytes, the model needs {expected}"
         )
-    finite = np.isfinite(np.frombuffer(blob, dtype="<f4", offset=offset))
+    payload = np.frombuffer(blob, dtype="<f4", offset=offset)
+    finite = np.isfinite(payload)
     if not finite.all():
         raise DataFormatError(
             f"{path}: parameter {int(np.argmin(finite))} of the payload is not finite")
-    for p in params:
-        p[...] = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset).reshape(p.shape)
-        offset += 4 * p.size
+    model.params[...] = payload
     return model

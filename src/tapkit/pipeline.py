@@ -330,7 +330,7 @@ def run_train_ssad(cfg: PipelineConfig) -> list[Path]:
     model = build_model(feature_dim, cfg.ssad, cfg.seed)
     trace = ssad_train(model, records, features, cfg.seed)
     model_path = cfg.output_dir / "ssad_model.tapm"
-    save_model(model.layers, model_path)
+    save_model(model, model_path)
     loss_path = cfg.output_dir / "ssad_loss.csv"
     _write_csv(loss_path, "epoch,loss", enumerate(trace, start=1))
     if trace:
@@ -350,7 +350,7 @@ def run_train_tag(cfg: PipelineConfig) -> list[Path]:
     model = build_mlp(feature_dim, cfg.tag, cfg.seed)
     trace = train_actionness(model, records, features, cfg.tag, cfg.seed)
     model_path = cfg.output_dir / "tag_model.tapm"
-    save_model(model.layers, model_path)
+    save_model(model, model_path)
     loss_path = cfg.output_dir / "tag_loss.csv"
     _write_csv(loss_path, "epoch,loss", enumerate(trace, start=1))
     if trace:

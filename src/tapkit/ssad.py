@@ -226,8 +226,8 @@ def train(
     """Overlap-regression training; returns the per-epoch mean loss trace.
 
     Deterministic given the seed: a dedicated RNG drives the per-epoch video
-    shuffle and nothing else. Raises DivergenceError naming the epoch if the
-    loss goes non-finite.
+    shuffle and nothing else. Raises DivergenceError naming the epoch if a
+    gradient or the loss goes non-finite.
     """
     cfg = model.cfg
     pyramid = build_anchor_pyramid(cfg)

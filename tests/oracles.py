@@ -3,10 +3,14 @@
 Everything here recomputes results straight from the definitions with plain
 loops. Slow on purpose. The interval oracles work on plain (start, end) /
 (start, end, score) tuples, and the tests adapt package objects down to tuples
-before comparing; the conv oracle reads arrays one element at a time.
+before comparing; the conv oracle reads arrays one element at a time. The
+checkpoint writer and Adam work one parameter array at a time, independent of
+the engine's flat parameter vector.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -235,3 +239,35 @@ def brute_conv1d(x, w, b, stride, pad, grad_y):
                             grad_w[o, c, j] += g * float(x[n, c, i])
                             grad_x[n, c, i] += g * float(w[o, c, j])
     return y, grad_x, grad_w, grad_b
+
+
+_KIND_CODES = {"conv1d": 1, "relu": 2, "sigmoid": 3, "dense": 4}
+
+
+def per_array_checkpoint(layers):
+    """Checkpoint bytes written one array at a time: magic, version, the
+    layer-spec table, then each layer's w and b as little-endian float32."""
+    out = [b"TAPM", struct.pack("<II", 1, len(layers))]
+    for layer in layers:
+        s = layer.spec
+        out.append(struct.pack("<6I", _KIND_CODES[s.kind], s.in_channels, s.out_channels,
+                               s.kernel, s.stride, s.pad))
+    for layer in layers:
+        for name in ("w", "b"):
+            if hasattr(layer, name):
+                out.append(np.ascontiguousarray(getattr(layer, name), dtype="<f4").tobytes())
+    return b"".join(out)
+
+
+def per_array_adam(params, grad_steps, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam run array by array: params is a list of arrays,
+    updated in place; grad_steps holds one list of gradients per step."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            m_hat = m[i] / (1.0 - beta1**t)
+            v_hat = v[i] / (1.0 - beta2**t)
+            params[i][...] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from oracles import brute_conv1d
+from oracles import brute_conv1d, per_array_adam, per_array_checkpoint
 
 from tapkit.cli import DATA_ERRORS
 from tapkit.engine import (
@@ -15,10 +15,10 @@ from tapkit.engine import (
     ReLU,
     Sequential,
     Sigmoid,
-    adam_step,
     conv1d_backward,
     conv1d_forward,
     conv_output_length,
+    fit,
     grad_check,
     load_weights,
     mse_loss,
@@ -29,7 +29,8 @@ from tapkit.engine import (
     sigmoid_forward,
 )
 from tapkit.errors import ConfigError, DataFormatError, DivergenceError, ShapeError
-from tapkit.ssad import SsadConfig, SsadModel
+from tapkit.ssad import SsadConfig, SsadModel, build_model
+from tapkit.tag import TagConfig, build_mlp
 
 
 def test_conv_output_length():
@@ -250,26 +251,40 @@ class TestAdam:
     def test_descends_quadratic(self):
         # minimize (p - 3)^2 from 0; a few hundred steps get close
         p = np.zeros(1)
-        opt = Adam([p], lr=0.05)
+        opt = Adam(p, lr=0.05)
         for _ in range(500):
-            opt.step([2.0 * (p - 3.0)])
+            opt.step(2.0 * (p - 3.0))
         assert abs(p[0] - 3.0) < 1e-2
 
     def test_non_finite_gradient_raises(self):
         with pytest.raises(DivergenceError):
-            adam_step(np.zeros(1), np.array([np.nan]), np.zeros(1), np.zeros(1), 1)
+            Adam(np.zeros(1)).step(np.array([np.nan]))
 
     def test_wrong_gradient_count(self):
-        opt = Adam([np.zeros(2)])
-        with pytest.raises(ShapeError):
-            opt.step([np.zeros(2), np.zeros(2)])
+        # one gradient vector shaped like the parameter vector, nothing else
+        opt = Adam(np.zeros(2))
+        for shape in [(3,), (1, 2), (2, 1), ()]:
+            with pytest.raises(ShapeError, match="shape"):
+                opt.step(np.zeros(shape))
+        assert opt.t == 0
 
     def test_first_step_size_is_lr(self):
         # bias correction makes the first update exactly lr * sign(grad)
         p = np.array([1.0])
-        opt = Adam([p], lr=0.01)
-        opt.step([np.array([123.0])])
+        opt = Adam(p, lr=0.01)
+        opt.step(np.array([123.0]))
         assert p[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+
+
+class TestFit:
+    def test_non_finite_gradient_names_the_epoch(self):
+        r = np.random.default_rng(0)
+        x = r.standard_normal((8, 3)).astype(np.float32)
+        x[5, 1] = np.nan
+        y = r.uniform(0, 1, size=(8, 1)).astype(np.float32)
+        model = Sequential([Dense(3, 4, rng=r), ReLU(), Dense(4, 1, rng=r), Sigmoid()])
+        with pytest.raises(DivergenceError, match="epoch 1"):
+            fit(model, x, y, 3, 4, 1e-3, r)
 
 
 class TestGradCheck:
@@ -311,18 +326,16 @@ class TestCheckpoints:
         rng = np.random.default_rng(3)
         model = self._model(rng)
         path = tmp_path / "m.tapm"
-        save_model(model.layers, path)
+        save_model(model, path)
         loaded = load_weights(self._model(None), path)
         assert [l.spec for l in loaded.layers] == [l.spec for l in model.layers]
-        for a, b in zip(loaded.layers, model.layers):
-            for pa, pb in zip(a.params(), b.params()):
-                assert np.array_equal(pa, pb)
+        assert np.array_equal(loaded.params, model.params)
 
     def test_loaded_model_same_outputs(self, tmp_path):
         rng = np.random.default_rng(4)
         model = self._model(rng)
         path = tmp_path / "m.tapm"
-        save_model(model.layers, path)
+        save_model(model, path)
         loaded = load_weights(self._model(None), path)
         x = rng.standard_normal((1, 3, 8)).astype(np.float32)
         assert np.array_equal(model.forward(x), loaded.forward(x))
@@ -361,10 +374,88 @@ class TestCheckpoints:
                              ids=["short", "long"])
     def test_payload_length_must_match(self, tmp_path, edit):
         path = tmp_path / "m.tapm"
-        save_model(self._model(np.random.default_rng(5)).layers, path)
+        save_model(self._model(np.random.default_rng(5)), path)
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(DataFormatError, match="payload"):
             load_weights(self._model(None), path)
+
+
+# the default anchor net and actionness MLP, initialised from a seed
+_DEFAULT_MODELS = {
+    "ssad": lambda seed: build_model(16, SsadConfig(), seed),
+    "mlp": lambda seed: build_mlp(16, TagConfig(), seed),
+}
+
+
+def _param_arrays(model, prefix=""):
+    return [getattr(layer, prefix + name) for layer in model.layers for name in layer.param_names]
+
+
+def _assert_flat_layout(model):
+    """Every w/b (gw/gb) is a C-contiguous view of model.params (model.grads)
+    at increasing offsets in model.layers order, together covering it."""
+    for prefix, flat in (("", model.params), ("g", model.grads)):
+        base = flat.__array_interface__["data"][0]
+        offset = 0
+        for view in _param_arrays(model, prefix):
+            assert np.shares_memory(view, flat) and view.flags.c_contiguous
+            assert view.dtype == flat.dtype
+            assert view.__array_interface__["data"][0] - base == offset * flat.itemsize
+            offset += view.size
+        assert offset == flat.size
+
+
+class TestFlatParams:
+    @pytest.mark.parametrize("make", sorted(_DEFAULT_MODELS))
+    def test_layers_are_views_in_layer_order(self, make):
+        model = _DEFAULT_MODELS[make](3)
+        weighted = [layer for layer in model.layers if isinstance(layer, (Conv1d, Dense))]
+        assert len(_param_arrays(model)) == 2 * len(weighted)
+        assert model.params.dtype == np.float32 and model.grads.shape == model.params.shape
+        _assert_flat_layout(model)
+
+    @pytest.mark.parametrize("make", sorted(_DEFAULT_MODELS))
+    def test_views_survive_load_weights(self, tmp_path, make):
+        model = _DEFAULT_MODELS[make](3)
+        path = tmp_path / "m.tapm"
+        save_model(model, path)
+        loaded = load_weights(_DEFAULT_MODELS[make](4), path)
+        assert np.array_equal(loaded.params, model.params)
+        _assert_flat_layout(loaded)
+
+    @pytest.mark.parametrize("make", sorted(_DEFAULT_MODELS))
+    def test_checkpoint_equals_per_array_writer(self, tmp_path, make):
+        model = _DEFAULT_MODELS[make](3)
+        save_model(model, tmp_path / "m.tapm")
+        assert (tmp_path / "m.tapm").read_bytes() == per_array_checkpoint(model.layers)
+
+    def test_init_weights_are_copied_in_order(self):
+        rng = np.random.default_rng(11)
+        layers = [Conv1d(3, 4, 5, pad=2, rng=rng), ReLU(), Dense(4, 2, rng=rng)]
+        layers[0].b[...] = [1.0, 2.0, 3.0, 4.0]
+        before = [getattr(layer, name).copy() for layer in layers for name in layer.param_names]
+        model = Sequential(layers)
+        assert model.params.tobytes() == b"".join(a.tobytes() for a in before)
+        assert not model.grads.any()
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ShapeError, match="dtype"):
+            Sequential([Dense(2, 3, dtype=np.float32), Dense(3, 1, dtype=np.float64)])
+
+    def test_adam_matches_per_array_reference(self):
+        # elementwise float32 ops do not depend on how the parameters are split
+        model = _DEFAULT_MODELS["ssad"](3)
+        reference = [a.copy() for a in _param_arrays(model)]
+        shapes = [a.shape for a in reference]
+        ends = np.cumsum([a.size for a in reference])[:-1]
+        rng = np.random.default_rng(12)
+        steps = [rng.standard_normal(model.params.size).astype(np.float32) for _ in range(5)]
+        opt = Adam(model.params)
+        for grad in steps:
+            opt.step(grad)
+        per_array_adam(reference, [[part.reshape(shape) for part, shape in
+                                    zip(np.split(grad, ends), shapes)] for grad in steps])
+        assert model.params.tobytes() == b"".join(a.tobytes() for a in reference)
 
 
 @st.composite
@@ -387,7 +478,7 @@ def _checkpoint_bytes(draw):
 def _valid_checkpoint(model) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.tapm"
-        save_model(model.layers, path)
+        save_model(model, path)
         return path.read_bytes()
 
 

@@ -201,17 +201,15 @@ class TestTraining:
         trace_a = train(a, records, feats, seed=7)
         trace_b = train(b, records, feats, seed=7)
         assert trace_a == trace_b
-        for pa, pb in zip(a.params(), b.params()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.params, b.params)
 
     def test_zero_epochs_leaves_model_untouched(self):
         records, feats = _tiny_dataset()
         cfg = SsadConfig(input_length=16, hidden_channels=8, epochs=0)
         model = build_model(4, cfg, seed=7)
-        before = [p.copy() for p in model.params()]
+        before = model.params.copy()
         assert train(model, records, feats, seed=7) == []
-        for p, q in zip(model.params(), before):
-            assert np.array_equal(p, q)
+        assert np.array_equal(model.params, before)
 
     def test_missing_features_named(self):
         records, feats = _tiny_dataset()
@@ -245,7 +243,7 @@ class TestCheckpoint:
         cfg = SsadConfig(input_length=16, hidden_channels=8)
         model = build_model(4, cfg, seed=9)
         path = tmp_path / "ssad.tapm"
-        save_model(model.layers, path)
+        save_model(model, path)
         loaded = load_weights(SsadModel(4, cfg), path)
         rec = VideoRecord("v", 25.0, Subset.VALIDATION)
         seq = FeatureSequence("v", np.random.default_rng(9).standard_normal((7, 4)).astype(np.float32))
@@ -257,7 +255,7 @@ class TestCheckpoint:
     def test_architecture_mismatch(self, tmp_path):
         cfg = SsadConfig(input_length=16, hidden_channels=8)
         path = tmp_path / "ssad.tapm"
-        save_model(build_model(4, cfg, seed=0).layers, path)
+        save_model(build_model(4, cfg, seed=0), path)
         other = SsadConfig(input_length=16, hidden_channels=16)
         with pytest.raises(ConfigError):
             load_weights(SsadModel(4, other), path)

@@ -183,8 +183,7 @@ class TestMlp:
         trace_a = train_actionness(a, records, feats, tcfg, seed=5)
         trace_b = train_actionness(b, records, feats, tcfg, seed=5)
         assert trace_a == trace_b
-        for pa, pb in zip(a.params(), b.params()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.params, b.params)
 
     def test_training_reduces_loss(self):
         # signal 3.0 keeps the Bayes MSE floor well below half the start;

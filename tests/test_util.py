@@ -8,7 +8,7 @@ import pytest
 import tapkit
 import tapkit.util
 from tapkit.core import DatasetIndex, ProposalSet, Subset, VideoRecord
-from tapkit.engine import Dense, ReLU, save_model
+from tapkit.engine import Dense, ReLU, Sequential, save_model
 from tapkit.ingest import (
     FeatureSequence,
     save_annotations,
@@ -32,7 +32,7 @@ WRITERS = {
         {"v": ProposalSet("v", [_IV[0]], [_IV[1]], [0.5])}, p),
     "write_localization": lambda p: write_localization({"v": [("a", *_IV, 0.5)]}, p),
     "write_classification": lambda p: write_classification({"v": [("a", 1.0)]}, p),
-    "save_model": lambda p: save_model([Dense(2, 3), ReLU()], p),
+    "save_model": lambda p: save_model(Sequential([Dense(2, 3), ReLU()]), p),
     "write_json_atomic": lambda p: write_json_atomic(p, {"x": [1, 2.5]}),
     "_write_csv": lambda p: _write_csv(p, "epoch,loss", [(1, 0.25), (2, 0.125)]),
 }
