@@ -42,6 +42,14 @@ def _tiny_args(out, extra=()):
     return args
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """Every artifact of one TINY pipeline run, for tests that remove one."""
+    out = tmp_path_factory.mktemp("tiny")
+    assert main(["pipeline", *_tiny_args(out)]) == 0
+    return out
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -70,6 +78,42 @@ class TestExitCodes:
 
     def test_stage_dependency_error(self, tmp_path):
         assert main(["refine", "--out", str(tmp_path)]) == 5
+
+    @pytest.mark.parametrize("command, missing, producer", [
+        ("train-ssad", "annotations.json", "synth"),
+        ("train-tag", "annotations.json", "synth"),
+        ("infer", "annotations.json", "synth"),
+        ("eval-prop", "annotations.json", "synth"),
+        ("eval-loc", "annotations.json", "synth"),
+        ("infer", "ssad_model.tapm", "train-ssad"),
+        ("infer", "tag_model.tapm", "train-tag"),
+        ("refine", "proposals_ssad.json", "infer"),
+        ("refine", "proposals_tag.json", "infer"),
+        ("eval-prop", "proposals_refined.json", "refine"),
+        ("eval-prop", "proposals_ssad_final.json", "refine"),
+        ("eval-loc", "proposals_refined.json", "refine"),
+        ("eval-loc", "classification=<missing path>", "synth"),
+        ("train-ssad", "features/<training video>", "synth"),
+    ])
+    def test_missing_input_names_its_producer(self, tmp_path, caplog, tiny_run,
+                                              command, missing, producer):
+        # every other input of the stage is present
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run, out)
+        extra = []
+        if missing.startswith("classification="):
+            path = tmp_path / "absent.json"
+            extra = [f"classification={path}"]
+        elif missing.startswith("features/"):
+            database = json.loads((out / "annotations.json").read_text())["database"]
+            vid = next(v for v, entry in sorted(database.items()) if entry["subset"] == "training")
+            path = out / "features" / f"{vid}.feat"
+            path.unlink()
+        else:
+            path = out / missing
+            path.unlink()
+        assert main([command, *_tiny_args(out, extra)]) == 5
+        assert f"{path} not found; run `{producer}` first" in caplog.text
 
     def test_data_error_on_corrupt_results(self, tmp_path):
         assert main(["synth", *_tiny_args(tmp_path)]) == 0
