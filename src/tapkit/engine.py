@@ -183,6 +183,8 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self._a = np.empty_like(params)  # scratch, so a step allocates no full-length temporaries
+        self._b = np.empty_like(params)
 
     def step(self, grad: np.ndarray) -> None:
         if grad.shape != self.params.shape:
@@ -191,13 +193,23 @@ class Adam:
         if not np.isfinite(grad).all():
             raise DivergenceError("adam: non-finite gradient")
         self.t += 1
-        beta1, beta2 = self.beta1, self.beta2
-        self.m = beta1 * self.m + (1.0 - beta1) * grad
-        self.v = beta2 * self.v + (1.0 - beta2) * grad * grad
-        m_hat = self.m / (1.0 - beta1**self.t)
-        v_hat = self.v / (1.0 - beta2**self.t)
-        # in place, so the layers' w/b views see the update
-        self.params[...] = self.params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        beta1, beta2, a, b = self.beta1, self.beta2, self._a, self._b
+        # in place, in the operation order of
+        #   m = beta1 * m + (1 - beta1) * grad
+        #   v = beta2 * v + (1 - beta2) * grad * grad
+        #   params -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        # so the layers' w/b views see the update
+        self.m *= beta1
+        self.m += np.multiply(grad, 1.0 - beta1, out=a)
+        self.v *= beta2
+        np.multiply(grad, 1.0 - beta2, out=a)
+        self.v += np.multiply(a, grad, out=a)
+        np.divide(self.m, 1.0 - beta1**self.t, out=a)
+        np.sqrt(np.divide(self.v, 1.0 - beta2**self.t, out=b), out=b)
+        b += self.eps
+        a *= self.lr
+        a /= b
+        self.params -= a
 
 
 # --------------------------------------------------------------------------

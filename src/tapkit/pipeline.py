@@ -82,23 +82,21 @@ class EvalOptions:
             raise ConfigError("eval.at_n values must be >= 1")
         if self.top_c < 1:
             raise ConfigError("eval.top_c must be >= 1")
-        try:
-            Subset(self.subset)
-        except ValueError:
-            raise ConfigError(f"eval.subset must be one of {[s.value for s in Subset]}") from None
+        if self.subset not in [s.value for s in Subset]:
+            raise ConfigError(f"eval.subset must be one of {[s.value for s in Subset]}")
         for t in self.map_points:
             if not 0.0 < t <= 1.0:
                 raise ConfigError(f"eval.map_points values must lie in (0, 1], got {t}")
 
 
 def _section_defaults(dc_cls, skip=()) -> dict:
-    out = {}
-    for f in dataclasses.fields(dc_cls):
-        if f.name in skip:
-            continue
-        value = f.default if f.default is not dataclasses.MISSING else f.default_factory()
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(dc_cls) if f.name not in skip}
+
+
+# Config sections and their dataclasses. synth's seed is the top-level seed.
+SECTIONS = {"synth": SynthConfig, "ssad": SsadConfig, "tag": TagConfig,
+            "refine": RefineConfig, "nms": NmsConfig, "eval": EvalOptions}
 
 
 def config_defaults() -> dict:
@@ -108,12 +106,8 @@ def config_defaults() -> dict:
         "annotations": None,
         "features_dir": None,
         "classification": None,
-        "synth": _section_defaults(SynthConfig, skip=("seed",)),
-        "ssad": _section_defaults(SsadConfig),
-        "tag": _section_defaults(TagConfig),
-        "refine": _section_defaults(RefineConfig),
-        "nms": _section_defaults(NmsConfig),
-        "eval": _section_defaults(EvalOptions),
+        **{name: _section_defaults(dc_cls, skip=("seed",) if name == "synth" else ())
+           for name, dc_cls in SECTIONS.items()},
     }
 
 
@@ -204,21 +198,17 @@ class PipelineConfig:
             if merged[key] is not None and not isinstance(merged[key], str):
                 raise ConfigError(f"{key} must be a string or null, got {json.dumps(merged[key])}")
         out_dir = Path(merged["output_dir"])
-        cfg = PipelineConfig(
+        return PipelineConfig(
             seed=seed,
             output_dir=out_dir,
             annotations=Path(merged["annotations"]) if merged["annotations"] else out_dir / "annotations.json",
             features_dir=Path(merged["features_dir"]) if merged["features_dir"] else out_dir / "features",
             classification=Path(merged["classification"]) if merged["classification"] else out_dir / "classification.json",
-            synth=_build_section(SynthConfig, merged["synth"], "synth", seed=seed),
-            ssad=_build_section(SsadConfig, merged["ssad"], "ssad"),
-            tag=_build_section(TagConfig, merged["tag"], "tag"),
-            refine=_build_section(RefineConfig, merged["refine"], "refine"),
-            nms=_build_section(NmsConfig, merged["nms"], "nms"),
-            eval=_build_section(EvalOptions, merged["eval"], "eval"),
+            **{name: _build_section(dc_cls, merged[name], name,
+                                    **({"seed": seed} if name == "synth" else {}))
+               for name, dc_cls in SECTIONS.items()},
             snapshot=merged,
         )
-        return cfg
 
 
 def load_config(
@@ -263,9 +253,25 @@ def _require(path: Path, producer: str) -> None:
         raise StageDependencyError(f"{path} not found; run `{producer}` first")
 
 
-def _load_index(cfg: PipelineConfig):
-    _require(cfg.annotations, "synth")
-    return load_annotations(cfg.annotations)
+# The stage that writes each input a later stage reads: a file under
+# output_dir or a config path key. Feature files, named by the annotations, use _require.
+_PRODUCERS = {
+    "annotations": "synth",
+    "classification": "synth",
+    "ssad_model.tapm": "train-ssad",
+    "tag_model.tapm": "train-tag",
+    "proposals_ssad.json": "infer",
+    "proposals_tag.json": "infer",
+    "proposals_refined.json": "refine",
+    "proposals_ssad_final.json": "refine",
+}
+
+
+def _input(cfg: PipelineConfig, name: str) -> Path:
+    """The path of an existing stage input; exit 5 names its producer."""
+    path = cfg.output_dir / name if "." in name else getattr(cfg, name)
+    _require(path, _PRODUCERS[name])
+    return path
 
 
 def _feature_path(cfg: PipelineConfig, video_id: str) -> Path:
@@ -294,8 +300,23 @@ def _write_csv(path: Path, header: str, rows) -> None:
             f.write(",".join(map(repr, row)) + "\n")
 
 
-def _eval_subset(cfg: PipelineConfig) -> Subset:
-    return Subset(cfg.eval.subset)
+def _train(cfg: PipelineConfig, name: str, build, train) -> list[Path]:
+    """Training stage of network `name`, its config section and file prefix."""
+    records = load_annotations(_input(cfg, "annotations")).subset_videos(Subset.TRAINING)
+    if not records:
+        raise DataFormatError("no training videos in annotations")
+    features, feature_dim = _load_feature_map(cfg, records)
+    model = build(feature_dim, getattr(cfg, name), cfg.seed)
+    trace = train(model, records, features)
+    model_path = cfg.output_dir / f"{name}_model.tapm"
+    save_model(model, model_path)
+    loss_path = cfg.output_dir / f"{name}_loss.csv"
+    _write_csv(loss_path, "epoch,loss", enumerate(trace, start=1))
+    if trace:
+        logger.info("train-%s: %d epochs, loss %.6f -> %.6f", name, len(trace), trace[0], trace[-1])
+    else:
+        logger.info("train-%s: 0 epochs, model saved untrained", name)
+    return [model_path, loss_path]
 
 
 # --------------------------------------------------------------------------
@@ -320,59 +341,28 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
     return paths
 
 
+# The trainers are looked up when the stage runs, so wrappers see the call.
 def run_train_ssad(cfg: PipelineConfig) -> list[Path]:
     """Train the anchor-overlap proposal network."""
-    index = _load_index(cfg)
-    records = index.subset_videos(Subset.TRAINING)
-    if not records:
-        raise DataFormatError("no training videos in annotations")
-    features, feature_dim = _load_feature_map(cfg, records)
-    model = build_model(feature_dim, cfg.ssad, cfg.seed)
-    trace = ssad_train(model, records, features, cfg.seed)
-    model_path = cfg.output_dir / "ssad_model.tapm"
-    save_model(model, model_path)
-    loss_path = cfg.output_dir / "ssad_loss.csv"
-    _write_csv(loss_path, "epoch,loss", enumerate(trace, start=1))
-    if trace:
-        logger.info("train-ssad: %d epochs, loss %.6f -> %.6f", len(trace), trace[0], trace[-1])
-    else:
-        logger.info("train-ssad: 0 epochs, model saved untrained")
-    return [model_path, loss_path]
+    return _train(cfg, "ssad", build_model, lambda model, records, features:
+                  ssad_train(model, records, features, cfg.seed))
 
 
 def run_train_tag(cfg: PipelineConfig) -> list[Path]:
     """Train the actionness MLP."""
-    index = _load_index(cfg)
-    records = index.subset_videos(Subset.TRAINING)
-    if not records:
-        raise DataFormatError("no training videos in annotations")
-    features, feature_dim = _load_feature_map(cfg, records)
-    model = build_mlp(feature_dim, cfg.tag, cfg.seed)
-    trace = train_actionness(model, records, features, cfg.tag, cfg.seed)
-    model_path = cfg.output_dir / "tag_model.tapm"
-    save_model(model, model_path)
-    loss_path = cfg.output_dir / "tag_loss.csv"
-    _write_csv(loss_path, "epoch,loss", enumerate(trace, start=1))
-    if trace:
-        logger.info("train-tag: %d epochs, loss %.6f -> %.6f", len(trace), trace[0], trace[-1])
-    else:
-        logger.info("train-tag: 0 epochs, model saved untrained")
-    return [model_path, loss_path]
+    return _train(cfg, "tag", build_mlp, lambda model, records, features:
+                  train_actionness(model, records, features, cfg.tag, cfg.seed))
 
 
 def run_infer(cfg: PipelineConfig) -> list[Path]:
     """Score the evaluation subset: anchor proposals and grouped proposals."""
-    index = _load_index(cfg)
-    records = index.subset_videos(_eval_subset(cfg))
+    index = load_annotations(_input(cfg, "annotations"))
+    records = index.subset_videos(Subset(cfg.eval.subset))
     if not records:
         raise DataFormatError(f"no {cfg.eval.subset} videos in annotations")
     features, feature_dim = _load_feature_map(cfg, records)
-    ssad_model_path = cfg.output_dir / "ssad_model.tapm"
-    _require(ssad_model_path, "train-ssad")
-    model = load_weights(SsadModel(feature_dim, cfg.ssad), ssad_model_path)
-    tag_model_path = cfg.output_dir / "tag_model.tapm"
-    _require(tag_model_path, "train-tag")
-    mlp = load_weights(build_mlp(feature_dim, cfg.tag), tag_model_path)
+    model = load_weights(SsadModel(feature_dim, cfg.ssad), _input(cfg, "ssad_model.tapm"))
+    mlp = load_weights(build_mlp(feature_dim, cfg.tag), _input(cfg, "tag_model.tapm"))
     pyramid = build_anchor_pyramid(cfg.ssad)
 
     ssad_sets = {}
@@ -385,18 +375,15 @@ def run_infer(cfg: PipelineConfig) -> list[Path]:
     tag_path = cfg.output_dir / "proposals_tag.json"
     write_results(ssad_sets, ssad_path)
     write_results(tag_sets, tag_path)
-    n_tag = sum(len(s) for s in tag_sets.values())
     logger.info("infer: %d videos, %d anchor proposals/video, %d grouped proposals total",
-                len(records), len(pyramid), n_tag)
+                len(records), len(pyramid), sum(len(s) for s in tag_sets.values()))
     return [ssad_path, tag_path]
 
 
 def run_refine(cfg: PipelineConfig) -> list[Path]:
     """Refine boundaries against grouped proposals and apply NMS."""
-    ssad_path = cfg.output_dir / "proposals_ssad.json"
-    tag_path = cfg.output_dir / "proposals_tag.json"
-    _require(ssad_path, "infer")
-    _require(tag_path, "infer")
+    ssad_path = _input(cfg, "proposals_ssad.json")
+    tag_path = _input(cfg, "proposals_tag.json")
     ssad_sets = read_results(ssad_path)
     tag_sets = read_results(tag_path)
 
@@ -406,15 +393,12 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
         p_ssad = ssad_sets[vid]
         p_tag = tag_sets.get(vid, ProposalSet(vid))
         if cfg.nms.placement == "before":
-            kept = nms(p_ssad, cfg.nms)
-            ssad_final[vid] = kept
-            refined[vid] = refine(kept, p_tag, cfg.refine)
-        elif cfg.nms.placement == "after":
+            p_ssad = nms(p_ssad, cfg.nms)
+        ssad_final[vid] = p_ssad
+        refined[vid] = refine(p_ssad, p_tag, cfg.refine)
+        if cfg.nms.placement == "after":
             ssad_final[vid] = nms(p_ssad, cfg.nms)
-            refined[vid] = nms(refine(p_ssad, p_tag, cfg.refine), cfg.nms)
-        else:
-            ssad_final[vid] = p_ssad
-            refined[vid] = refine(p_ssad, p_tag, cfg.refine)
+            refined[vid] = nms(refined[vid], cfg.nms)
 
     refined_path = cfg.output_dir / "proposals_refined.json"
     final_path = cfg.output_dir / "proposals_ssad_final.json"
@@ -429,13 +413,11 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
 
 def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
     """Proposal metrics: AR@AN and the AR-AN curve/area."""
-    index = _load_index(cfg)
-    subset = _eval_subset(cfg)
+    index = load_annotations(_input(cfg, "annotations"))
+    subset = Subset(cfg.eval.subset)
     records = index.subset_videos(subset)
-    refined_path = cfg.output_dir / "proposals_refined.json"
-    final_path = cfg.output_dir / "proposals_ssad_final.json"
-    _require(refined_path, "refine")
-    _require(final_path, "refine")
+    refined_path = _input(cfg, "proposals_refined.json")
+    final_path = _input(cfg, "proposals_ssad_final.json")
 
     sources = (
         ("refined", read_results(refined_path)),
@@ -462,20 +444,19 @@ def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
 
 def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     """Localization metrics: mAP over the tIoU grid."""
-    index = _load_index(cfg)
-    subset = _eval_subset(cfg)
-    refined_path = cfg.output_dir / "proposals_refined.json"
-    _require(refined_path, "refine")
-    _require(cfg.classification, "synth")
+    index = load_annotations(_input(cfg, "annotations"))
+    refined_path = _input(cfg, "proposals_refined.json")
+    classification_path = _input(cfg, "classification")
     proposals = read_results(refined_path)
-    classification = read_classification(cfg.classification)
+    classification = read_classification(classification_path)
 
     localization = attach_labels(proposals, classification, cfg.eval.top_c)
     loc_path = cfg.output_dir / "localization.json"
     write_localization(localization, loc_path)
 
     grid = tiou_grid()
-    maps = mean_ap(localization, index, grid + cfg.eval.map_points, cfg.eval.at_n, subset)
+    maps = mean_ap(localization, index, grid + cfg.eval.map_points, cfg.eval.at_n,
+                   Subset(cfg.eval.subset))
     report = {
         "map": {str(t): maps[None][t] for t in cfg.eval.map_points},
         "average_map": float(np.mean([maps[None][t] for t in grid])),
@@ -564,13 +545,8 @@ STAGES = {
 def write_manifest(cfg: PipelineConfig, command: str, artifacts: list[Path], started: float) -> Path:
     """Checksums of the artifacts plus the command's wall time since `started`,
     a time.perf_counter() reading, so a clock set mid-run cannot skew it."""
-    checksums = {}
-    for path in artifacts:
-        try:
-            key = str(path.relative_to(cfg.output_dir))
-        except ValueError:
-            key = str(path)
-        checksums[key] = sha256_file(path)
+    checksums = {str(p.relative_to(cfg.output_dir) if p.is_relative_to(cfg.output_dir) else p):
+                 sha256_file(p) for p in artifacts}
     payload = {
         "command": command,
         "config": cfg.snapshot,
@@ -588,7 +564,10 @@ def run_command(cfg: PipelineConfig, command: str) -> Path:
     if command not in STAGES:
         raise ConfigError(f"unknown command {command!r}")
     started = time.perf_counter()
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir {cfg.output_dir} cannot be used as a directory: {exc}") from exc
     artifacts = STAGES[command](cfg)
     manifest = write_manifest(cfg, command, artifacts, started)
     logger.info("%s: wrote %d artifacts, manifest %s", command, len(artifacts), manifest)

@@ -18,7 +18,7 @@ from tapkit.cli import main
 from tapkit.errors import ConfigError
 from tapkit.fusion import NmsConfig, RefineConfig
 from tapkit.ingest import FeatureSequence, SynthConfig, save_features
-from tapkit.pipeline import STAGES, EvalOptions, config_defaults, load_config
+from tapkit.pipeline import _PRODUCERS, STAGES, EvalOptions, _input, config_defaults, load_config
 from tapkit.ssad import SsadConfig
 from tapkit.tag import TagConfig
 from tapkit.util import sha256_file
@@ -78,6 +78,13 @@ class TestExitCodes:
 
     def test_stage_dependency_error(self, tmp_path):
         assert main(["refine", "--out", str(tmp_path)]) == 5
+
+    @pytest.mark.parametrize("command", ["synth", "refine"])
+    def test_config_error_on_out_naming_a_file(self, tmp_path, caplog, command):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main([command, *_tiny_args(out)]) == 2
+        assert f"output_dir {out}" in caplog.text
 
     @pytest.mark.parametrize("command, missing, producer", [
         ("train-ssad", "annotations.json", "synth"),
@@ -482,6 +489,15 @@ class TestPipeline:
     def test_gradcheck_avoids_relu_kinks(self, tmp_path, seed):
         # the first draw at these seeds puts a ReLU input within 1e-4 of 0
         assert main(["gradcheck", "--out", str(tmp_path), "--seed", str(seed)]) == 0
+
+
+def test_producers_return_what_the_table_names(tmp_path):
+    # a file renamed in its writer but not in _PRODUCERS would otherwise
+    # surface only as a wrong exit 5 in a later stage
+    cfg = load_config(None, TINY, seed=7, output_dir=str(tmp_path))
+    written = {name: STAGES[name](cfg) for name in list(STAGES)[:-1]}
+    for name, producer in _PRODUCERS.items():
+        assert _input(cfg, name) in written[producer], name
 
 
 def test_stages_cover_all_commands(monkeypatch):
