@@ -183,7 +183,7 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._a = np.empty_like(params)  # scratch, so a step allocates no full-length temporaries
+        self._a = np.empty_like(params)  # scratch for step
         self._b = np.empty_like(params)
 
     def step(self, grad: np.ndarray) -> None:
@@ -194,11 +194,12 @@ class Adam:
             raise DivergenceError("adam: non-finite gradient")
         self.t += 1
         beta1, beta2, a, b = self.beta1, self.beta2, self._a, self._b
-        # in place, in the operation order of
+        # the elementwise operations, in order, of
         #   m = beta1 * m + (1 - beta1) * grad
         #   v = beta2 * v + (1 - beta2) * grad * grad
-        #   params -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
-        # so the layers' w/b views see the update
+        #   params = params - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        # done in place through the scratch vectors: no full-length temporaries,
+        # and the layers' w/b views see the update
         self.m *= beta1
         self.m += np.multiply(grad, 1.0 - beta1, out=a)
         self.v *= beta2

@@ -253,8 +253,8 @@ def _require(path: Path, producer: str) -> None:
         raise StageDependencyError(f"{path} not found; run `{producer}` first")
 
 
-# The stage that writes each input a later stage reads: a file under
-# output_dir or a config path key. Feature files, named by the annotations, use _require.
+# The stage that writes each input a later stage reads. Feature files are
+# named by the annotations, so _load_feature_map checks them with _require.
 _PRODUCERS = {
     "annotations": "synth",
     "classification": "synth",
@@ -268,7 +268,8 @@ _PRODUCERS = {
 
 
 def _input(cfg: PipelineConfig, name: str) -> Path:
-    """The path of an existing stage input; exit 5 names its producer."""
+    """The path of an existing stage input: a file name under output_dir
+    (it has a dot) or a config path key. Exit 5 names its producer."""
     path = cfg.output_dir / name if "." in name else getattr(cfg, name)
     _require(path, _PRODUCERS[name])
     return path
