@@ -108,7 +108,7 @@ def conv1d_backward(
         )
 
     grad_b = grad_y.sum(axis=(0, 2))
-    grad_w = np.einsum("not,nmt->om", grad_y, cols).reshape(out_ch, in_ch, kernel)
+    grad_w = np.matmul(grad_y, cols.transpose(0, 2, 1)).sum(0).reshape(out_ch, in_ch, kernel)
 
     # scatter column gradients back onto the padded input, one tap at a time
     grad_cols = np.matmul(w.reshape(out_ch, in_ch * kernel).T, grad_y)

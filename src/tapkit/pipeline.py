@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -324,16 +325,28 @@ def _train(cfg: PipelineConfig, name: str, build, train) -> list[Path]:
 # stages
 
 
+@contextmanager
+def _writing(cfg: PipelineConfig, key: str):
+    """Exit 2 naming config path key `key` if its path is of the wrong kind."""
+    try:
+        yield
+    except (FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"{key} {getattr(cfg, key)} cannot be written: {exc}") from exc
+
+
 def run_synth(cfg: PipelineConfig) -> list[Path]:
     """Generate the synthetic dataset (annotations, features, classification)."""
     index, features, classification = generate_synthetic(cfg.synth)
-    save_annotations(index, cfg.annotations)
+    with _writing(cfg, "annotations"):
+        save_annotations(index, cfg.annotations)
     paths = [cfg.annotations]
-    for vid in sorted(features):
-        path = _feature_path(cfg, vid)
-        save_features(features[vid], path)
-        paths.append(path)
-    write_classification(classification, cfg.classification)
+    with _writing(cfg, "features_dir"):
+        for vid in sorted(features):
+            path = _feature_path(cfg, vid)
+            save_features(features[vid], path)
+            paths.append(path)
+    with _writing(cfg, "classification"):
+        write_classification(classification, cfg.classification)
     paths.append(cfg.classification)
     n_train = len(index.subset_videos(Subset.TRAINING))
     n_val = len(index.subset_videos(Subset.VALIDATION))

@@ -86,6 +86,19 @@ class TestExitCodes:
         assert main([command, *_tiny_args(out)]) == 2
         assert f"output_dir {out}" in caplog.text
 
+    @pytest.mark.parametrize("key, kind", [
+        ("features_dir", "file"), ("classification", "dir"), ("annotations", "dir")])
+    def test_config_error_on_synth_path_key_of_wrong_kind(self, tmp_path, caplog, key, kind):
+        taken = tmp_path / "taken"
+        if kind == "dir":
+            taken.mkdir()
+        else:
+            taken.write_text("kept")
+        extra = [f"{key}={json.dumps(str(taken))}"]
+        assert main(["synth", *_tiny_args(tmp_path / "out", extra)]) == 2
+        assert f"{key} {taken}" in caplog.text
+        assert taken.is_dir() if kind == "dir" else taken.read_text() == "kept"
+
     @pytest.mark.parametrize("command, missing, producer", [
         ("train-ssad", "annotations.json", "synth"),
         ("train-tag", "annotations.json", "synth"),

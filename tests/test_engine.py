@@ -141,8 +141,8 @@ class TestConvOracle:
 
 
 # Reference: conv1d on a fancy-index unfold (np.pad, x[:, :, idx], then a
-# reshape copy). Its forward matmul, grad_w einsum and grad_x scatter are the
-# engine's, so the tap-by-tap columns must give the same bits.
+# reshape copy). Its forward matmul, batched grad_w matmul and grad_x scatter
+# are the engine's, so the tap-by-tap columns must give the same bits.
 
 
 def _reference_unfold(x, kernel, stride, pad):
@@ -166,7 +166,7 @@ def _reference_backward(x, w, grad_y, stride, pad):
     t_out = grad_y.shape[2]
     cols = _reference_unfold(x, kernel, stride, pad)
     grad_b = grad_y.sum(axis=(0, 2))
-    grad_w = np.einsum("not,nmt->om", grad_y, cols).reshape(out_ch, in_ch, kernel)
+    grad_w = np.matmul(grad_y, cols.transpose(0, 2, 1)).sum(0).reshape(out_ch, in_ch, kernel)
     grad_cols = np.matmul(w.reshape(out_ch, in_ch * kernel).T, grad_y)
     grad_cols = grad_cols.reshape(n, in_ch, kernel, t_out)
     grad_xp = np.zeros((n, in_ch, t + 2 * pad), dtype=x.dtype)
@@ -203,6 +203,27 @@ class TestColumnsBitwise:
             grad_y = rng.standard_normal(y.shape).astype(dtype)
             _assert_same_bits(conv1d_backward(x, cols, w, grad_y, s, p),
                               _reference_backward(x, w, grad_y, s, p), where)
+
+
+def test_grad_w_float32_matches_float64_on_ssad_shapes(monkeypatch):
+    # Every conv of the default anchor net at training batch size, against a
+    # float64 oracle computed apart from the engine. np.einsum raises: its
+    # loop does not run on BLAS and is about 5x slower on these shapes.
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: pytest.fail("np.einsum called"))
+    rng = np.random.default_rng(11)
+    model = SsadModel(16, SsadConfig(), rng=rng)
+    model.forward(rng.standard_normal((8, 16, 256)).astype(np.float32))
+    convs = [layer for layer in model.layers if isinstance(layer, Conv1d)]
+    assert len(convs) == 16
+    for i, layer in enumerate(convs):
+        x, w, s, p = layer._x, layer.w, layer.spec.stride, layer.spec.pad
+        y, cols = conv1d_forward(x, w, layer.b, s, p)
+        grad_y = rng.standard_normal(y.shape).astype(np.float32)
+        _, grad_w, _ = conv1d_backward(x, cols, w, grad_y, s, p)
+        want = np.tensordot(grad_y.astype(np.float64), cols.astype(np.float64), ([0, 2], [0, 2]))
+        assert grad_w.dtype == np.float32, i
+        rel = np.abs(grad_w - want.reshape(w.shape)).max() / np.abs(want).max()
+        assert rel < 1e-5, f"conv {i}, x {x.shape}, w {w.shape}: relative error {rel:.2e}"
 
 
 @pytest.mark.parametrize("make", [lambda: Conv1d(2, 3, 3, pad=1), lambda: Dense(4, 3), ReLU, Sigmoid],
