@@ -3,13 +3,15 @@
 1D convolutions, relu/sigmoid, dense layers, MSE loss, Adam, the one
 training loop, a finite-difference gradient checker and checkpoints. Two
 numeric modes: float32 for training, float64 for gradient checking. A batch
-is the leading tensor dimension and every op is pure given (params, input).
+is the leading tensor dimension and every layer's forward is pure given
+(params, input).
 The engine starts no threads itself, but `matmul` runs on the BLAS library's
 threads, as many as OPENBLAS_NUM_THREADS / OMP_NUM_THREADS allow. Outputs
 do not depend on that count: tests/test_cli.py trains a checkpoint with one
 and with two BLAS threads and compares the bytes.
 
-Tensor conventions: conv ops take (N, C, T) arrays, dense ops take (N, F).
+Tensor conventions: Conv1d (and ReLU/Sigmoid after it) maps (N, C, T) arrays,
+Dense maps (N, F).
 
 Parameter layout: a model keeps all its weights in one flat vector
 `model.params` and their gradients in `model.grads`, in layer order, then each
@@ -36,126 +38,7 @@ ADAM_EPS = 1e-8
 
 
 # --------------------------------------------------------------------------
-# functional ops
-
-
-def conv_output_length(t: int, kernel: int, stride: int, pad: int) -> int:
-    return (t + 2 * pad - kernel) // stride + 1
-
-
-def _unfold(x: np.ndarray, kernel: int, stride: int, pad: int, t_out: int) -> np.ndarray:
-    """(N, C, T) -> contiguous columns (N, C*k, T') with
-    cols[n, c*k + j, t] = x_padded[n, c, t*stride + j].
-
-    Filled one tap j at a time from a strided slice of x; the entries that
-    fall in the zero padding keep the zeros they were allocated with.
-    """
-    n, c, t = x.shape
-    cols = np.zeros((n, c, kernel, t_out), dtype=x.dtype)
-    for j in range(kernel):
-        # outputs lo..hi-1 read x[lo*stride + j - pad], ... inside [0, T)
-        lo = max(0, -((j - pad) // stride))
-        hi = min(t_out, (t - 1 - j + pad) // stride + 1)
-        if hi > lo:
-            first = lo * stride + j - pad
-            cols[:, :, j, lo:hi] = x[:, :, first : first + (hi - lo - 1) * stride + 1 : stride]
-    return cols.reshape(n, c * kernel, t_out)
-
-
-def conv1d_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """y[n,o,t] = b[o] + sum_{c,j} w[o,c,j] * x_padded[n,c,t*stride+j].
-
-    Returns y and the (N, C*k, T') columns of x, which conv1d_backward takes.
-    """
-    n, c, t = x.shape
-    out_ch, in_ch, kernel = w.shape
-    if c != in_ch:
-        raise ShapeError(f"conv1d: input has {c} channels, kernel expects {in_ch}")
-    t_out = conv_output_length(t, kernel, stride, pad)
-    if t_out < 1:
-        raise ShapeError(
-            f"conv1d: output length {t_out} < 1 for T={t}, k={kernel}, s={stride}, p={pad}"
-        )
-    cols = _unfold(x, kernel, stride, pad, t_out)
-    y = np.matmul(w.reshape(out_ch, in_ch * kernel), cols)
-    return y + b[None, :, None], cols
-
-
-def conv1d_backward(
-    x: np.ndarray,
-    cols: np.ndarray,
-    w: np.ndarray,
-    grad_y: np.ndarray,
-    stride: int = 1,
-    pad: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv1d_forward w.r.t. input, weights and bias, given
-    the columns conv1d_forward returned for x."""
-    n, c, t = x.shape
-    out_ch, in_ch, kernel = w.shape
-    if c != in_ch:
-        raise ShapeError(f"conv1d backward: input has {c} channels, kernel expects {in_ch}")
-    t_out = conv_output_length(t, kernel, stride, pad)
-    if grad_y.shape != (n, out_ch, t_out):
-        raise ShapeError(
-            f"conv1d backward: grad_y shape {grad_y.shape} != {(n, out_ch, t_out)}"
-        )
-    if cols.shape != (n, in_ch * kernel, t_out):
-        raise ShapeError(
-            f"conv1d backward: columns shape {cols.shape} != {(n, in_ch * kernel, t_out)}"
-        )
-
-    grad_b = grad_y.sum(axis=(0, 2))
-    grad_w = np.matmul(grad_y, cols.transpose(0, 2, 1)).sum(0).reshape(out_ch, in_ch, kernel)
-
-    # scatter column gradients back onto the padded input, one tap at a time
-    grad_cols = np.matmul(w.reshape(out_ch, in_ch * kernel).T, grad_y)
-    grad_cols = grad_cols.reshape(n, in_ch, kernel, t_out)
-    grad_xp = np.zeros((n, in_ch, t + 2 * pad), dtype=x.dtype)
-    for j in range(kernel):
-        grad_xp[:, :, j : j + stride * t_out : stride] += grad_cols[:, :, j, :]
-    grad_x = grad_xp[:, :, pad : pad + t] if pad > 0 else grad_xp
-    return grad_x, grad_w, grad_b
-
-
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    return grad_y * (x > 0.0)
-
-
-def sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    # split by sign for overflow-free exp
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def sigmoid_backward(y: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    """Derivative from the forward output: sigma' = y * (1 - y)."""
-    return grad_y * y * (1.0 - y)
-
-
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"dense: input shape {x.shape} incompatible with weights {w.shape}")
-    return x @ w + b[None, :]
-
-
-def dense_backward(
-    x: np.ndarray, w: np.ndarray, grad_y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grad_x = grad_y @ w.T
-    grad_w = x.T @ grad_y
-    grad_b = grad_y.sum(axis=0)
-    return grad_x, grad_w, grad_b
+# loss and optimizer
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -257,7 +140,18 @@ class Layer:
         return value
 
 
+def conv_output_length(t: int, kernel: int, stride: int, pad: int) -> int:
+    return (t + 2 * pad - kernel) // stride + 1
+
+
 class Conv1d(Layer):
+    """y[n,o,t] = b[o] + sum_{c,j} w[o,c,j] * x_padded[n,c,t*stride+j].
+
+    Forward lays x out as contiguous columns cols[n, c*k + j, t] =
+    x_padded[n, c, t*stride + j], so that the convolution, the weight gradient
+    and the input gradient are one matmul each; backward reuses the columns.
+    """
+
     param_names = ("w", "b")
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
@@ -276,16 +170,52 @@ class Conv1d(Layer):
         self._cols: np.ndarray | None = None
 
     def forward(self, x):
-        y, self._cols = conv1d_forward(x, self.w, self.b, self.spec.stride, self.spec.pad)
-        self._x = x
-        return y
+        n, c, t = x.shape
+        out_ch, in_ch, kernel = self.w.shape
+        stride, pad = self.spec.stride, self.spec.pad
+        if c != in_ch:
+            raise ShapeError(f"conv1d: input has {c} channels, kernel expects {in_ch}")
+        t_out = conv_output_length(t, kernel, stride, pad)
+        if t_out < 1:
+            raise ShapeError(
+                f"conv1d: output length {t_out} < 1 for T={t}, k={kernel}, s={stride}, p={pad}"
+            )
+        # filled one tap j at a time from a strided slice of x; the entries
+        # that fall in the zero padding keep the zeros they were allocated with
+        cols = np.zeros((n, c, kernel, t_out), dtype=x.dtype)
+        for j in range(kernel):
+            # outputs lo..hi-1 read x[lo*stride + j - pad], ... inside [0, T)
+            lo = max(0, -((j - pad) // stride))
+            hi = min(t_out, (t - 1 - j + pad) // stride + 1)
+            if hi > lo:
+                first = lo * stride + j - pad
+                cols[:, :, j, lo:hi] = x[:, :, first : first + (hi - lo - 1) * stride + 1 : stride]
+        cols = cols.reshape(n, c * kernel, t_out)
+        self._x, self._cols = x, cols
+        y = np.matmul(self.w.reshape(out_ch, in_ch * kernel), cols)
+        return y + self.b[None, :, None]
 
     def backward(self, grad_y):
-        grad_x, gw, gb = conv1d_backward(self._x, self._cached(self._cols), self.w, grad_y,
-                                         self.spec.stride, self.spec.pad)
-        self.gw += gw
-        self.gb += gb
-        return grad_x
+        cols = self._cached(self._cols)
+        n, _, t = self._x.shape
+        out_ch, in_ch, kernel = self.w.shape
+        stride, pad = self.spec.stride, self.spec.pad
+        t_out = cols.shape[2]
+        if grad_y.shape != (n, out_ch, t_out):
+            raise ShapeError(
+                f"conv1d backward: grad_y shape {grad_y.shape} != {(n, out_ch, t_out)}"
+            )
+
+        self.gb += grad_y.sum(axis=(0, 2))
+        self.gw += np.matmul(grad_y, cols.transpose(0, 2, 1)).sum(0).reshape(out_ch, in_ch, kernel)
+
+        # scatter column gradients back onto the padded input, one tap at a time
+        grad_cols = np.matmul(self.w.reshape(out_ch, in_ch * kernel).T, grad_y)
+        grad_cols = grad_cols.reshape(n, in_ch, kernel, t_out)
+        grad_xp = np.zeros((n, in_ch, t + 2 * pad), dtype=self._x.dtype)
+        for j in range(kernel):
+            grad_xp[:, :, j : j + stride * t_out : stride] += grad_cols[:, :, j, :]
+        return grad_xp[:, :, pad : pad + t] if pad > 0 else grad_xp
 
 
 class ReLU(Layer):
@@ -295,10 +225,10 @@ class ReLU(Layer):
 
     def forward(self, x):
         self._x = x
-        return relu_forward(x)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_y):
-        return relu_backward(self._cached(self._x), grad_y)
+        return grad_y * (self._cached(self._x) > 0.0)
 
 
 class Sigmoid(Layer):
@@ -307,11 +237,19 @@ class Sigmoid(Layer):
         self._y = None
 
     def forward(self, x):
-        self._y = sigmoid_forward(x)
-        return self._y
+        # split by sign for overflow-free exp
+        y = np.empty_like(x)
+        pos = x >= 0
+        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        e = np.exp(x[~pos])
+        y[~pos] = e / (1.0 + e)
+        self._y = y
+        return y
 
     def backward(self, grad_y):
-        return sigmoid_backward(self._cached(self._y), grad_y)
+        """Derivative from the forward output: sigma' = y * (1 - y)."""
+        y = self._cached(self._y)
+        return grad_y * y * (1.0 - y)
 
 
 class Dense(Layer):
@@ -330,13 +268,17 @@ class Dense(Layer):
         self._x = None
 
     def forward(self, x):
+        if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
+            raise ShapeError(
+                f"dense: input shape {x.shape} incompatible with weights {self.w.shape}")
         self._x = x
-        return dense_forward(x, self.w, self.b)
+        return x @ self.w + self.b[None, :]
 
     def backward(self, grad_y):
-        grad_x, gw, gb = dense_backward(self._cached(self._x), self.w, grad_y)
-        self.gw += gw
-        self.gb += gb
+        x = self._cached(self._x)
+        grad_x = grad_y @ self.w.T
+        self.gw += x.T @ grad_y
+        self.gb += grad_y.sum(axis=0)
         return grad_x
 
 

@@ -121,14 +121,12 @@ class SsadModel(Sequential):
             [Conv1d(h, h, 3, stride=2, pad=1, rng=rng, dtype=dtype), ReLU()]
             for _ in range(n_down)
         ]
-        # down block j outputs length L_in / 2^(j+1); maps start at block 1
-        self._map_down_index = {j: j - 1 for j in range(1, n_down)}  # down idx -> map idx
+        # down block j outputs length L_in / 2^(j+1); head j-1 reads block j >= 1
         n_ratios = len(cfg.scale_ratios)
         self.heads: list[list[Layer]] = [
             [Conv1d(h, n_ratios, 3, stride=1, pad=1, rng=rng, dtype=dtype), Sigmoid()]
             for _ in self.map_lengths
         ]
-        self._cache_maps: list[np.ndarray] | None = None
         super().__init__(
             [*self.stem, *(layer for blk in self.downs for layer in blk),
              *(layer for head in self.heads for layer in head)]
@@ -148,55 +146,38 @@ class SsadModel(Sequential):
             )
         for layer in self.stem:
             x = layer.forward(x)
-        maps = []
+        slices = []
         for j, blk in enumerate(self.downs):
             for layer in blk:
                 x = layer.forward(x)
             if j >= 1:
-                maps.append(x)
-        self._cache_maps = maps
-
-        n_ratios = len(self.cfg.scale_ratios)
-        slices = []
-        # pyramid order is ascending lengths; maps were produced descending
-        for m_idx in range(len(maps) - 1, -1, -1):
-            y = maps[m_idx]
-            for layer in self.heads[m_idx]:
-                y = layer.forward(y)
-            n, _, length = y.shape
-            # (N, R, L) -> (N, L, R) so cells vary slower than ratios
-            slices.append(np.transpose(y, (0, 2, 1)).reshape(n, length * n_ratios))
-        return np.concatenate(slices, axis=1)
+                y = x
+                for layer in self.heads[j - 1]:
+                    y = layer.forward(y)
+                n, n_ratios, length = y.shape
+                # (N, R, L) -> (N, L, R) so cells vary slower than ratios
+                slices.append(np.transpose(y, (0, 2, 1)).reshape(n, length * n_ratios))
+        # maps are produced longest first; the pyramid order is ascending lengths
+        return np.concatenate(slices[::-1], axis=1)
 
     def backward(self, grad_scores: np.ndarray) -> None:
-        maps = self._cache_maps
-        if maps is None:
-            raise ShapeError("backward called before forward")
+        if grad_scores.ndim != 2 or grad_scores.shape[1] != self.num_anchors:
+            raise ShapeError(
+                f"score gradient shape {grad_scores.shape} != (N, {self.num_anchors} anchors)"
+            )
         n = grad_scores.shape[0]
         n_ratios = len(self.cfg.scale_ratios)
-
-        map_grads: dict[int, np.ndarray] = {}
-        offset = 0
-        for m_idx in range(len(maps) - 1, -1, -1):
-            length = maps[m_idx].shape[2]
-            width = length * n_ratios
-            gs = grad_scores[:, offset : offset + width]
-            offset += width
-            gy = np.transpose(gs.reshape(n, length, n_ratios), (0, 2, 1))
-            gy = np.ascontiguousarray(gy)
-            for layer in reversed(self.heads[m_idx]):
-                gy = layer.backward(gy)
-            map_grads[m_idx] = gy
-        if offset != grad_scores.shape[1]:
-            raise ShapeError(
-                f"grad width {grad_scores.shape[1]} != anchor count {offset}"
-            )
-
+        offset = 0  # walking the blocks backwards visits the maps shortest first
         g = None
         for j in range(len(self.downs) - 1, -1, -1):
-            m_idx = self._map_down_index.get(j)
-            if m_idx is not None:
-                g = map_grads[m_idx] if g is None else g + map_grads[m_idx]
+            if j >= 1:
+                length = self.map_lengths[j - 1]
+                gs = grad_scores[:, offset : offset + length * n_ratios]
+                offset += length * n_ratios
+                gy = np.ascontiguousarray(np.transpose(gs.reshape(n, length, n_ratios), (0, 2, 1)))
+                for layer in reversed(self.heads[j - 1]):
+                    gy = layer.backward(gy)
+                g = gy if g is None else g + gy
             for layer in reversed(self.downs[j]):
                 g = layer.backward(g)
         for layer in reversed(self.stem):

@@ -16,22 +16,25 @@ from tapkit.engine import (
     ReLU,
     Sequential,
     Sigmoid,
-    conv1d_backward,
-    conv1d_forward,
     conv_output_length,
     fit,
     grad_check,
     load_weights,
     mse_loss,
-    relu_backward,
-    relu_forward,
     save_model,
-    sigmoid_backward,
-    sigmoid_forward,
 )
 from tapkit.errors import ConfigError, DataFormatError, DivergenceError, ShapeError
 from tapkit.ssad import SsadConfig, SsadModel, build_model
 from tapkit.tag import TagConfig, build_mlp
+
+
+def _conv(w, b, stride=1, pad=0):
+    """A standalone Conv1d holding w and b (not copies), with zero gradients."""
+    out_ch, in_ch, kernel = w.shape
+    layer = Conv1d(in_ch, out_ch, kernel, stride, pad)
+    layer.w, layer.b = w, b
+    layer.gw, layer.gb = np.zeros_like(w), np.zeros_like(b)
+    return layer
 
 
 def test_conv_output_length():
@@ -46,31 +49,31 @@ class TestConv1d:
         x = np.array([[[1.0, 2.0, 3.0]]])          # (N=1, C=1, L=3)
         w = np.array([[[1.0, 0.0, -1.0]]])          # (O=1, C=1, K=3)
         b = np.zeros(1)
-        y, _ = conv1d_forward(x, w, b, stride=1, pad=0)
+        y = _conv(w, b, stride=1, pad=0).forward(x)
         assert y.shape == (1, 1, 1)
         assert y[0, 0, 0] == 1.0 * 1 + 2.0 * 0 + 3.0 * (-1)  # -2
 
     def test_stride_two_kernel_one(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
         w = np.array([[[1.0]]])
-        y, _ = conv1d_forward(x, w, np.zeros(1), stride=2, pad=0)
+        y = _conv(w, np.zeros(1), stride=2, pad=0).forward(x)
         assert y[0, 0].tolist() == [1.0, 3.0]
 
     def test_same_padding_identity_kernel(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
         w = np.array([[[0.0, 1.0, 0.0]]])
-        y, _ = conv1d_forward(x, w, np.zeros(1), stride=1, pad=1)
+        y = _conv(w, np.zeros(1), stride=1, pad=1).forward(x)
         assert y[0, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_bias_added(self):
         x = np.zeros((1, 1, 4))
         w = np.zeros((2, 1, 1))
-        y, _ = conv1d_forward(x, w, np.array([0.5, -1.0]), stride=1, pad=0)
+        y = _conv(w, np.array([0.5, -1.0]), stride=1, pad=0).forward(x)
         assert np.all(y[0, 0] == 0.5) and np.all(y[0, 1] == -1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            conv1d_forward(np.zeros((1, 2, 8)), np.zeros((1, 3, 3)), np.zeros(1), 1, 1)
+            _conv(np.zeros((1, 3, 3)), np.zeros(1), 1, 1).forward(np.zeros((1, 2, 8)))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -81,12 +84,13 @@ class TestConv1d:
         err = grad_check(model, x, lambda y: mse_loss(y, target))
         assert err < 1e-6
 
-    def test_columns_shape_checked(self):
-        x = np.zeros((1, 2, 8))
-        w = np.zeros((3, 2, 3))
-        _, cols = conv1d_forward(x, w, np.zeros(3), 1, 1)
-        with pytest.raises(ShapeError, match="columns"):
-            conv1d_backward(x, cols[:, :, 1:], w, np.zeros((1, 3, 8)), 1, 1)
+    def test_grad_y_shape_checked(self):
+        layer = Conv1d(2, 3, 3, pad=1, rng=np.random.default_rng(0))
+        layer.forward(np.ones((1, 2, 8), dtype=np.float32))
+        for shape in [(1, 3, 7), (2, 3, 8), (1, 2, 8), (3, 8)]:
+            with pytest.raises(ShapeError, match="grad_y shape"):
+                layer.backward(np.ones(shape, dtype=np.float32))
+        assert not layer.gw.any() and not layer.gb.any()
 
     def test_backward_uses_latest_forward(self):
         rng = np.random.default_rng(8)
@@ -114,7 +118,7 @@ def _conv_case(draw):
 
 
 class TestConvOracle:
-    """conv1d_forward/backward against brute_conv1d's loops, in float64."""
+    """Conv1d forward/backward against brute_conv1d's loops, in float64."""
 
     # (N, C, O, kernel, stride, pad, T, seed): one input channel, stride past
     # the kernel, and a single output position
@@ -131,9 +135,10 @@ class TestConvOracle:
         x = rng.standard_normal((n, c, t))
         w = rng.standard_normal((o, c, kernel))
         b = rng.standard_normal(o)
-        y, cols = conv1d_forward(x, w, b, stride, pad)
+        layer = _conv(w, b, stride, pad)
+        y = layer.forward(x)
         grad_y = rng.standard_normal(y.shape)
-        got = (y, *conv1d_backward(x, cols, w, grad_y, stride, pad))
+        got = (y, layer.backward(grad_y), layer.gw, layer.gb)
         want = brute_conv1d(x, w, b, stride, pad, grad_y)
         for name, g, e in zip(("y", "grad_x", "grad_w", "grad_b"), got, want):
             assert g.shape == e.shape, name
@@ -195,13 +200,15 @@ class TestColumnsBitwise:
             x, w, b = layer._x, layer.w, layer.b
             s, p = layer.spec.stride, layer.spec.pad
             where = f"conv {i}, x {x.shape}, w {w.shape}"
-            y, cols = conv1d_forward(x, w, b, s, p)
+            fresh = _conv(w, b, s, p)
+            y = fresh.forward(x)
             want_y = _reference_forward(x, w, b, s, p)
             assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes(), where
             assert np.array_equal(y, want_y), where
-            assert cols.flags.c_contiguous, where
+            assert fresh._cols.flags.c_contiguous, where
             grad_y = rng.standard_normal(y.shape).astype(dtype)
-            _assert_same_bits(conv1d_backward(x, cols, w, grad_y, s, p),
+            grad_x = fresh.backward(grad_y)
+            _assert_same_bits((grad_x, fresh.gw, fresh.gb),
                               _reference_backward(x, w, grad_y, s, p), where)
 
 
@@ -217,37 +224,47 @@ def test_grad_w_float32_matches_float64_on_ssad_shapes(monkeypatch):
     assert len(convs) == 16
     for i, layer in enumerate(convs):
         x, w, s, p = layer._x, layer.w, layer.spec.stride, layer.spec.pad
-        y, cols = conv1d_forward(x, w, layer.b, s, p)
+        fresh = _conv(w, layer.b, s, p)
+        y = fresh.forward(x)
         grad_y = rng.standard_normal(y.shape).astype(np.float32)
-        _, grad_w, _ = conv1d_backward(x, cols, w, grad_y, s, p)
+        fresh.backward(grad_y)
+        grad_w, cols = fresh.gw, fresh._cols
         want = np.tensordot(grad_y.astype(np.float64), cols.astype(np.float64), ([0, 2], [0, 2]))
         assert grad_w.dtype == np.float32, i
         rel = np.abs(grad_w - want.reshape(w.shape)).max() / np.abs(want).max()
         assert rel < 1e-5, f"conv {i}, x {x.shape}, w {w.shape}: relative error {rel:.2e}"
 
 
-@pytest.mark.parametrize("make", [lambda: Conv1d(2, 3, 3, pad=1), lambda: Dense(4, 3), ReLU, Sigmoid],
-                         ids=["conv1d", "dense", "relu", "sigmoid"])
-def test_backward_before_forward(make):
+@pytest.mark.parametrize("make, grad_shape", [
+    (lambda: Conv1d(2, 3, 3, pad=1), (2, 3, 4)),
+    (lambda: Dense(4, 3), (2, 3, 4)),
+    (ReLU, (2, 3, 4)),
+    (Sigmoid, (2, 3, 4)),
+    (lambda: Sequential([Conv1d(2, 3, 3, pad=1), ReLU()]), (2, 3, 4)),
+    # a gradient of the right width, so that forward is the only thing missing
+    (lambda: SsadModel(4, SsadConfig(input_length=16, hidden_channels=4)), (2, 21)),
+], ids=["conv1d", "dense", "relu", "sigmoid", "sequential", "ssad"])
+def test_backward_before_forward(make, grad_shape):
     with pytest.raises(ShapeError, match="backward called before forward"):
-        make().backward(np.ones((2, 3, 4)))
+        make().backward(np.ones(grad_shape))
 
 
 class TestActivations:
     def test_sigmoid_values(self):
-        assert sigmoid_forward(np.array([0.0]))[0] == 0.5
+        assert Sigmoid().forward(np.array([0.0]))[0] == 0.5
         # large magnitudes must not overflow
-        out = sigmoid_forward(np.array([-1000.0, 1000.0]))
+        out = Sigmoid().forward(np.array([-1000.0, 1000.0]))
         assert out[0] == 0.0 and out[1] == 1.0
 
     def test_sigmoid_derivative_at_zero(self):
-        y = sigmoid_forward(np.array([0.0]))
-        assert sigmoid_backward(y, np.ones(1))[0] == 0.25
+        layer = Sigmoid()
+        layer.forward(np.array([0.0]))
+        assert layer.backward(np.ones(1))[0] == 0.25
 
     def test_relu(self):
-        x = np.array([-2.0, 0.0, 3.0])
-        assert relu_forward(x).tolist() == [0.0, 0.0, 3.0]
-        assert relu_backward(x, np.ones(3)).tolist() == [0.0, 0.0, 1.0]
+        layer = ReLU()
+        assert layer.forward(np.array([-2.0, 0.0, 3.0])).tolist() == [0.0, 0.0, 3.0]
+        assert layer.backward(np.ones(3)).tolist() == [0.0, 0.0, 1.0]
 
 
 class TestMse:

@@ -3,8 +3,8 @@ import pytest
 
 from oracles import oracle_tiou
 from tapkit.core import Subset, VideoRecord
-from tapkit.engine import load_weights, save_model
-from tapkit.errors import ConfigError, DataFormatError
+from tapkit.engine import Conv1d, load_weights, save_model
+from tapkit.errors import ConfigError, DataFormatError, ShapeError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.ssad import (
     SsadConfig,
@@ -180,6 +180,26 @@ class TestModel:
         for p in pset:
             assert 0.0 <= p.start < p.end <= 37.5
             assert 0.0 <= p.score <= 1.0
+
+    @pytest.mark.parametrize("width", [24, 18])
+    def test_wrong_gradient_width_rejected_before_any_head(self, width):
+        cfg = SsadConfig(input_length=16, hidden_channels=4)
+        model = build_model(4, cfg, seed=4)
+        assert model.num_anchors == 21
+        model.forward(np.random.default_rng(4).standard_normal((2, 4, 16)).astype(np.float32))
+        with pytest.raises(ShapeError, match="anchors"):
+            model.backward(np.ones((2, width), dtype=np.float32))
+        assert np.count_nonzero(model.grads) == 0
+
+    def test_conv_roles_cover_the_layers_in_order(self):
+        # the perfbench tracer labels each conv stem/down/head from these lists
+        model = build_model(16, SsadConfig(), seed=0)
+        by_role = [layer for blocks in ([model.stem], model.downs, model.heads)
+                   for block in blocks for layer in block if isinstance(layer, Conv1d)]
+        convs = [layer for layer in model.layers if isinstance(layer, Conv1d)]
+        assert len(convs) == 16
+        assert len(by_role) == len(convs)
+        assert all(a is b for a, b in zip(by_role, convs))
 
 
 def _tiny_dataset(n_videos=12, seed=5):
