@@ -133,10 +133,15 @@ class Layer:
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _cached(self, value: np.ndarray | None) -> np.ndarray:
-        """What forward saved for backward; ShapeError if forward never ran."""
+    def _cached(self, value: np.ndarray | None, grad_y: np.ndarray | None = None) -> np.ndarray:
+        """What forward saved for backward; ShapeError if forward never ran, or
+        if a grad_y is given whose shape is not the saved array's (an
+        elementwise backward would otherwise broadcast it)."""
         if value is None:
             raise ShapeError(f"{self.spec.kind}: backward called before forward")
+        if grad_y is not None and grad_y.shape != value.shape:
+            raise ShapeError(
+                f"{self.spec.kind} backward: grad_y shape {grad_y.shape} != {value.shape}")
         return value
 
 
@@ -228,7 +233,7 @@ class ReLU(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, grad_y):
-        return grad_y * (self._cached(self._x) > 0.0)
+        return grad_y * (self._cached(self._x, grad_y) > 0.0)
 
 
 class Sigmoid(Layer):
@@ -248,7 +253,7 @@ class Sigmoid(Layer):
 
     def backward(self, grad_y):
         """Derivative from the forward output: sigma' = y * (1 - y)."""
-        y = self._cached(self._y)
+        y = self._cached(self._y, grad_y)
         return grad_y * y * (1.0 - y)
 
 

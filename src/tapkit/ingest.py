@@ -19,6 +19,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -257,16 +258,37 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
 # results files
 
 
-def _write_results_file(results: dict[str, list[dict]], path: str | Path) -> None:
-    write_json_atomic(path, {"version": "1.0", "results": results, "external_data": {}})
+# One template per entry kind: the bytes json.dump(indent=2, sort_keys=True)
+# gives each entry at its depth in the envelope. Values are Python floats
+# (from .tolist()), so %r is float.__repr__, the repr json itself uses.
+_ENTRY = ('\n      {\n        "score": %r,\n        "segment": [\n          %r,\n'
+          '          %r\n        ]\n      }')
+_LOC_ENTRY = ('\n      {\n        "label": %s,\n        "score": %r,\n        "segment": [\n'
+              '          %r,\n          %r\n        ]\n      }')
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _write_results_file(blocks: Iterable[tuple[str, str]], path: str | Path) -> None:
+    """Stream the results envelope one video at a time, byte for byte as
+    json.dump of {"version": "1.0", "results": ..., "external_data": {}} with
+    indent=2 and sorted keys, then a newline. blocks yields (video id, its
+    entries joined by ",") in sorted id order."""
+    with atomic_open(path) as f:
+        f.write('{\n  "external_data": {},\n  "results": {')
+        sep, close = "\n    ", "}"
+        for vid, body in blocks:
+            f.write(f"{sep}{_json_str(vid)}: " + (f"[{body}\n    ]" if body else "[]"))
+            sep, close = ",\n    ", "\n  }"
+        f.write(close + ',\n  "version": "1.0"\n}\n')
 
 
 def write_results(proposal_sets: dict[str, ProposalSet], path: str | Path) -> None:
     """Write proposal results JSON (labelled files come from write_localization)."""
-    _write_results_file({
-        vid: [{"segment": [p.start, p.end], "score": p.score} for p in proposal_sets[vid]]
-        for vid in sorted(proposal_sets)
-    }, path)
+    _write_results_file((
+        (vid, ",".join(map(_ENTRY.__mod__, zip(pset.scores.tolist(), pset.starts.tolist(),
+                                                pset.ends.tolist()))))
+        for vid, pset in sorted(proposal_sets.items())
+    ), path)
 
 
 def read_results(path: str | Path) -> dict[str, ProposalSet]:
@@ -282,19 +304,20 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
             raise DataFormatError(f"{path}: results.{vid} must be a list")
         starts, ends, scores = [], [], []
         for i, entry in enumerate(entries):
-            where = f"results.{vid}[{i}]"
             if not isinstance(entry, dict):
-                raise DataFormatError(f"{path}: {where} is not an object")
+                raise DataFormatError(f"{path}: results.{vid}[{i}] is not an object")
             seg = entry.get("segment")
             if (
                 not isinstance(seg, (list, tuple))
                 or len(seg) != 2
-                or not all(_is_number(x) for x in seg)
+                or not _is_number(seg[0])
+                or not _is_number(seg[1])
             ):
-                raise DataFormatError(f"{path}: {where}.segment must be a [start, end] pair")
+                raise DataFormatError(
+                    f"{path}: results.{vid}[{i}].segment must be a [start, end] pair")
             score = entry.get("score")
             if not _is_number(score):
-                raise DataFormatError(f"{path}: {where}.score must be a number")
+                raise DataFormatError(f"{path}: results.{vid}[{i}].score must be a number")
             starts.append(float(seg[0]))
             ends.append(float(seg[1]))
             scores.append(float(score))
@@ -308,11 +331,12 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
 def write_localization(
     localization: dict[str, list[tuple[str, float, float, float]]], path: str | Path
 ) -> None:
-    _write_results_file({
-        vid: [{"label": label, "segment": [start, end], "score": score}
-              for label, start, end, score in localization[vid]]
+    """Write labelled results JSON; start, end and score must be Python floats."""
+    _write_results_file((
+        (vid, ",".join([_LOC_ENTRY % (_json_str(label), score, start, end)
+                        for label, start, end, score in localization[vid]]))
         for vid in sorted(localization)
-    }, path)
+    ), path)
 
 
 # --------------------------------------------------------------------------

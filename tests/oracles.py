@@ -5,11 +5,14 @@ loops. Slow on purpose. The interval oracles work on plain (start, end) /
 (start, end, score) tuples, and the tests adapt package objects down to tuples
 before comparing; the conv oracle reads arrays one element at a time. The
 checkpoint writer and Adam work one parameter array at a time, independent of
-the engine's flat parameter vector.
+the engine's flat parameter vector. The results writers build the whole
+envelope as dicts and hand it to json.dump.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import struct
 
 import numpy as np
@@ -271,3 +274,30 @@ def per_array_adam(params, grad_steps, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8
             m_hat = m[i] / (1.0 - beta1**t)
             v_hat = v[i] / (1.0 - beta2**t)
             params[i][...] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _dumped_envelope(results):
+    """The results envelope as json.dump(indent=2, sort_keys=True) writes it,
+    plus a newline, as bytes."""
+    out = io.StringIO()
+    json.dump({"version": "1.0", "results": results, "external_data": {}}, out,
+              indent=2, sort_keys=True)
+    out.write("\n")
+    return out.getvalue().encode("utf-8")
+
+
+def json_dump_results(proposal_sets):
+    """Proposal results file bytes: vid -> ProposalSet, entries in set order."""
+    return _dumped_envelope({
+        vid: [{"segment": [p.start, p.end], "score": p.score} for p in pset]
+        for vid, pset in proposal_sets.items()
+    })
+
+
+def json_dump_localization(localization):
+    """Localization file bytes: vid -> [(label, start, end, score)] in list order."""
+    return _dumped_envelope({
+        vid: [{"label": label, "segment": [start, end], "score": score}
+              for label, start, end, score in rows]
+        for vid, rows in localization.items()
+    })

@@ -249,6 +249,30 @@ def test_backward_before_forward(make, grad_shape):
         make().backward(np.ones(grad_shape))
 
 
+@pytest.mark.parametrize("make, x_shape, grad_shape", [
+    (lambda: SsadModel(16, SsadConfig(input_length=16, hidden_channels=4),
+                       rng=np.random.default_rng(0)), (2, 16, 16), (1, 21)),
+    (lambda: Sequential([Dense(4, 3, rng=np.random.default_rng(0)), ReLU(),
+                         Dense(3, 1, rng=np.random.default_rng(1)), Sigmoid()]), (2, 4), (1, 1)),
+], ids=["ssad", "tag"])
+def test_gradient_of_another_batch_rejected(make, x_shape, grad_shape):
+    # a batch-1 gradient after a batch-2 forward must not broadcast through
+    # the final activation into the weight gradients
+    model = make()
+    model.forward(np.random.default_rng(2).standard_normal(x_shape).astype(np.float32))
+    with pytest.raises(ShapeError, match="grad_y shape"):
+        model.backward(np.ones(grad_shape, dtype=np.float32))
+    assert np.count_nonzero(model.grads) == 0
+
+
+@pytest.mark.parametrize("layer", [ReLU, Sigmoid])
+def test_activation_grad_shape_checked(layer):
+    act = layer()
+    act.forward(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match=r"grad_y shape \(1, 3\) != \(2, 3\)"):
+        act.backward(np.ones((1, 3)))
+
+
 class TestActivations:
     def test_sigmoid_values(self):
         assert Sigmoid().forward(np.array([0.0]))[0] == 0.5

@@ -1,9 +1,11 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from oracles import json_dump_localization, json_dump_results
 
 from tapkit.cli import DATA_ERRORS
 from tapkit.core import Subset
@@ -25,6 +27,7 @@ from tapkit.ingest import (
     write_results,
 )
 from tapkit.core import ProposalSet
+from tapkit.metrics import attach_labels
 
 
 def _annotation_bytes(index, path):
@@ -332,6 +335,67 @@ class TestResultsFiles:
         path = fixture42.cfg.output_dir / name
         write_results(read_results(path), tmp_path / name)
         assert (tmp_path / name).read_bytes() == path.read_bytes()
+
+    def test_localization_file_byte_for_byte(self, fixture42, tmp_path):
+        cfg = fixture42.cfg
+        localization = attach_labels(read_results(cfg.output_dir / "proposals_refined.json"),
+                                     read_classification(cfg.classification), cfg.eval.top_c)
+        write_localization(localization, tmp_path / "localization.json")
+        assert ((tmp_path / "localization.json").read_bytes()
+                == (cfg.output_dir / "localization.json").read_bytes())
+
+    def test_writer_streams(self, tmp_path):
+        # 64 videos of 225 proposals, the size of a propose-workload file: the
+        # writer holds one video's text at a time, not the whole envelope
+        rng = np.random.default_rng(0)
+        sets = {}
+        for v in range(64):
+            vid, starts = f"v{v:05d}", rng.uniform(0.0, 50.0, 225)
+            sets[vid] = ProposalSet(vid, starts, starts + rng.uniform(0.5, 10.0, 225),
+                                    rng.uniform(0.0, 1.0, 225))
+        tracemalloc.start()
+        try:
+            write_results(sets, tmp_path / "props.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"write_results peaked at {peak} bytes"
+
+
+# --------------------------------------------------------------------------
+# the results encoder writes json.dump's bytes
+
+_EDGE_FLOATS = [5e-324, 1e16, 0.1 + 0.2, 1e-7, 123456789.125, 1.0]
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_text = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028\u2029", "é☃\U0001f600"])
+# (start, end, score) rows that a ProposalSet accepts
+_rows = st.lists(st.tuples(st.just(-0.0) | _finite, _finite,
+                           st.floats(0.0, 1.0) | st.sampled_from([5e-324, 0.1 + 0.2]))
+                 .filter(lambda r: r[0] < r[1]), max_size=4)
+_EDGE_ROWS = [(-0.0, 5e-324, 0.1 + 0.2), (0.1 + 0.2, 1e16, 5e-324), (-1e16, -0.0, 1.0)]
+
+
+class TestResultsEncoder:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(_text, _rows, max_size=4))
+    @example({})
+    @example({"": [], "v\u2028\"": _EDGE_ROWS, "é": []})
+    def test_write_results_matches_json_dump(self, tmp_path, rows):
+        sets = {vid: ProposalSet(vid, [r[0] for r in rs], [r[1] for r in rs], [r[2] for r in rs])
+                for vid, rs in rows.items()}
+        write_results(sets, tmp_path / "props.json")
+        assert (tmp_path / "props.json").read_bytes() == json_dump_results(sets)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(_text, st.lists(st.tuples(_text, _finite, _finite, _finite), max_size=4),
+                           max_size=4))
+    @example({})
+    @example({"": [], "v": [("\\\"\x01\u2028", -0.0, 5e-324, 0.1 + 0.2), ("", 1e16, -1e16, 0.0)]})
+    def test_write_localization_matches_json_dump(self, tmp_path, localization):
+        write_localization(localization, tmp_path / "loc.json")
+        assert (tmp_path / "loc.json").read_bytes() == json_dump_localization(localization)
 
 
 class TestClassificationFiles:
