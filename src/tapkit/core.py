@@ -32,7 +32,9 @@ def tiou_matrix(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
     Intersection is min(ends) - max(starts) and union is
     (len(a) + len(b)) - intersection, so disjoint or touching pairs score
     exactly 0 regardless of the gap between them. The operations are the
-    scalar formula's, in the same order, on float64 arrays.
+    scalar formula's, in the same order, on float64 arrays. Intervals of
+    positive, finite length give union > 0, so a non-positive intersection
+    (-0.0 included) scores +0.0.
     """
     sa = np.asarray(starts_a, dtype=np.float64)[:, None]
     ea = np.asarray(ends_a, dtype=np.float64)[:, None]
@@ -40,9 +42,8 @@ def tiou_matrix(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
     eb = np.asarray(ends_b, dtype=np.float64)[None, :]
     inter = np.minimum(ea, eb) - np.maximum(sa, sb)
     union = ((ea - sa) + (eb - sb)) - inter
-    out = np.zeros(inter.shape, dtype=np.float64)
-    np.divide(inter, union, out=out, where=inter > 0.0)
-    return out
+    # maximum(0.0, -0.0) may return either zero; + 0.0 turns -0.0 into +0.0
+    return (np.maximum(inter, 0.0) + 0.0) / union
 
 
 class Source(IntEnum):
@@ -67,9 +68,10 @@ class ProposalSet:
     """Scored proposals for one video, held as columns and always ranked:
     score descending, ties by earlier start, then shorter, then input order.
 
-    Construction checks every row at once (finite, start < end, score in
-    [0, 1]) and raises IntervalError naming the first bad row. A scalar
-    source applies to every row.
+    Construction checks every row at once (finite, start < end, a length
+    end - start that float64 holds, score in [0, 1]) and raises
+    IntervalError naming the first bad row. A scalar source applies to
+    every row.
     """
 
     video_id: str
@@ -83,14 +85,15 @@ class ProposalSet:
         ends = np.asarray(self.ends, dtype=np.float64)
         scores = np.asarray(self.scores, dtype=np.float64)
         sources = np.broadcast_to(np.asarray(self.sources, dtype=np.uint8), starts.shape)
-        bad = ~(np.isfinite(starts) & np.isfinite(ends) & (starts < ends)
-                & (scores >= 0.0) & (scores <= 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lengths = ends - starts
+        bad = ~(np.isfinite(lengths) & (starts < ends) & (scores >= 0.0) & (scores <= 1.0))
         if bad.any():
             i = int(np.argmax(bad))
             raise IntervalError(
-                f"row {i}: need finite start < end and a score in [0, 1], "
-                f"got [{starts[i]}, {ends[i]}) scored {scores[i]}")
-        order = np.lexsort((ends - starts, starts, -scores))
+                f"row {i}: need finite start < end with a finite length and a score in "
+                f"[0, 1], got [{starts[i]}, {ends[i]}) scored {scores[i]}")
+        order = np.lexsort((lengths, starts, -scores))
         for name, column in (("starts", starts), ("ends", ends), ("scores", scores),
                              ("sources", sources)):
             column = column[order]

@@ -281,6 +281,9 @@ class Dense(Layer):
 
     def backward(self, grad_y):
         x = self._cached(self._x)
+        if grad_y.shape != (x.shape[0], self.w.shape[1]):
+            raise ShapeError(
+                f"dense backward: grad_y shape {grad_y.shape} != {(x.shape[0], self.w.shape[1])}")
         grad_x = grad_y @ self.w.T
         self.gw += x.T @ grad_y
         self.gb += grad_y.sum(axis=0)

@@ -92,12 +92,15 @@ def nms(pset: ProposalSet, cfg: NmsConfig) -> ProposalSet:
     starts, ends = pset.starts, pset.ends
     suppress = tiou_matrix(starts, ends, starts, ends) > cfg.iou_threshold
     suppress |= (starts[:, None] == starts[None, :]) & (ends[:, None] == ends[None, :])
-    alive = np.ones(len(pset), dtype=bool)
+    # row i as the bytes of a Python int whose bit j is suppress[i, j]; every
+    # row suppresses itself, as its own exact duplicate
+    packed = np.packbits(suppress, axis=1, bitorder="little")
+    width = packed.shape[1]
+    packed = packed.tobytes()
+    alive = (1 << len(pset)) - 1
     kept: list[int] = []
-    for i in range(len(pset)):
-        if len(kept) >= cfg.max_per_video:
-            break
-        if alive[i]:
-            kept.append(i)
-            alive &= ~suppress[i]
+    while alive and len(kept) < cfg.max_per_video:
+        i = (alive & -alive).bit_length() - 1  # the best-ranked survivor
+        kept.append(i)
+        alive &= ~int.from_bytes(packed[i * width : (i + 1) * width], "little")
     return pset.take(kept)

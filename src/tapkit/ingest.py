@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -291,8 +292,39 @@ def write_results(proposal_sets: dict[str, ProposalSet], path: str | Path) -> No
     ), path)
 
 
+_SEGMENT, _SCORE = operator.itemgetter("segment"), operator.itemgetter("score")
+
+
+def _numbers(column) -> bool:
+    """Every value is a JSON number a float can hold; one type test per value
+    when all are floats, as they are in the files tapkit writes."""
+    return set(map(type, column)) <= {float} or all(map(_is_number, column))
+
+
+def _raise_entry_error(path, vid: str, entries: list) -> NoReturn:
+    """Raise the error of the first malformed entry of a video."""
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DataFormatError(f"{path}: results.{vid}[{i}] is not an object")
+        seg = entry.get("segment")
+        if (
+            not isinstance(seg, (list, tuple))
+            or len(seg) != 2
+            or not _is_number(seg[0])
+            or not _is_number(seg[1])
+        ):
+            raise DataFormatError(
+                f"{path}: results.{vid}[{i}].segment must be a [start, end] pair")
+        if not _is_number(entry.get("score")):
+            raise DataFormatError(f"{path}: results.{vid}[{i}].score must be a number")
+
+
 def read_results(path: str | Path) -> dict[str, ProposalSet]:
-    """Read a proposal results file (extra per-entry keys are tolerated)."""
+    """Read a proposal results file (extra per-entry keys are tolerated).
+
+    A video's entries are checked a column at a time; only a video that fails
+    is scanned entry by entry, to name its first bad entry.
+    """
     raw = _read_json(path, "results")
     if not isinstance(raw, dict) or not isinstance(raw.get("results"), dict):
         raise DataFormatError(f"{path}: missing 'results' map")
@@ -302,25 +334,16 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
         entries = results.pop(vid)  # pop, so the JSON of each finished video is freed
         if not isinstance(entries, list):
             raise DataFormatError(f"{path}: results.{vid} must be a list")
-        starts, ends, scores = [], [], []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise DataFormatError(f"{path}: results.{vid}[{i}] is not an object")
-            seg = entry.get("segment")
-            if (
-                not isinstance(seg, (list, tuple))
-                or len(seg) != 2
-                or not _is_number(seg[0])
-                or not _is_number(seg[1])
-            ):
-                raise DataFormatError(
-                    f"{path}: results.{vid}[{i}].segment must be a [start, end] pair")
-            score = entry.get("score")
-            if not _is_number(score):
-                raise DataFormatError(f"{path}: results.{vid}[{i}].score must be a number")
-            starts.append(float(seg[0]))
-            ends.append(float(seg[1]))
-            scores.append(float(score))
+        try:  # only a dict can be indexed by a string key
+            segs = list(map(_SEGMENT, entries))
+            scores = list(map(_SCORE, entries))
+        except (KeyError, TypeError):
+            _raise_entry_error(path, vid, entries)
+        if not (set(map(type, segs)) <= {list, tuple} and set(map(len, segs)) <= {2}):
+            _raise_entry_error(path, vid, entries)
+        starts, ends = zip(*segs) if segs else ((), ())
+        if not (_numbers(starts) and _numbers(ends) and _numbers(scores)):
+            _raise_entry_error(path, vid, entries)
         try:
             out[vid] = ProposalSet(vid, starts, ends, scores)
         except IntervalError as exc:

@@ -105,6 +105,26 @@ def ar_an(
     return ArAnCurve(an_max, ar, float(np.mean(np.asarray(ar))))
 
 
+def _random_intervals(rng, duration: float, count: int):
+    """count (start, end, score) columns from 3 * count doubles u of rng:
+    per interval the sorted pair duration * u and then the score u.
+
+    Generator.uniform(lo, hi) is lo + (hi - lo) * u, so these are the values
+    of one uniform draw at a time. A pair whose scaled ends coincide is
+    redrawn: it is cut from the stream and two fresh doubles are appended,
+    the order in which a draw-until-distinct loop consumes them.
+    """
+    u = rng.random(3 * count)
+    while True:
+        triples = u.reshape(count, 3)
+        a, b = duration * triples[:, 0], duration * triples[:, 1]
+        tied = np.flatnonzero(a == b)
+        if len(tied) == 0:
+            return np.minimum(a, b), np.maximum(a, b), triples[:, 2]
+        k = 3 * int(tied[0])
+        u = np.concatenate((u[:k], u[k + 2 :], rng.random(2)))
+
+
 def uniform_random_proposals(
     index: DatasetIndex,
     subset: Subset,
@@ -115,18 +135,8 @@ def uniform_random_proposals(
     if count < 1:
         raise MetricError(f"count must be >= 1, got {count}")
     rng = rng_for(seed, KEY_BASELINE)
-    out = {}
-    for rec in index.subset_videos(subset):
-        starts, ends, scores = [], [], []
-        for _ in range(count):
-            lo, hi = np.sort(rng.uniform(0.0, rec.duration, size=2))
-            while hi <= lo:
-                lo, hi = np.sort(rng.uniform(0.0, rec.duration, size=2))
-            starts.append(lo)
-            ends.append(hi)
-            scores.append(rng.uniform(0.0, 1.0))
-        out[rec.video_id] = ProposalSet(rec.video_id, starts, ends, scores)
-    return out
+    return {rec.video_id: ProposalSet(rec.video_id, *_random_intervals(rng, rec.duration, count))
+            for rec in index.subset_videos(subset)}
 
 
 # --------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from .metrics import (
     uniform_random_proposals,
 )
 from .ssad import SsadConfig, SsadModel, build_anchor_pyramid, build_model
-from .ssad import infer as ssad_infer
+from .ssad import INFER_BATCH, infer as ssad_infer
 from .ssad import train as ssad_train
 from .tag import TagConfig, build_mlp, predict_actionness, tag_proposals, train_actionness
 from .util import KEY_GRADCHECK, atomic_open, rng_for, sha256_file, write_json_atomic
@@ -380,11 +380,11 @@ def run_infer(cfg: PipelineConfig) -> list[Path]:
     pyramid = build_anchor_pyramid(cfg.ssad)
 
     ssad_sets = {}
-    tag_sets = {}
-    for rec in records:
-        ssad_sets[rec.video_id] = ssad_infer(model, features[rec.video_id], rec, pyramid)
-        actionness = predict_actionness(mlp, features[rec.video_id])
-        tag_sets[rec.video_id] = tag_proposals(actionness, cfg.tag, rec)
+    for lo in range(0, len(records), INFER_BATCH):
+        ssad_sets.update(ssad_infer(model, records[lo : lo + INFER_BATCH], features, pyramid))
+    tag_sets = {rec.video_id: tag_proposals(predict_actionness(mlp, features[rec.video_id]),
+                                            cfg.tag, rec)
+                for rec in records}
     ssad_path = cfg.output_dir / "proposals_ssad.json"
     tag_path = cfg.output_dir / "proposals_tag.json"
     write_results(ssad_sets, ssad_path)

@@ -125,47 +125,83 @@ def predict_actionness(model: Sequential, seq: FeatureSequence) -> ActionnessSeq
 # grouping
 
 
-def _fragments(values: np.ndarray, tau: float, min_frag: int) -> list[tuple[int, int]]:
-    """Maximal runs of values >= tau, kept when at least min_frag long."""
-    frags = []
-    start = None
-    for t, v in enumerate(values):
-        if v >= tau:
-            if start is None:
-                start = t
-        elif start is not None:
-            if t - start >= min_frag:
-                frags.append((start, t))
-            start = None
-    if start is not None and len(values) - start >= min_frag:
-        frags.append((start, len(values)))
-    return frags
+# Grouping and scoring work on blocks of at most about this many elements, so
+# that a long video's fragment pairs and regions never fill memory at once.
+_BLOCK_ELEMENTS = 1 << 18
 
 
-def _group_fragments(
-    frags: list[tuple[int, int]], gamma: float, scan_cutoff: bool
-) -> set[tuple[int, int]]:
-    """Snippet-index regions [start, end) spanning fragment i..j pairs whose
-    coverage (fraction of the span lying inside fragments) reaches gamma.
+def _fragments(values: np.ndarray, taus, min_frag: int):
+    """Maximal runs of values >= tau for every tau of the grid, kept when at
+    least min_frag long, as flat (tau row, start, end) int64 arrays: rows in
+    grid order, runs in time order within a row."""
+    above = np.zeros((len(taus), len(values) + 2), dtype=np.int8)
+    above[:, 1:-1] = values >= np.asarray(taus, dtype=np.float64)[:, None]
+    rows, edges = np.nonzero(np.diff(above, axis=1))
+    # each row's edges alternate run start (+1) and run end (-1)
+    starts, ends = edges[0::2], edges[1::2]
+    keep = ends - starts >= min_frag
+    return rows[0::2][keep], starts[keep], ends[keep]
 
-    With scan_cutoff, the j scan for a fragment i stops after two consecutive
-    coverage failures; without it every (i, j) pair is tested.
+
+def _regions(values: np.ndarray, taus, gammas, min_frag: int,
+             scan_cutoff: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct snippet-index regions [start, end) over the tau/gamma grid,
+    sorted by (start, end).
+
+    A region spans fragments i..j of one tau and is kept for a gamma when
+    its coverage (the fraction of the span inside fragments) reaches gamma.
+    With scan_cutoff, the j scan for a fragment i stops at the first j where
+    j-1 and j both fail; without it every (i, j) pair is tested. Fragment i
+    and offset k = j - i index a padded table, a block of i at a time.
     """
-    regions = set()
-    for i in range(len(frags)):
-        covered = 0
-        failures = 0
-        for j in range(i, len(frags)):
-            covered += frags[j][1] - frags[j][0]
-            span = frags[j][1] - frags[i][0]
-            if covered / span >= gamma:
-                regions.add((frags[i][0], frags[j][1]))
-                failures = 0
-            else:
-                failures += 1
-                if scan_cutoff and failures >= 2:
-                    break
-    return regions
+    num = len(values)
+    rows, starts, ends = _fragments(values, taus, min_frag)
+    if len(starts) == 0:
+        return starts, ends
+    first = np.arange(len(starts))
+    last = np.searchsorted(rows, rows, side="right") - 1  # last fragment of i's tau
+    covered = np.concatenate(([0], np.cumsum(ends - starts)))
+    offsets = np.arange(int((last - first).max()) + 1)
+    gammas = np.asarray(gammas, dtype=np.float64)[:, None, None]
+    block = max(1, _BLOCK_ELEMENTS // (len(offsets) * len(gammas)))
+    codes = []
+    for lo in range(0, len(starts), block):
+        i = first[lo : lo + block, None]
+        j = np.minimum(i + offsets, last[i])  # clipped into the row; masked below
+        # int64 / int64: one correctly rounded division, as int / int
+        coverage = (covered[j + 1] - covered[i]) / (ends[j] - starts[i])
+        passed = coverage >= gammas
+        if scan_cutoff:
+            both_fail = ~(passed[:, :, 1:] | passed[:, :, :-1])
+            passed[:, :, 1:] &= ~np.logical_or.accumulate(both_fail, axis=2)
+        kept = passed.any(axis=0) & (i + offsets <= last[i])
+        codes.append((starts[i] * (num + 1) + ends[j])[kept])
+    # sorted codes start*(T+1)+end order regions by (start, end)
+    codes = np.sort(np.concatenate(codes))
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    return codes // (num + 1), codes % (num + 1)
+
+
+def _region_means(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """values[start:end].mean() of every region, bit for bit: with the regions
+    ordered by length, those of one length L are gathered as (k, L) rows, and
+    np.add.reduce sums each row as mean sums a contiguous slice."""
+    lengths = ends - starts
+    order = np.argsort(lengths, kind="stable")
+    lengths, firsts = lengths[order], starts[order]
+    sums = np.empty(len(order), dtype=np.float64)
+    taps = np.arange(len(values))
+    # where each run of one length begins; every length is >= 1
+    runs = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()
+    for lo, hi in zip(runs, [*runs[1:], len(order)]):
+        length = int(lengths[lo])
+        step = max(1, _BLOCK_ELEMENTS // length)
+        for a in range(lo, hi, step):
+            b = min(hi, a + step)
+            sums[a:b] = np.add.reduce(values[firsts[a:b, None] + taps[:length]], axis=1)
+    means = np.empty_like(sums)
+    means[order] = sums / lengths
+    return means
 
 
 def tag_proposals(
@@ -176,21 +212,11 @@ def tag_proposals(
     """Union of the grouped regions over the tau/gamma grid, scored by mean actionness."""
     values = actionness.values
     num = values.shape[0]
-    regions = set()
-    for tau in cfg.tau_grid:
-        frags = _fragments(values, tau, cfg.min_fragment)
-        for gamma in cfg.gamma_grid:
-            regions.update(_group_fragments(frags, gamma, cfg.scan_cutoff))
-
-    def to_seconds(idx: int) -> float:
-        if idx == num:
-            return record.duration
-        return idx * record.duration / num
-
-    starts, ends, scores = [], [], []
-    for start, end in sorted(regions):
-        starts.append(to_seconds(start))
-        ends.append(to_seconds(end))
-        scores.append(min(1.0, max(0.0, float(values[start:end].mean()))))
-    return ProposalSet(record.video_id, starts, ends, scores, Source.TAG)
-
+    starts, ends = _regions(values, cfg.tau_grid, cfg.gamma_grid, cfg.min_fragment,
+                            cfg.scan_cutoff)
+    duration = record.duration
+    # a mean of values in [0, 1] lies in [0, 1]; the region's last snippet
+    # ends at the duration exactly
+    return ProposalSet(record.video_id, starts * duration / num,
+                       np.where(ends == num, duration, ends * duration / num),
+                       _region_means(values, starts, ends), Source.TAG)

@@ -8,7 +8,7 @@ import pytest
 from tapkit.core import DatasetIndex, ProposalSet, Source, Subset, VideoRecord, tiou_matrix
 from tapkit.metrics import ar_an, mean_ap
 from tapkit.pipeline import PipelineConfig, load_config, run_command
-from tapkit.tag import _fragments, _group_fragments
+from tapkit.tag import _regions
 
 # Env overrides would leak into every config the tests build.
 os.environ.pop("TAPKIT_SEED", None)
@@ -54,8 +54,9 @@ def pset(vid, rows, source=Source.SSAD):
 
 def group(values, tau, gamma, min_frag=1, scan_cutoff=True):
     """Sorted regions of one (tau, gamma) grid point, as tag_proposals groups them."""
-    frags = _fragments(np.asarray(values, dtype=np.float64), tau, min_frag)
-    return sorted(_group_fragments(frags, gamma, scan_cutoff))
+    starts, ends = _regions(np.asarray(values, dtype=np.float64), (tau,), (gamma,), min_frag,
+                            scan_cutoff)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 @dataclass

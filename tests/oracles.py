@@ -7,6 +7,11 @@ before comparing; the conv oracle reads arrays one element at a time. The
 checkpoint writer and Adam work one parameter array at a time, independent of
 the engine's flat parameter vector. The results writers build the whole
 envelope as dicts and hand it to json.dump.
+
+The loop_* functions are the package's earlier per-item loops, kept as the
+bitwise references of the array passes that replaced them: grouping and
+region scores, the random baseline, NMS, per-video anchor inference, the
+masked tIoU kernel and the entry-by-entry results reader.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+import sys
 
 import numpy as np
 
@@ -301,3 +307,149 @@ def json_dump_localization(localization):
               for label, start, end, score in rows]
         for vid, rows in localization.items()
     })
+
+
+# --------------------------------------------------------------------------
+# the earlier per-item loops
+
+
+def loop_fragments(values, tau, min_frag):
+    """Maximal runs of values >= tau, kept when at least min_frag long."""
+    frags = []
+    start = None
+    for t, v in enumerate(values):
+        if v >= tau:
+            if start is None:
+                start = t
+        elif start is not None:
+            if t - start >= min_frag:
+                frags.append((start, t))
+            start = None
+    if start is not None and len(values) - start >= min_frag:
+        frags.append((start, len(values)))
+    return frags
+
+
+def loop_group_fragments(frags, gamma, scan_cutoff):
+    """Regions spanning fragment i..j pairs whose coverage reaches gamma; with
+    scan_cutoff the j scan stops after two consecutive failures."""
+    regions = set()
+    for i in range(len(frags)):
+        covered = 0
+        failures = 0
+        for j in range(i, len(frags)):
+            covered += frags[j][1] - frags[j][0]
+            span = frags[j][1] - frags[i][0]
+            if covered / span >= gamma:
+                regions.add((frags[i][0], frags[j][1]))
+                failures = 0
+            else:
+                failures += 1
+                if scan_cutoff and failures >= 2:
+                    break
+    return regions
+
+
+def loop_regions(values, taus, gammas, min_frag, scan_cutoff):
+    """Sorted union of the grouped regions, one (tau, gamma) pair at a time."""
+    regions = set()
+    for tau in taus:
+        frags = loop_fragments(values, tau, min_frag)
+        for gamma in gammas:
+            regions.update(loop_group_fragments(frags, gamma, scan_cutoff))
+    return sorted(regions)
+
+
+def loop_tag_columns(values, cfg, duration):
+    """tag_proposals' (starts, ends, scores) in region order: seconds per
+    index and the clipped mean actionness of one region at a time."""
+    num = len(values)
+
+    def to_seconds(idx):
+        return duration if idx == num else idx * duration / num
+
+    starts, ends, scores = [], [], []
+    for start, end in loop_regions(values, cfg.tau_grid, cfg.gamma_grid, cfg.min_fragment,
+                                   cfg.scan_cutoff):
+        starts.append(to_seconds(start))
+        ends.append(to_seconds(end))
+        scores.append(min(1.0, max(0.0, float(values[start:end].mean()))))
+    return starts, ends, scores
+
+
+def loop_random_intervals(rng, duration, count):
+    """The random baseline of one video, one uniform draw at a time."""
+    starts, ends, scores = [], [], []
+    for _ in range(count):
+        lo, hi = np.sort(rng.uniform(0.0, duration, size=2))
+        while hi <= lo:
+            lo, hi = np.sort(rng.uniform(0.0, duration, size=2))
+        starts.append(lo)
+        ends.append(hi)
+        scores.append(rng.uniform(0.0, 1.0))
+    return starts, ends, scores
+
+
+def loop_nms_keep(starts, ends, suppress, max_keep):
+    """Indices NMS keeps, one row of the boolean suppression matrix at a time."""
+    alive = np.ones(len(starts), dtype=bool)
+    kept = []
+    for i in range(len(starts)):
+        if len(kept) >= max_keep:
+            break
+        if alive[i]:
+            kept.append(i)
+            alive &= ~suppress[i]
+    return kept
+
+
+def masked_tiou_matrix(starts_a, ends_a, starts_b, ends_b):
+    """The earlier kernel: zeros, then inter / union where inter > 0."""
+    sa = np.asarray(starts_a, dtype=np.float64)[:, None]
+    ea = np.asarray(ends_a, dtype=np.float64)[:, None]
+    sb = np.asarray(starts_b, dtype=np.float64)[None, :]
+    eb = np.asarray(ends_b, dtype=np.float64)[None, :]
+    inter = np.minimum(ea, eb) - np.maximum(sa, sb)
+    union = ((ea - sa) + (eb - sb)) - inter
+    out = np.zeros(inter.shape, dtype=np.float64)
+    np.divide(inter, union, out=out, where=inter > 0.0)
+    return out
+
+
+def loop_infer_scores(model, x):
+    """Anchor scores of each video of x (N, D, L) from its own batch-1 forward pass."""
+    return np.concatenate([model.forward(x[n : n + 1]) for n in range(len(x))])
+
+
+def _is_number(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, float) or abs(x) <= sys.float_info.max
+
+
+def loop_read_columns(path):
+    """Yield (vid, (starts, ends, scores)) float lists, each video checked one
+    entry at a time, or raise ValueError with the message read_results gives
+    after the path, when the scan reaches the bad video."""
+    with open(path, "r", encoding="utf-8") as f:
+        raw = json.load(f)
+    if not isinstance(raw, dict) or not isinstance(raw.get("results"), dict):
+        raise ValueError("missing 'results' map")
+    for vid, entries in raw["results"].items():
+        if not isinstance(entries, list):
+            raise ValueError(f"results.{vid} must be a list")
+        starts, ends, scores = [], [], []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"results.{vid}[{i}] is not an object")
+            seg = entry.get("segment")
+            if (not isinstance(seg, (list, tuple)) or len(seg) != 2
+                    or not _is_number(seg[0]) or not _is_number(seg[1])):
+                raise ValueError(f"results.{vid}[{i}].segment must be a [start, end] pair")
+            score = entry.get("score")
+            if not _is_number(score):
+                raise ValueError(f"results.{vid}[{i}].score must be a number")
+            starts.append(float(seg[0]))
+            ends.append(float(seg[1]))
+            scores.append(float(score))
+        yield vid, (starts, ends, scores)

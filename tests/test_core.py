@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import pset, tiou
-from oracles import oracle_tiou
+from oracles import masked_tiou_matrix, oracle_tiou
 from tapkit.cli import DATA_ERRORS
 from tapkit.core import ProposalSet, Source, Subset, VideoRecord, tiou_matrix
 from tapkit.errors import DataFormatError, IntervalError
@@ -16,6 +16,9 @@ from tapkit.ssad import AnchorPyramid, SsadConfig, SsadModel, infer
 
 # finite, and far enough from overflow that length arithmetic stays exact-ish
 finite_times = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+_ROW_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5]) | finite_times
 
 
 def interval_strategy():
@@ -78,6 +81,24 @@ class TestTiouMatrix:
         ]
         _assert_matrix_is_oracle(a_rows, b_rows)
 
+    def test_negative_zero_intersection_scores_positive_zero(self):
+        # min(-0.0, 1.0) - max(-1.0, 0.0) is -0.0: no overlap, and +0.0 out
+        a_rows = [(-1.0, -0.0), (-0.0, 2.0)]
+        b_rows = [(0.0, 1.0), (-2.0, -0.0), (-0.0, 5e-324)]
+        _assert_matrix_is_oracle(a_rows, b_rows)
+        got = tiou_matrix(*zip(*a_rows), *zip(*b_rows))
+        assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+        assert got.tobytes() == masked_tiou_matrix(*zip(*a_rows), *zip(*b_rows)).tobytes()
+
+    @given(st.lists(st.tuples(_ROW_VALUES | st.just(-0.0), _ROW_VALUES | st.just(-0.0))
+                    .filter(lambda p: p[0] < p[1]), max_size=8),
+           st.lists(st.tuples(_ROW_VALUES | st.just(-0.0), _ROW_VALUES | st.just(-0.0))
+                    .filter(lambda p: p[0] < p[1]), max_size=8))
+    def test_matches_masked_kernel_bitwise(self, a_rows, b_rows):
+        a = ([r[0] for r in a_rows], [r[1] for r in a_rows])
+        b = ([r[0] for r in b_rows], [r[1] for r in b_rows])
+        assert tiou_matrix(*a, *b).tobytes() == masked_tiou_matrix(*a, *b).tobytes()
+
 
 class TestNormalize:
     """Unit scale and back: ssad divides gt by the duration, and infer scales
@@ -88,7 +109,8 @@ class TestNormalize:
         cfg = SsadConfig(input_length=4, hidden_channels=2, scale_ratios=(1.0,))
         rec = VideoRecord("v", duration, Subset.VALIDATION)
         pyramid = AnchorPyramid(np.array([unit_start]), np.array([unit_end]))
-        [p] = infer(SsadModel(2, cfg), FeatureSequence("v", np.zeros((4, 2))), rec, pyramid)
+        [p] = infer(SsadModel(2, cfg), [rec], {"v": FeatureSequence("v", np.zeros((4, 2)))},
+                    pyramid)["v"]
         return p.start, p.end
 
     def test_full_span(self):
@@ -141,7 +163,6 @@ class TestProposal:
         assert all(type(v) is float for v in (p.start, p.end, p.score))
 
 
-_ROW_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5]) | finite_times
 _ROW_SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
 _ROWS = st.lists(
     st.tuples(_ROW_VALUES, _ROW_VALUES, _ROW_SCORES, st.sampled_from(list(Source)))
@@ -156,6 +177,7 @@ _BAD_ROWS = {
     "negative score": (0.0, 1.0, -0.25),
     "score above one": (0.0, 1.0, 1.5),
     "nan score": (0.0, 1.0, math.nan),
+    "overflowing length": (-1.7e308, 1.7e308, 0.5),
 }
 
 

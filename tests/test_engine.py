@@ -273,6 +273,16 @@ def test_activation_grad_shape_checked(layer):
         act.backward(np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("grad_shape", [(1, 3), (2, 5)], ids=["batch", "width"])
+def test_dense_grad_shape_checked(grad_shape):
+    dense = Dense(4, 3, rng=np.random.default_rng(0))
+    dense.forward(np.ones((2, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match=rf"grad_y shape \({grad_shape[0]}, {grad_shape[1]}\) "
+                                         r"!= \(2, 3\)"):
+        dense.backward(np.ones(grad_shape, dtype=np.float32))
+    assert np.count_nonzero(dense.gw) == 0 and np.count_nonzero(dense.gb) == 0
+
+
 class TestActivations:
     def test_sigmoid_values(self):
         assert Sigmoid().forward(np.array([0.0]))[0] == 0.5

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import pset, tiou
-from oracles import brute_nms, brute_refine
+from oracles import brute_nms, brute_refine, loop_nms_keep, masked_tiou_matrix
 from tapkit.core import ProposalSet, Source
 from tapkit.errors import ConfigError, MetricError
 from tapkit.fusion import NmsConfig, RefineConfig, nms, refine
@@ -179,6 +180,23 @@ class TestNms:
             out = nms(pset("v", rows), NmsConfig(threshold, max_keep))
             got = [(p.start, p.end, p.score) for p in out]
             assert got == brute_nms(rows, threshold, max_keep)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 150),
+           st.sampled_from([0.3, 0.5, 0.8, 0.95, 1.0]), st.integers(1, 160))
+    def test_matches_boolean_loop(self, seed, n, threshold, max_keep):
+        # grid-valued rows, so exact duplicates and tied scores are frequent
+        rng = np.random.default_rng(seed)
+        starts = rng.integers(0, 40, size=n) / 2.0
+        ends = starts + rng.integers(1, 12, size=n) / 2.0
+        ps = ProposalSet("v", starts, ends, rng.integers(0, 5, size=n) / 4.0)
+        s, e = ps.starts, ps.ends
+        suppress = masked_tiou_matrix(s, e, s, e) > threshold
+        suppress |= (s[:, None] == s[None, :]) & (e[:, None] == e[None, :])
+        want = ps.take(loop_nms_keep(s, e, suppress, max_keep))
+        got = nms(ps, NmsConfig(threshold, max_keep))
+        for column in ("starts", "ends", "scores", "sources"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
     def test_config_validated(self):
         with pytest.raises(ConfigError):

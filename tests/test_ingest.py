@@ -1,15 +1,16 @@
 import json
+import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from oracles import json_dump_localization, json_dump_results
+from oracles import json_dump_localization, json_dump_results, loop_read_columns
 
 from tapkit.cli import DATA_ERRORS
 from tapkit.core import Subset
-from tapkit.errors import ConfigError, DataFormatError
+from tapkit.errors import ConfigError, DataFormatError, IntervalError
 from tapkit.ingest import (
     FeatureSequence,
     SynthConfig,
@@ -368,10 +369,11 @@ class TestResultsFiles:
 _EDGE_FLOATS = [5e-324, 1e16, 0.1 + 0.2, 1e-7, 123456789.125, 1.0]
 _finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
 _text = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028\u2029", "é☃\U0001f600"])
-# (start, end, score) rows that a ProposalSet accepts
+# (start, end, score) rows that a ProposalSet accepts: start < end, and a
+# length end - start that does not overflow
 _rows = st.lists(st.tuples(st.just(-0.0) | _finite, _finite,
                            st.floats(0.0, 1.0) | st.sampled_from([5e-324, 0.1 + 0.2]))
-                 .filter(lambda r: r[0] < r[1]), max_size=4)
+                 .filter(lambda r: r[0] < r[1] and math.isfinite(r[1] - r[0])), max_size=4)
 _EDGE_ROWS = [(-0.0, 5e-324, 0.1 + 0.2), (0.1 + 0.2, 1e16, 5e-324), (-1e16, -0.0, 1.0)]
 
 
@@ -498,3 +500,95 @@ class TestReaderFuzz:
             _READERS[name](path)
         except DATA_ERRORS:
             pass
+
+
+# --------------------------------------------------------------------------
+# the column-wise reader against the entry-by-entry one: same sets, same messages
+
+_number_like = st.sampled_from([0, 1, 7, -3, 10**300, 10**400, True, False, None, "1.5", 0.25,
+                                -0.0, 1e308, -1.7e308, 1.7e308, float("nan"), float("inf")])
+_reader_value = _number_like | st.floats(-2.0, 120.0) | st.integers(-5, 200)
+_segment = (st.tuples(_reader_value, _reader_value).map(list)
+            | st.lists(_reader_value, max_size=3) | _reader_value | st.just({"a": 1}))
+
+
+@st.composite
+def _reader_entry(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_reader_value | st.lists(_reader_value, max_size=2))  # not an object
+    entry = {}
+    if draw(st.integers(0, 9)):
+        entry["segment"] = draw(_segment)
+    if draw(st.integers(0, 9)):
+        entry["score"] = draw(_reader_value)
+    if draw(st.booleans()):
+        entry["label"] = "x"
+    return entry
+
+
+@st.composite
+def _mostly_good_entry(draw):
+    start = draw(st.integers(0, 50) | st.floats(0.0, 50.0))
+    end = start + draw(st.integers(1, 50) | st.floats(0.5, 50.0))
+    score = draw(st.sampled_from([0, 1]) | st.floats(0.0, 1.0))
+    return {"segment": [start, end], "score": score}
+
+
+def _reference_read(path):
+    """read_results by the entry-by-entry oracle: the sets, or the message."""
+    out = {}
+    try:
+        for vid, columns in loop_read_columns(path):
+            try:
+                out[vid] = ProposalSet(vid, *columns)
+            except IntervalError as exc:
+                return f"{path}: results.{vid}: {exc}"
+    except ValueError as exc:
+        return f"{path}: {exc}"
+    return out
+
+
+class TestReaderColumns:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(st.text(max_size=3),
+                           st.lists(_mostly_good_entry() | _reader_entry(), max_size=5)
+                           | _reader_value, max_size=3))
+    def test_same_sets_and_messages_as_entry_scan(self, tmp_path, results):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"results": results}))
+        want = _reference_read(path)
+        try:
+            got = read_results(path)
+        except DataFormatError as exc:
+            assert str(exc) == want
+            return
+        assert not isinstance(want, str), want
+        assert list(got) == list(want)
+        for vid in got:
+            for column in ("starts", "ends", "scores"):
+                assert getattr(got[vid], column).tobytes() == getattr(want[vid], column).tobytes()
+
+    @pytest.mark.parametrize("entries, message", [
+        ([{"segment": [0, 5], "score": 1}, {"segment": [1, 2.5], "score": 0.5}], None),
+        ([{"segment": [0, 5], "score": True}], r"results\.v\[0\]\.score must be a number"),
+        ([{"segment": [0.0, 1.0], "score": 0.5}, {"segment": [False, 2.0], "score": 0.5}],
+         r"results\.v\[1\]\.segment must be a \[start, end\] pair"),
+        ([{"segment": [0.0, 10**400], "score": 0.5}], r"results\.v\[0\]\.segment"),
+        ([{"segment": [0.0, 10**300], "score": 0}], None),
+        ([{"score": 0.5}, 3], r"results\.v\[0\]\.segment"),
+        ([{"segment": [0.0, 1.0], "score": 0.5}, 3], r"results\.v\[1\] is not an object"),
+    ], ids=["ints", "bool score", "bool start", "int beyond float", "huge int", "missing key",
+            "not an object"])
+    def test_int_bool_and_mixed_values(self, tmp_path, entries, message):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"results": {"v": entries}}))
+        want = _reference_read(path)
+        if message is None:
+            got = read_results(path)["v"]
+            assert got.starts.tobytes() == want["v"].starts.tobytes()
+            assert got.scores.tobytes() == want["v"].scores.tobytes()
+        else:
+            with pytest.raises(DataFormatError, match=message) as info:
+                read_results(path)
+            assert str(info.value) == want

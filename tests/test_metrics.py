@@ -11,18 +11,25 @@ from oracles import (
     brute_average_recall,
     brute_mean_ap,
     brute_recall,
+    loop_random_intervals,
     oracle_tiou,
 )
 from tapkit.core import DatasetIndex, ProposalSet, Subset, VideoRecord
 from tapkit.errors import MetricError
 from tapkit.metrics import (
     ArAnCurve,
+    _random_intervals,
     ar_an,
     attach_labels,
     mean_ap,
     tiou_grid,
     uniform_random_proposals,
 )
+from tapkit.util import KEY_BASELINE, rng_for
+
+
+def _bits(column):
+    return np.asarray(column, dtype=np.float64).tobytes()
 
 
 def _record(vid, rows, duration=100.0, subset=Subset.VALIDATION):
@@ -172,6 +179,56 @@ class TestUniformBaseline:
         a = uniform_random_proposals(index, Subset.VALIDATION, count=5, seed=1)
         b = uniform_random_proposals(index, Subset.VALIDATION, count=5, seed=2)
         assert any(list(a[vid]) != list(b[vid]) for vid in a)
+
+    @pytest.mark.parametrize("seed", [0, 3, 42])
+    def test_matches_one_draw_at_a_time(self, seed):
+        durations = {"a": 30.0, "b": 60.0, "d": 0.1 + 0.2, "e": 1e-300, "f": 7.25}
+        index = DatasetIndex({vid: VideoRecord(vid, d, Subset.VALIDATION)
+                              for vid, d in durations.items()}, ())
+        got = uniform_random_proposals(index, Subset.VALIDATION, count=37, seed=seed)
+        rng = rng_for(seed, KEY_BASELINE)
+        for vid in sorted(durations):
+            want = ProposalSet(vid, *loop_random_intervals(rng, durations[vid], 37))
+            for column in ("starts", "ends", "scores"):
+                assert getattr(got[vid], column).tobytes() == getattr(want, column).tobytes()
+
+    class _Stream:
+        """A stand-in generator that hands out a fixed list of doubles."""
+
+        def __init__(self, doubles):
+            self.doubles = list(doubles)
+            self.used = 0
+
+        def _take(self, n):
+            out = self.doubles[self.used : self.used + n]
+            assert len(out) == n, "stream exhausted"
+            self.used += n
+            return out
+
+        def random(self, size):
+            return np.array(self._take(size))
+
+        def uniform(self, low, high, size=None):
+            # Generator.uniform: low + (high - low) * next_double
+            out = [low + (high - low) * u for u in self._take(1 if size is None else size)]
+            return out[0] if size is None else np.array(out)
+
+    @pytest.mark.parametrize("tied_at", [0, 1, 3])
+    def test_coinciding_pair_is_redrawn_in_stream_order(self, tied_at):
+        # the pair of interval tied_at scales to one point; so does its first
+        # redraw when tied_at is 1, so that the redraw loop runs twice
+        doubles = list(np.random.default_rng(tied_at).uniform(size=40))
+        doubles[3 * tied_at + 1] = doubles[3 * tied_at]
+        if tied_at == 1:
+            doubles[3 * tied_at + 3] = doubles[3 * tied_at + 2]
+        got_stream, want_stream = self._Stream(doubles), self._Stream(doubles)
+        got = _random_intervals(got_stream, 12.5, 4)
+        want = loop_random_intervals(want_stream, 12.5, 4)
+        for g, w in zip(got, want):
+            assert _bits(g) == _bits(w)
+        assert got_stream.used == want_stream.used
+        redraws = 2 if tied_at == 1 else 1
+        assert want_stream.used == 3 * 4 + 2 * redraws
 
 
 class TestAttachLabels:

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_tiou
-from tapkit.core import Subset, VideoRecord
+from oracles import loop_infer_scores, oracle_tiou
+from tapkit.core import ProposalSet, Source, Subset, VideoRecord
 from tapkit.engine import Conv1d, load_weights, save_model
 from tapkit.errors import ConfigError, DataFormatError, ShapeError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.ssad import (
+    INFER_BATCH,
     SsadConfig,
     SsadModel,
     assign_targets,
     build_anchor_pyramid,
+    _prepare_input,
     build_model,
     infer,
     train,
@@ -165,7 +167,7 @@ class TestModel:
         model = SsadModel(4, cfg, rng=None)
         rec = VideoRecord("v", 20.0, Subset.VALIDATION)
         seq = FeatureSequence("v", np.zeros((10, 4), dtype=np.float32))
-        pset = infer(model, seq, rec, build_anchor_pyramid(cfg))
+        pset = infer(model, [rec], {"v": seq}, build_anchor_pyramid(cfg))["v"]
         assert len(pset) == 5
         keys = [(p.start, p.end - p.start) for p in pset]
         assert keys == sorted(keys)
@@ -175,7 +177,7 @@ class TestModel:
         model = build_model(4, cfg, seed=3)
         rec = VideoRecord("v", 37.5, Subset.VALIDATION)
         seq = FeatureSequence("v", np.random.default_rng(3).standard_normal((9, 4)).astype(np.float32))
-        pset = infer(model, seq, rec, build_anchor_pyramid(cfg))
+        pset = infer(model, [rec], {"v": seq}, build_anchor_pyramid(cfg))["v"]
         assert len(pset) == 11
         for p in pset:
             assert 0.0 <= p.start < p.end <= 37.5
@@ -208,6 +210,40 @@ def _tiny_dataset(n_videos=12, seed=5):
     index, feats, _ = generate_synthetic(cfg)
     records = index.subset_videos(Subset.TRAINING)
     return records, feats
+
+
+class TestBatchedInference:
+    """INFER_BATCH videos per forward pass against one pass per video."""
+
+    @pytest.mark.parametrize("n_videos", [1, 7, 11])
+    def test_matches_one_pass_per_video(self, n_videos):
+        # the default trunk (input 256, 32 channels), keeping every anchor
+        cfg = SsadConfig(top_k=1000)
+        synth = SynthConfig(num_videos=n_videos, feature_dim=6, num_classes=2,
+                            duration_range=(15.0, 95.0), val_fraction=0.0, seed=n_videos)
+        index, feats, _ = generate_synthetic(synth)
+        records = index.subset_videos(Subset.TRAINING)
+        assert len({feats[r.video_id].num_snippets for r in records}) > 1 or n_videos == 1
+        model = build_model(6, cfg, seed=4)
+        pyramid = build_anchor_pyramid(cfg)
+        got = {}
+        for lo in range(0, len(records), INFER_BATCH):
+            got.update(infer(model, records[lo : lo + INFER_BATCH], feats, pyramid))
+        x = np.stack([_prepare_input(feats[r.video_id], cfg) for r in records])
+        scores = loop_infer_scores(model, x)
+        assert list(got) == [r.video_id for r in records]
+        for rec, row in zip(records, scores):
+            want = ProposalSet(rec.video_id, pyramid.starts * rec.duration,
+                               pyramid.ends * rec.duration, row, Source.SSAD)
+            for column in ("starts", "ends", "scores", "sources"):
+                assert getattr(got[rec.video_id], column).tobytes() == \
+                    getattr(want, column).tobytes()
+
+    def test_missing_features_named(self):
+        cfg = SsadConfig(input_length=16, hidden_channels=8)
+        rec = VideoRecord("v9", 20.0, Subset.VALIDATION)
+        with pytest.raises(DataFormatError, match="v9"):
+            infer(build_model(4, cfg), [rec], {}, build_anchor_pyramid(cfg))
 
 
 class TestTraining:
@@ -268,8 +304,8 @@ class TestCheckpoint:
         rec = VideoRecord("v", 25.0, Subset.VALIDATION)
         seq = FeatureSequence("v", np.random.default_rng(9).standard_normal((7, 4)).astype(np.float32))
         pyramid = build_anchor_pyramid(cfg)
-        a = infer(model, seq, rec, pyramid)
-        b = infer(loaded, seq, rec, pyramid)
+        a = infer(model, [rec], {"v": seq}, pyramid)["v"]
+        b = infer(loaded, [rec], {"v": seq}, pyramid)["v"]
         assert list(a) == list(b)
 
     def test_architecture_mismatch(self, tmp_path):

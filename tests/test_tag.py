@@ -1,22 +1,32 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import group
-from oracles import brute_group
-from tapkit.core import Source, Subset, VideoRecord
+from oracles import brute_group, loop_regions, loop_tag_columns
+from tapkit.core import ProposalSet, Source, Subset, VideoRecord
 from tapkit.errors import ConfigError, ShapeError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.tag import (
     ActionnessSequence,
     TagConfig,
     _fragments,
+    _region_means,
+    _regions,
     actionness_targets,
     build_mlp,
     predict_actionness,
     tag_proposals,
     train_actionness,
 )
+
+
+def frags(values, tau, min_frag):
+    """The fragments of one tau, as (start, end) pairs."""
+    _, starts, ends = _fragments(np.asarray(values, dtype=np.float64), (tau,), min_frag)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def _record(duration=10.0, spans=()):
@@ -78,16 +88,16 @@ class TestGroup:
 
     def test_min_fragment_filters_short_runs(self):
         values = [1.0, 0.0, 1.0, 1.0]
-        assert _fragments(np.asarray(values), 0.5, 1) == [(0, 1), (2, 4)]
-        assert _fragments(np.asarray(values), 0.5, 2) == [(2, 4)]
+        assert frags(values, 0.5, 1) == [(0, 1), (2, 4)]
+        assert frags(values, 0.5, 2) == [(2, 4)]
         assert group(values, tau=0.5, gamma=0.9, min_frag=2) == [(2, 4)]
 
     def test_fragment_monotone_in_tau(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             values = rng.choice([0.0, 0.6, 1.0], size=10)
-            lo = _fragments(values, 0.5, 1)
-            hi = _fragments(values, 0.9, 1)
+            lo = frags(values, 0.5, 1)
+            hi = frags(values, 0.9, 1)
             for fs, fe in hi:
                 assert any(s <= fs and fe <= e for s, e in lo)
 
@@ -126,9 +136,9 @@ class TestGroup:
         rng = np.random.default_rng(3)
         for _ in range(50):
             values = rng.choice([0.0, 0.6, 1.0], size=12)
-            frags = _fragments(values, 0.5, 1)
+            runs = frags(values, 0.5, 1)
             for a, b in group(values, 0.5, 0.6):
-                covered = sum(fe - fs for fs, fe in frags if a <= fs and fe <= b)
+                covered = sum(fe - fs for fs, fe in runs if a <= fs and fe <= b)
                 assert covered / (b - a) >= 0.6
 
 
@@ -164,6 +174,76 @@ class TestTagProposals:
             rec = _record(float(rng.uniform(5, 100)))
             for p in tag_proposals(ActionnessSequence("v", values), TagConfig(), rec):
                 assert 0.0 <= p.start < p.end <= rec.duration
+
+
+def _bits(column):
+    return np.asarray(column, dtype=np.float64).tobytes()
+
+
+def _actionness(rng, num):
+    """num values with runs: levels held for random stretches, plus noise."""
+    levels = rng.choice([0.0, 0.15, 0.45, 0.6, 0.95, 1.0], size=num)
+    hold = np.repeat(levels[: num // 4 + 1], rng.integers(1, 9, size=num // 4 + 1))[:num]
+    if len(hold) < num:
+        hold = np.concatenate((hold, levels[len(hold):]))
+    noisy = hold + rng.normal(0.0, 0.05, size=num) * (rng.uniform(size=num) < 0.5)
+    return np.clip(noisy, 0.0, 1.0)
+
+
+_GRIDS = st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.35, 0.05]),
+                  min_size=1, max_size=9, unique=True)
+
+
+class TestArrayGrouping:
+    """The array passes against the per-(tau, gamma) loops and the
+    per-region mean they replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), _GRIDS, _GRIDS,
+           st.integers(1, 3), st.booleans())
+    def test_matches_loops(self, seed, num, taus, gammas, min_frag, cutoff):
+        values = _actionness(np.random.default_rng(seed), num)
+        starts, ends = _regions(values, taus, gammas, min_frag, cutoff)
+        assert list(zip(starts.tolist(), ends.tolist())) == loop_regions(
+            values, taus, gammas, min_frag, cutoff)
+        cfg = TagConfig(tau_grid=tuple(taus), gamma_grid=tuple(gammas), min_fragment=min_frag,
+                        scan_cutoff=cutoff)
+        duration = float(np.random.default_rng(seed).uniform(1.0, 400.0))
+        got = tag_proposals(ActionnessSequence("v", values), cfg, _record(duration))
+        want = ProposalSet("v", *loop_tag_columns(values, cfg, duration), Source.TAG)
+        for column in ("starts", "ends", "scores", "sources"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+    def test_region_means_match_slice_mean(self, seed, num):
+        # lengths up to 300 cross numpy's 128-element pairwise-summation block
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1.0, size=num)
+        starts = rng.integers(0, num, size=40)
+        ends = np.minimum(num, starts + rng.integers(1, num + 1, size=40))
+        want = [values[s:e].mean() for s, e in zip(starts, ends)]
+        assert _bits(_region_means(values, starts, ends)) == _bits(want)
+
+    def test_long_sequence_is_grouped_in_blocks(self):
+        # about 1,000 one-snippet fragments per tau: every tau's fragments
+        # against each other at three gammas would be 15M coverage values
+        rng = np.random.default_rng(7)
+        values = np.zeros(2000)
+        values[::2] = rng.uniform(0.5, 1.0, size=1000)
+        values[1::2] = rng.uniform(0.0, 0.05, size=1000)
+        cfg = TagConfig(gamma_grid=(0.7, 0.8, 0.9))
+        tracemalloc.start()
+        try:
+            got = tag_proposals(ActionnessSequence("v", values), cfg, _record(2000.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, f"tag_proposals peaked at {peak} bytes"
+        want = ProposalSet("v", *loop_tag_columns(values, cfg, 2000.0), Source.TAG)
+        assert len(got) == 1000
+        for column in ("starts", "ends", "scores"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
 
 class TestMlp:
