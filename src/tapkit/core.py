@@ -5,9 +5,10 @@ everywhere. All time arithmetic is 64-bit floating point.
 
 Proposals and ground truth are both columnar. A ProposalSet holds start,
 end, score and source arrays for one video, validated and ranked as a whole;
-Proposal is only a row view of it, yielded by iteration. A VideoRecord holds
-its instances' labels, starts and ends, validated once and kept in input
-order.
+Proposal is only a row view of it, yielded by iteration. The package reads
+the columns; perfbench's tracer iterates rows to count refined ones. A
+VideoRecord holds its instances' labels, starts and ends, validated once and
+kept in input order.
 
 tiou_matrix is the one interval kernel: refinement, NMS, target assignment,
 AR-AN and AP all compare intervals through it, so the tIoU formula lives in
@@ -103,6 +104,7 @@ class ProposalSet:
     def __len__(self) -> int:
         return len(self.starts)
 
+    # perfbench's tracer counts refined rows by iterating a set
     def __iter__(self):
         return map(Proposal._make, zip(self.starts.tolist(), self.ends.tolist(),
                                        self.scores.tolist(), map(Source, self.sources.tolist())))

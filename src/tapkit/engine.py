@@ -56,13 +56,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 class Adam:
     """Bias-corrected Adam over one flat parameter vector, updated in place."""
 
-    def __init__(self, params: np.ndarray, lr=ADAM_LR, beta1=ADAM_BETA1, beta2=ADAM_BETA2,
-                 eps=ADAM_EPS):
+    def __init__(self, params: np.ndarray, lr=ADAM_LR):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -76,7 +72,7 @@ class Adam:
         if not np.isfinite(grad).all():
             raise DivergenceError("adam: non-finite gradient")
         self.t += 1
-        beta1, beta2, a, b = self.beta1, self.beta2, self._a, self._b
+        beta1, beta2, a, b = ADAM_BETA1, ADAM_BETA2, self._a, self._b
         # the elementwise operations, in order, of
         #   m = beta1 * m + (1 - beta1) * grad
         #   v = beta2 * v + (1 - beta2) * grad * grad
@@ -90,7 +86,7 @@ class Adam:
         self.v += np.multiply(a, grad, out=a)
         np.divide(self.m, 1.0 - beta1**self.t, out=a)
         np.sqrt(np.divide(self.v, 1.0 - beta2**self.t, out=b), out=b)
-        b += self.eps
+        b += ADAM_EPS
         a *= self.lr
         a /= b
         self.params -= a

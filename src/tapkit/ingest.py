@@ -119,6 +119,12 @@ def _is_number(x) -> bool:
     return isinstance(x, float) or abs(x) <= sys.float_info.max
 
 
+def _is_pair(seg) -> bool:
+    """A [start, end] segment: a list or tuple of two JSON numbers."""
+    return (isinstance(seg, (list, tuple)) and len(seg) == 2
+            and _is_number(seg[0]) and _is_number(seg[1]))
+
+
 def _read_json(path: str | Path, what: str):
     """Parse a UTF-8 JSON file; unreadable, undecodable or invalid is a data error."""
     try:
@@ -158,11 +164,7 @@ def load_annotations(path: str | Path) -> DatasetIndex:
             if not isinstance(ann, dict) or "label" not in ann or "segment" not in ann:
                 raise DataFormatError(f"{path}: {where} needs 'label' and 'segment'")
             seg = ann["segment"]
-            if (
-                not isinstance(seg, (list, tuple))
-                or len(seg) != 2
-                or not all(_is_number(x) for x in seg)
-            ):
+            if not _is_pair(seg):
                 raise DataFormatError(f"{path}: {where}.segment must be a [start, end] pair")
             label = ann["label"]
             if not isinstance(label, str):
@@ -197,8 +199,9 @@ def save_annotations(index: DatasetIndex, path: str | Path) -> None:
 # resize
 
 
-def resize_linear(seq: FeatureSequence, length: int) -> FeatureSequence:
-    """Resize to a fixed number of rows by endpoint-aligned linear interpolation.
+def resize_linear(seq: FeatureSequence, length: int) -> np.ndarray:
+    """Resize to a fixed number of rows by endpoint-aligned linear
+    interpolation, as a float32 (length, D) array.
 
     Output row j samples the input at position j*(T-1)/(L-1); the first and
     last rows are preserved exactly, and L == T is the identity.
@@ -207,7 +210,7 @@ def resize_linear(seq: FeatureSequence, length: int) -> FeatureSequence:
         raise DataFormatError(f"target length must be >= 1, got {length}")
     t = seq.num_snippets
     if t == 1:
-        return FeatureSequence(seq.video_id, np.repeat(seq.data, length, axis=0))
+        return np.repeat(seq.data, length, axis=0)
     if length == 1:
         pos = np.array([(t - 1) / 2.0])
     else:
@@ -217,7 +220,7 @@ def resize_linear(seq: FeatureSequence, length: int) -> FeatureSequence:
     frac = pos - lo
     rows = seq.data.astype(np.float64)
     out = rows[lo] * (1.0 - frac)[:, None] + rows[lo + 1] * frac[:, None]
-    return FeatureSequence(seq.video_id, out.astype(np.float32))
+    return out.astype(np.float32)
 
 
 # --------------------------------------------------------------------------
@@ -233,8 +236,8 @@ def save_features(seq: FeatureSequence, path: str | Path) -> None:
         f.write(payload)
 
 
-def load_features(path: str | Path, video_id: str | None = None) -> FeatureSequence:
-    """Read a TAPF feature file; the video id defaults to the file stem."""
+def load_features(path: str | Path, video_id: str) -> FeatureSequence:
+    """Read a TAPF feature file as the features of video_id."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -252,7 +255,7 @@ def load_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
             f"({expected} bytes) but file has {len(blob)}"
         )
     arr = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, d)
-    return FeatureSequence(video_id if video_id is not None else path.stem, arr.copy())
+    return FeatureSequence(video_id, arr.copy())
 
 
 # --------------------------------------------------------------------------
@@ -306,13 +309,7 @@ def _raise_entry_error(path, vid: str, entries: list) -> NoReturn:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise DataFormatError(f"{path}: results.{vid}[{i}] is not an object")
-        seg = entry.get("segment")
-        if (
-            not isinstance(seg, (list, tuple))
-            or len(seg) != 2
-            or not _is_number(seg[0])
-            or not _is_number(seg[1])
-        ):
+        if not _is_pair(entry.get("segment")):
             raise DataFormatError(
                 f"{path}: results.{vid}[{i}].segment must be a [start, end] pair")
         if not _is_number(entry.get("score")):

@@ -582,7 +582,8 @@ def run_command(cfg: PipelineConfig, command: str) -> Path:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir {cfg.output_dir} cannot be used as a directory: {exc}") from exc
-    artifacts = STAGES[command](cfg)
-    manifest = write_manifest(cfg, command, artifacts, started)
+    with _writing(cfg, "output_dir"):
+        artifacts = STAGES[command](cfg)
+        manifest = write_manifest(cfg, command, artifacts, started)
     logger.info("%s: wrote %d artifacts, manifest %s", command, len(artifacts), manifest)
     return manifest

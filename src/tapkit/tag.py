@@ -7,7 +7,7 @@ under a grid of threshold/coverage tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,26 +16,6 @@ from .engine import Dense, ReLU, Sequential, Sigmoid, fit
 from .errors import ConfigError, DataFormatError, ShapeError
 from .ingest import FeatureSequence, snippet_centers
 from .util import KEY_TAG_INIT, KEY_TAG_SHUFFLE, rng_for
-
-
-@dataclass(frozen=True)
-class ActionnessSequence:
-    """Per-snippet action probabilities for one video."""
-
-    video_id: str
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.shape[0] < 1:
-            raise ShapeError(f"actionness must be a non-empty 1-D sequence, got shape {values.shape}")
-        if not np.isfinite(values).all() or values.min() < 0.0 or values.max() > 1.0:
-            raise ShapeError(f"actionness values for {self.video_id} outside [0, 1]")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def num_snippets(self) -> int:
-        return int(self.values.shape[0])
 
 
 _DECILE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -116,9 +96,10 @@ def train_actionness(
                rng_for(seed, KEY_TAG_SHUFFLE))
 
 
-def predict_actionness(model: Sequential, seq: FeatureSequence) -> ActionnessSequence:
+def predict_actionness(model: Sequential, seq: FeatureSequence) -> np.ndarray:
+    """Per-snippet action probabilities of one video, as a 1-D float64 array."""
     scores = model.forward(seq.data.astype(np.float32))
-    return ActionnessSequence(seq.video_id, scores[:, 0].astype(np.float64))
+    return scores[:, 0].astype(np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -204,13 +185,15 @@ def _region_means(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> n
     return means
 
 
-def tag_proposals(
-    actionness: ActionnessSequence,
-    cfg: TagConfig,
-    record: VideoRecord,
-) -> ProposalSet:
-    """Union of the grouped regions over the tau/gamma grid, scored by mean actionness."""
-    values = actionness.values
+def tag_proposals(values, cfg: TagConfig, record: VideoRecord) -> ProposalSet:
+    """Union of the grouped regions over the tau/gamma grid, scored by mean
+    actionness. values holds the video's per-snippet actionness in [0, 1]."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.shape[0] < 1:
+        raise ShapeError(f"actionness for {record.video_id} must be a non-empty 1-D sequence, "
+                         f"got shape {values.shape}")
+    if not np.isfinite(values).all() or values.min() < 0.0 or values.max() > 1.0:
+        raise ShapeError(f"actionness values for {record.video_id} outside [0, 1]")
     num = values.shape[0]
     starts, ends = _regions(values, cfg.tau_grid, cfg.gamma_grid, cfg.min_fragment,
                             cfg.scan_cutoff)

@@ -99,6 +99,23 @@ class TestExitCodes:
         assert f"{key} {taken}" in caplog.text
         assert taken.is_dir() if kind == "dir" else taken.read_text() == "kept"
 
+    @pytest.mark.parametrize("command, name", [
+        ("infer", "proposals_ssad.json"),
+        ("eval-loc", "localization.json"),
+        ("refine", "manifest_refine.json"),
+    ])
+    def test_config_error_on_artifact_path_taken_by_a_directory(self, tmp_path, caplog, tiny_run,
+                                                                command, name):
+        out = tmp_path / "out"
+        shutil.copytree(tiny_run, out)
+        taken = out / name
+        taken.unlink(missing_ok=True)
+        taken.mkdir()
+        assert main([command, *_tiny_args(out)]) == 2
+        assert f"output_dir {out} cannot be written" in caplog.text
+        assert f"'{taken}'" in caplog.text
+        assert taken.is_dir()
+
     @pytest.mark.parametrize("command, missing, producer", [
         ("train-ssad", "annotations.json", "synth"),
         ("train-tag", "annotations.json", "synth"),

@@ -119,23 +119,24 @@ class TestResizeLinear:
     def test_two_row_example(self):
         seq = FeatureSequence("v", np.array([[0.0], [1.0]]))
         out = resize_linear(seq, 3)
-        assert out.data.tolist() == [[0.0], [0.5], [1.0]]
+        assert out.dtype == np.float32
+        assert out.tolist() == [[0.0], [0.5], [1.0]]
 
     def test_same_length_is_identity(self):
         data = np.random.default_rng(0).standard_normal((7, 3)).astype(np.float32)
         seq = FeatureSequence("v", data)
         out = resize_linear(seq, 7)
-        assert np.array_equal(out.data, data)
+        assert np.array_equal(out, data)
 
     def test_single_row_broadcasts(self):
         out = resize_linear(FeatureSequence("v", np.array([[7.0]])), 4)
-        assert out.data.tolist() == [[7.0]] * 4
+        assert out.tolist() == [[7.0]] * 4
 
     def test_endpoints_preserved(self):
         data = np.random.default_rng(1).standard_normal((5, 2)).astype(np.float32)
         out = resize_linear(FeatureSequence("v", data), 11)
-        assert np.array_equal(out.data[0], data[0])
-        assert np.array_equal(out.data[-1], data[-1])
+        assert np.array_equal(out[0], data[0])
+        assert np.array_equal(out[-1], data[-1])
 
     def test_bad_length(self):
         with pytest.raises(DataFormatError):
@@ -150,7 +151,7 @@ class TestResizeLinear:
     def test_output_within_input_hull(self, t, length, seed):
         # linear interpolation cannot overshoot the per-column value range
         data = np.random.default_rng(seed).uniform(-5, 5, size=(t, 2)).astype(np.float32)
-        out = resize_linear(FeatureSequence("v", data), length).data
+        out = resize_linear(FeatureSequence("v", data), length)
         eps = 1e-5
         for c in range(2):
             assert out[:, c].min() >= data[:, c].min() - eps
@@ -166,16 +167,11 @@ class TestFeatureFiles:
         assert back.video_id == "v"
         assert np.array_equal(back.data, data)
 
-    def test_video_id_defaults_to_stem(self, tmp_path):
-        path = tmp_path / "clip42.feat"
-        save_features(FeatureSequence("x", np.zeros((2, 2), dtype=np.float32)), path)
-        assert load_features(path).video_id == "clip42"
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.feat"
         path.write_bytes(b"XXXX" + b"\0" * 20)
         with pytest.raises(DataFormatError, match="magic"):
-            load_features(path)
+            load_features(path, "v")
 
     def test_truncated_payload(self, tmp_path):
         import struct
@@ -186,14 +182,14 @@ class TestFeatureFiles:
         blob += np.zeros(39, dtype="<f4").tobytes()
         path.write_bytes(blob)
         with pytest.raises(DataFormatError, match="corrupt"):
-            load_features(path)
+            load_features(path, "v")
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "v.feat"
         save_features(FeatureSequence("v", np.zeros((3, 2), dtype=np.float32)), path)
         path.write_bytes(path.read_bytes() + b"\0\0\0\0")
         with pytest.raises(DataFormatError):
-            load_features(path)
+            load_features(path, "v")
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataFormatError):
@@ -442,7 +438,7 @@ _READERS = {
     "annotations.json": load_annotations,
     "results.json": read_results,
     "classification.json": read_classification,
-    "v.feat": load_features,
+    "v.feat": lambda path: load_features(path, "v"),
 }
 
 _json_leaf = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)

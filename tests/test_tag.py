@@ -10,7 +10,6 @@ from tapkit.core import ProposalSet, Source, Subset, VideoRecord
 from tapkit.errors import ConfigError, ShapeError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.tag import (
-    ActionnessSequence,
     TagConfig,
     _fragments,
     _region_means,
@@ -32,22 +31,6 @@ def frags(values, tau, min_frag):
 def _record(duration=10.0, spans=()):
     return VideoRecord("v", duration, Subset.TRAINING, ("a",) * len(spans),
                        [s for s, _ in spans], [e for _, e in spans])
-
-
-class TestActionnessSequence:
-    def test_validation(self):
-        with pytest.raises(ShapeError):
-            ActionnessSequence("v", np.zeros((2, 2)))
-        with pytest.raises(ShapeError):
-            ActionnessSequence("v", np.array([0.5, 1.2]))
-        with pytest.raises(ShapeError):
-            ActionnessSequence("v", np.array([-0.1]))
-        with pytest.raises(ShapeError):
-            ActionnessSequence("v", np.zeros(0))
-
-    def test_coerces_float64(self):
-        seq = ActionnessSequence("v", np.array([0.5], dtype=np.float32))
-        assert seq.values.dtype == np.float64
 
 
 class TestActionnessTargets:
@@ -143,14 +126,28 @@ class TestGroup:
 
 
 class TestTagProposals:
+    def test_validation(self):
+        non_finite = [np.array([0.5, bad, 0.5]) for bad in (np.nan, np.inf, -np.inf)]
+        for values in (np.zeros((2, 2)), np.array([0.5, 1.2]), np.array([-0.1]), np.zeros(0),
+                       *non_finite):
+            with pytest.raises(ShapeError, match="actionness (values )?for v "):
+                tag_proposals(values, TagConfig(), _record(8.0))
+
+    def test_coerces_float64(self):
+        # float32 sums would round the region means differently
+        values = np.random.default_rng(3).uniform(0.0, 1.0, size=64).astype(np.float32)
+        got = tag_proposals(values, TagConfig(), _record(64.0))
+        want = tag_proposals(values.astype(np.float64), TagConfig(), _record(64.0))
+        assert len(got) > 0
+        for column in ("starts", "ends", "scores"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
     def test_flat_zero_empty(self):
-        seq = ActionnessSequence("v", np.zeros(8))
-        pset = tag_proposals(seq, TagConfig(), _record(8.0))
+        pset = tag_proposals(np.zeros(8), TagConfig(), _record(8.0))
         assert len(pset) == 0
 
     def test_flat_one_single_proposal(self):
-        seq = ActionnessSequence("v", np.ones(8))
-        pset = tag_proposals(seq, TagConfig(), _record(8.0))
+        pset = tag_proposals(np.ones(8), TagConfig(), _record(8.0))
         assert len(pset) == 1
         [p] = pset
         assert (p.start, p.end, p.score) == (0.0, 8.0, 1.0)
@@ -158,8 +155,7 @@ class TestTagProposals:
 
     def test_worked_example_grid(self):
         # same 4 snippets as TestGroup's worked example, full default grid, 4 s video
-        seq = ActionnessSequence("v", np.array([0.9, 0.9, 0.1, 0.9]))
-        pset = tag_proposals(seq, TagConfig(), _record(4.0))
+        pset = tag_proposals(np.array([0.9, 0.9, 0.1, 0.9]), TagConfig(), _record(4.0))
         got = {(p.start, p.end): p.score for p in pset}
         assert set(got) == {(0.0, 2.0), (3.0, 4.0), (0.0, 4.0)}
         assert got[(0.0, 2.0)] == pytest.approx(0.9)
@@ -172,7 +168,7 @@ class TestTagProposals:
         for _ in range(20):
             values = rng.uniform(0, 1, size=int(rng.integers(1, 30)))
             rec = _record(float(rng.uniform(5, 100)))
-            for p in tag_proposals(ActionnessSequence("v", values), TagConfig(), rec):
+            for p in tag_proposals(values, TagConfig(), rec):
                 assert 0.0 <= p.start < p.end <= rec.duration
 
 
@@ -209,7 +205,7 @@ class TestArrayGrouping:
         cfg = TagConfig(tau_grid=tuple(taus), gamma_grid=tuple(gammas), min_fragment=min_frag,
                         scan_cutoff=cutoff)
         duration = float(np.random.default_rng(seed).uniform(1.0, 400.0))
-        got = tag_proposals(ActionnessSequence("v", values), cfg, _record(duration))
+        got = tag_proposals(values, cfg, _record(duration))
         want = ProposalSet("v", *loop_tag_columns(values, cfg, duration), Source.TAG)
         for column in ("starts", "ends", "scores", "sources"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
@@ -235,7 +231,7 @@ class TestArrayGrouping:
         cfg = TagConfig(gamma_grid=(0.7, 0.8, 0.9))
         tracemalloc.start()
         try:
-            got = tag_proposals(ActionnessSequence("v", values), cfg, _record(2000.0))
+            got = tag_proposals(values, cfg, _record(2000.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,7 +247,8 @@ class TestMlp:
         model = build_mlp(6, TagConfig(), seed=0)
         seq = FeatureSequence("v", np.random.default_rng(0).standard_normal((9, 6)).astype(np.float32))
         out = predict_actionness(model, seq)
-        assert np.all(out.values == 0.5)
+        assert out.dtype == np.float64 and out.shape == (9,)
+        assert np.all(out == 0.5)
 
     def test_training_deterministic(self):
         cfg = SynthConfig(num_videos=10, feature_dim=6, num_classes=2, seed=12)
@@ -290,7 +287,7 @@ class TestMlp:
         scores, labels = [], []
         for rec in index.subset_videos(Subset.VALIDATION):
             seq = feats[rec.video_id]
-            scores.append(predict_actionness(model, seq).values)
+            scores.append(predict_actionness(model, seq))
             labels.append(actionness_targets(rec, seq.num_snippets))
         s = np.concatenate(scores)
         y = np.concatenate(labels)

@@ -152,7 +152,8 @@ def test_only_util_opens_files_for_writing():
 
 
 # --------------------------------------------------------------------------
-# guard: every public function is one the package itself calls
+# guard: every public function, class, method and property is one the
+# package itself uses
 
 
 def _names(node: ast.AST) -> Counter:
@@ -161,10 +162,28 @@ def _names(node: ast.AST) -> Counter:
                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def _unreferenced_functions(sources: dict[str, str]) -> list[str]:
-    """`module.function` for each public module-level function whose name,
-    or a name it is imported as, appears nowhere in the sources outside its
-    own definition."""
+def _public_definitions(module: str, tree: ast.Module):
+    """(qualified name, node) of each public module-level function and class
+    and each public method or property of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{module}.{node.name}.{member.name}", member
+
+
+def _unreferenced(sources: dict[str, str]) -> list[str]:
+    """Each public definition whose name, or a name it is imported as,
+    appears nowhere in the sources outside its own definition.
+
+    Dunder methods are exempt, like every underscored name: the interpreter
+    calls them (`len(x)`, `for row in x`), and static analysis cannot see
+    whether some caller iterates an instance or takes its length. That is
+    why `ProposalSet.__iter__` stays although no package code iterates a
+    ProposalSet: perfbench's tracer reads a refined set's rows through it.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = sum((_names(tree) for tree in trees.values()), Counter())
     for tree in trees.values():
@@ -172,11 +191,10 @@ def _unreferenced_functions(sources: dict[str, str]) -> list[str]:
             if isinstance(node, ast.alias) and node.asname:
                 used[node.name] += used[node.asname]
     return sorted(
-        f"{module}.{node.name}"
+        name
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and used[node.name] == _names(node)[node.name]
+        for name, node in _public_definitions(module, tree)
+        if used[node.name] == _names(node)[node.name]
     )
 
 
@@ -190,10 +208,30 @@ def test_guard_detects_unreferenced_functions():
              "def entry():\n    return called(), a.by_attribute(), other()\n\n"
              "TABLE = {'entry': entry}\n",
     }
-    assert _unreferenced_functions(sources) == ["a.imported_only", "a.recursive"]
+    assert _unreferenced(sources) == ["a.imported_only", "a.recursive"]
+
+
+def test_guard_detects_unreferenced_members_and_classes():
+    sources = {
+        "a": "class Used:\n"
+             "    def __len__(self):\n        return 0\n\n"
+             "    def __iter__(self):\n        return iter(())\n\n"
+             "    def called(self):\n        return self.unused_helper_free()\n\n"
+             "    def unused_helper_free(self):\n        return 1\n\n"
+             "    def unused(self):\n        return 2\n\n"
+             "    @property\n    def size(self):\n        return 3\n\n"
+             "    @property\n    def unread(self):\n        return 4\n\n"
+             "    def _private(self):\n        return 5\n\n"
+             "class Unused:\n    def make(self):\n        return Unused()\n",
+        "b": "from .a import Unused, Used\n\n"
+             "def entry(x: Used):\n    return x.called(), x.size\n\n"
+             "TABLE = {'entry': entry}\n",
+    }
+    assert _unreferenced(sources) == ["a.Unused", "a.Unused.make", "a.Used.unread",
+                                      "a.Used.unused"]
 
 
 def test_every_public_function_is_used_by_the_package():
     package = Path(tapkit.__file__).parent
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
-    assert _unreferenced_functions(sources) == [], "delete functions that only tests call"
+    assert _unreferenced(sources) == [], "delete what only tests use"
