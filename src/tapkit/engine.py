@@ -54,7 +54,8 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 class Adam:
-    """Bias-corrected Adam over one flat parameter vector, updated in place."""
+    """Bias-corrected Adam over one flat parameter vector, updated in place:
+    the layers' w/b are views of it."""
 
     def __init__(self, params: np.ndarray, lr=ADAM_LR):
         self.params = params
@@ -62,8 +63,6 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._a = np.empty_like(params)  # scratch for step
-        self._b = np.empty_like(params)
 
     def step(self, grad: np.ndarray) -> None:
         if grad.shape != self.params.shape:
@@ -72,24 +71,10 @@ class Adam:
         if not np.isfinite(grad).all():
             raise DivergenceError("adam: non-finite gradient")
         self.t += 1
-        beta1, beta2, a, b = ADAM_BETA1, ADAM_BETA2, self._a, self._b
-        # the elementwise operations, in order, of
-        #   m = beta1 * m + (1 - beta1) * grad
-        #   v = beta2 * v + (1 - beta2) * grad * grad
-        #   params = params - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
-        # done in place through the scratch vectors: no full-length temporaries,
-        # and the layers' w/b views see the update
-        self.m *= beta1
-        self.m += np.multiply(grad, 1.0 - beta1, out=a)
-        self.v *= beta2
-        np.multiply(grad, 1.0 - beta2, out=a)
-        self.v += np.multiply(a, grad, out=a)
-        np.divide(self.m, 1.0 - beta1**self.t, out=a)
-        np.sqrt(np.divide(self.v, 1.0 - beta2**self.t, out=b), out=b)
-        b += ADAM_EPS
-        a *= self.lr
-        a /= b
-        self.params -= a
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        self.params -= self.lr * (self.m / (1.0 - ADAM_BETA1**self.t)) / (
+            np.sqrt(self.v / (1.0 - ADAM_BETA2**self.t)) + ADAM_EPS)
 
 
 # --------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .util import atomic_open, rng_for, write_json_atomic, KEY_SYNTH
 
 FEATURE_MAGIC = b"TAPF"
 FEATURE_VERSION = 1
+_MAX_DIM = 2**32 - 1  # the header stores T and D as u32
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,10 @@ class SynthConfig:
             raise ConfigError(f"empty duration range {self.duration_range}")
         if self.snippet_length <= 0.0:
             raise ConfigError("snippet_length must be > 0")
+        if not self.duration_range[1] / self.snippet_length <= _MAX_DIM:  # false for inf, NaN
+            raise ConfigError(f"duration_range[1] / snippet_length must be <= {_MAX_DIM} snippets")
+        if self.feature_dim > _MAX_DIM:
+            raise ConfigError(f"feature_dim must be <= {_MAX_DIM}, got {self.feature_dim}")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
         if self.feature_dim < self.num_classes:
@@ -399,9 +404,11 @@ def write_classification(results: dict[str, list[tuple[str, float]]], path: str 
 # synthetic data
 
 
-def snippet_centers(num_snippets: int, duration: float) -> np.ndarray:
-    """Center time of each snippet: (t + 0.5) / T of the duration."""
-    return (np.arange(num_snippets) + 0.5) / num_snippets * duration
+def snippets_inside(num_snippets: int, duration: float, starts, ends) -> np.ndarray:
+    """Boolean mask of the snippets whose center, (t + 0.5) / T of the
+    duration, lies in some [start, end) span."""
+    centers = ((np.arange(num_snippets) + 0.5) / num_snippets * duration)[:, None]
+    return ((centers >= np.asarray(starts)) & (centers < np.asarray(ends))).any(axis=1)
 
 
 def _place_instances(
@@ -453,21 +460,13 @@ def generate_synthetic(
         count = int(rng.integers(cfg.instances_range[0], cfg.instances_range[1] + 1))
         instances = _place_instances(rng, duration, count, cfg.instance_len_frac)
 
+        starts, ends = [start for start, _ in instances], [end for _, end in instances]
         data = rng.normal(0.0, cfg.noise_sigma, size=(t, cfg.feature_dim))
-        centers = snippet_centers(t, duration)
-        for start, end in instances:
-            inside = (centers >= start) & (centers < end)
-            data[inside, cls] += cfg.signal_strength
+        data[snippets_inside(t, duration, starts, ends), cls] += cfg.signal_strength
 
-        videos[vid] = VideoRecord(
-            vid,
-            duration,
-            subset,
-            (labels[cls],) * len(instances),
-            [start for start, _ in instances],
-            [end for _, end in instances],
-        )
-        features[vid] = FeatureSequence(vid, data.astype(np.float32))
+        videos[vid] = VideoRecord(vid, duration, subset, (labels[cls],) * len(instances),
+                                  starts, ends)
+        features[vid] = FeatureSequence(vid, data)
         if instances:
             classification[vid] = [(labels[cls], 1.0)]
         else:

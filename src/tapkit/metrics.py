@@ -29,8 +29,6 @@ from .core import DatasetIndex, ProposalSet, Subset, VideoRecord, tiou_matrix
 from .errors import MetricError
 from .util import KEY_BASELINE, rng_for
 
-DEFAULT_AN_MAX = 100
-
 
 def tiou_grid() -> tuple[float, ...]:
     """The 10 evaluation thresholds 0.50, 0.55, ..., 0.95."""
@@ -68,7 +66,7 @@ class ArAnCurve:
 def ar_an(
     proposals: Mapping[str, ProposalSet],
     records: Sequence[VideoRecord],
-    an_max: int = DEFAULT_AN_MAX,
+    an_max: int,
     grid=None,
 ) -> ArAnCurve:
     """AR at every AN in 1..an_max plus the mean-of-curve area, over the
@@ -128,8 +126,8 @@ def _random_intervals(rng, duration: float, count: int):
 def uniform_random_proposals(
     index: DatasetIndex,
     subset: Subset,
-    count: int = DEFAULT_AN_MAX,
-    seed: int = 0,
+    count: int,
+    seed: int,
 ) -> dict[str, ProposalSet]:
     """Scored random-interval baseline, deterministic per seed."""
     if count < 1:

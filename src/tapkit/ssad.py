@@ -199,7 +199,7 @@ def build_model(feature_dim: int, cfg: SsadConfig, seed: int = 0) -> SsadModel:
 
 def _prepare_input(seq: FeatureSequence, cfg: SsadConfig) -> np.ndarray:
     """Resize to the trunk's input length and go channels-first."""
-    return np.ascontiguousarray(resize_linear(seq, cfg.input_length).T, dtype=np.float32)
+    return np.ascontiguousarray(resize_linear(seq, cfg.input_length).T)
 
 
 def train(

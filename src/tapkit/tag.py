@@ -14,7 +14,7 @@ import numpy as np
 from .core import ProposalSet, Source, VideoRecord
 from .engine import Dense, ReLU, Sequential, Sigmoid, fit
 from .errors import ConfigError, DataFormatError, ShapeError
-from .ingest import FeatureSequence, snippet_centers
+from .ingest import FeatureSequence, snippets_inside
 from .util import KEY_TAG_INIT, KEY_TAG_SHUFFLE, rng_for
 
 
@@ -53,12 +53,7 @@ def actionness_targets(record: VideoRecord, num_snippets: int) -> np.ndarray:
     """Binary snippet labels: 1 iff the snippet center falls inside an instance."""
     if num_snippets < 1:
         raise ShapeError(f"num_snippets must be >= 1, got {num_snippets}")
-    centers = snippet_centers(num_snippets, record.duration)
-    labels = np.zeros(num_snippets, dtype=np.float64)
-    for start, end in zip(record.starts, record.ends):
-        inside = (centers >= start) & (centers < end)
-        labels[inside] = 1.0
-    return labels
+    return snippets_inside(num_snippets, record.duration, record.starts, record.ends).astype(np.float64)
 
 
 def build_mlp(feature_dim: int, cfg: TagConfig, seed: int = 0) -> Sequential:
@@ -89,7 +84,7 @@ def train_actionness(
         raise DataFormatError(f"no features for training video {missing[0]}")
     xs = [features[r.video_id].data for r in records]
     ys = [actionness_targets(r, features[r.video_id].num_snippets) for r in records]
-    x = np.concatenate(xs, axis=0).astype(np.float32)
+    x = np.concatenate(xs, axis=0)
     y = np.concatenate(ys, axis=0).astype(np.float32)[:, None]
 
     return fit(model, x, y, cfg.epochs, cfg.batch_size, cfg.learning_rate,
@@ -98,7 +93,7 @@ def train_actionness(
 
 def predict_actionness(model: Sequential, seq: FeatureSequence) -> np.ndarray:
     """Per-snippet action probabilities of one video, as a 1-D float64 array."""
-    scores = model.forward(seq.data.astype(np.float32))
+    scores = model.forward(seq.data)
     return scores[:, 0].astype(np.float64)
 
 

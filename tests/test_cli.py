@@ -16,8 +16,9 @@ import tapkit
 from tapkit import __version__
 from tapkit.cli import main
 from tapkit.errors import ConfigError
-from tapkit.fusion import NmsConfig, RefineConfig
-from tapkit.ingest import FeatureSequence, SynthConfig, save_features
+from tapkit.core import ProposalSet, Source
+from tapkit.fusion import NmsConfig, RefineConfig, nms, refine
+from tapkit.ingest import FeatureSequence, SynthConfig, read_results, save_features, write_results
 from tapkit.pipeline import _PRODUCERS, STAGES, EvalOptions, _input, config_defaults, load_config
 from tapkit.ssad import SsadConfig
 from tapkit.tag import TagConfig
@@ -85,6 +86,22 @@ class TestExitCodes:
         out.write_text("")
         assert main([command, *_tiny_args(out)]) == 2
         assert f"output_dir {out}" in caplog.text
+
+    @pytest.mark.parametrize("kv, key", [
+        ("synth.duration_range=[1e300,1e300]", "duration_range[1] / snippet_length"),
+        ("synth.snippet_length=1e-300", "duration_range[1] / snippet_length"),
+        ("synth.feature_dim=4294967296", "feature_dim"),
+    ])
+    def test_config_error_on_synth_sizes_beyond_feature_files(self, tmp_path, caplog, kv, key):
+        # a TAPF header holds the snippet count T and the dimension D as u32
+        assert main(["synth", "--out", str(tmp_path), "--set", kv]) == 2
+        assert f"{key} must be <= 4294967295" in caplog.text
+        assert not (tmp_path / "annotations.json").exists()
+
+    def test_synth_sizes_at_the_feature_file_limit_are_valid(self):
+        cfg = load_config(None, ["synth.duration_range=[4294967295.0,4294967295.0]",
+                                 "synth.feature_dim=4294967295"])
+        assert cfg.synth.duration_range[1] == cfg.synth.feature_dim == 2**32 - 1
 
     @pytest.mark.parametrize("key, kind", [
         ("features_dir", "file"), ("classification", "dir"), ("annotations", "dir")])
@@ -447,6 +464,30 @@ class TestPipeline:
         for rel, digest in pipeline_manifest["artifacts"].items():
             assert (out_b / rel).read_bytes() == (out_a / rel).read_bytes(), rel
             assert sha256_file(out_b / rel) == digest, rel
+
+    @pytest.mark.parametrize("placement", ["before", "after", "off"])
+    def test_refine_under_each_nms_placement(self, tmp_path, placement):
+        out = tmp_path / "out"
+        # thresholds low enough that NMS and refine both change the TINY sets
+        extra = [f'nms.placement="{placement}"', "nms.iou_threshold=0.3",
+                 "refine.iou_threshold=0.5"]
+        for command in ("synth", "train-ssad", "train-tag", "infer", "refine"):
+            assert main([command, *_tiny_args(out, extra)]) == 0, command
+        cfg = load_config(None, [*TINY, *extra])
+        ssad, tag = read_results(out / "proposals_ssad.json"), read_results(out / "proposals_tag.json")
+        # run_refine's contract: NMS on the anchor proposals before refine, or
+        # on both outputs after it, or not at all
+        before = (lambda p: nms(p, cfg.nms)) if placement == "before" else (lambda p: p)
+        after = (lambda p: nms(p, cfg.nms)) if placement == "after" else (lambda p: p)
+        final = {vid: after(before(p)) for vid, p in ssad.items()}
+        refined = {vid: after(refine(before(p), tag.get(vid, ProposalSet(vid)), cfg.refine))
+                   for vid, p in ssad.items()}
+        assert any(len(nms(p, cfg.nms)) < len(p) for p in ssad.values())
+        assert any((p.sources == Source.REFINED).any() for p in refined.values())
+        write_results(final, tmp_path / "final.json")
+        write_results(refined, tmp_path / "refined.json")
+        assert (out / "proposals_ssad_final.json").read_bytes() == (tmp_path / "final.json").read_bytes()
+        assert (out / "proposals_refined.json").read_bytes() == (tmp_path / "refined.json").read_bytes()
 
     # with at most one instance per video, some class has no validation gt
     @pytest.mark.filterwarnings("ignore:class .* has no ground truth:RuntimeWarning")

@@ -22,7 +22,7 @@ from tapkit.ingest import (
     resize_linear,
     save_annotations,
     save_features,
-    snippet_centers,
+    snippets_inside,
     write_classification,
     write_localization,
     write_results,
@@ -243,10 +243,8 @@ class TestSynthetic:
         for rec in index.videos.values():
             col = label_col[cls[rec.video_id][0][0]]
             data = feats[rec.video_id].data
-            centers = snippet_centers(data.shape[0], rec.duration)
-            for start, end in zip(rec.starts, rec.ends):
-                mask = (centers >= start) & (centers < end)
-                inside_vals.append(data[mask, col])
+            mask = snippets_inside(data.shape[0], rec.duration, rec.starts, rec.ends)
+            inside_vals.append(data[mask, col])
         pooled = np.concatenate(inside_vals)
         bound = 3.0 * cfg.noise_sigma / np.sqrt(pooled.size)
         assert abs(pooled.mean() - cfg.signal_strength) < bound
@@ -428,7 +426,11 @@ class TestClassificationFiles:
 
 
 def test_snippet_centers():
-    assert snippet_centers(4, 8.0).tolist() == [1.0, 3.0, 5.0, 7.0]
+    # 4 snippets over 8 s: centers 1, 3, 5 and 7, each in [start, end) or not
+    assert snippets_inside(4, 8.0, [], []).tolist() == [False] * 4
+    assert snippets_inside(4, 8.0, [1.0, 6.0], [3.0, 8.0]).tolist() == [True, False, False, True]
+    assert snippets_inside(4, 8.0, [3.0], [5.0]).tolist() == [False, True, False, False]
+    assert snippets_inside(4, 8.0, [0.0], [8.0]).tolist() == [True] * 4
 
 
 # --------------------------------------------------------------------------
