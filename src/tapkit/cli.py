@@ -2,7 +2,9 @@
 
 Logs go to stderr; machine-readable outputs are files under the output
 directory. Exit codes: 0 success, 2 config error, 3 data error, 4 training or
-gradient divergence, 5 missing stage dependency, 1 anything unexpected.
+gradient divergence, 5 missing stage dependency, 1 anything unexpected. Each
+TapkitError class carries its code and log prefix (see errors.py), so one
+handler maps every deliberate failure and the log line reads "<kind>: <message>".
 """
 
 from __future__ import annotations
@@ -12,22 +14,11 @@ import logging
 import sys
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DivergenceError,
-    IntervalError,
-    MetricError,
-    PlacementError,
-    ShapeError,
-    StageDependencyError,
-)
+from .errors import TapkitError
 from .pipeline import STAGES, load_config, run_command
 
 logger = logging.getLogger("tapkit")
 
-# Errors that mean a bad input file or value; they all exit 3.
-DATA_ERRORS = (DataFormatError, IntervalError, ShapeError, MetricError, PlacementError)
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,18 +47,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.set, args.seed, args.out)
         run_command(cfg, args.command)
-    except ConfigError as exc:
-        logger.error("config error: %s", exc)
-        return 2
-    except DATA_ERRORS as exc:
-        logger.error("data error: %s", exc)
-        return 3
-    except DivergenceError as exc:
-        logger.error("divergence: %s", exc)
-        return 4
-    except StageDependencyError as exc:
-        logger.error("stage dependency: %s", exc)
-        return 5
+    except TapkitError as exc:
+        logger.error("%s: %s", exc.kind, exc)
+        return exc.exit_code
     except Exception:
         logger.exception("unexpected error")
         return 1

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IntervalError
+from .errors import DataError
 
 
 def tiou_matrix(starts_a, ends_a, starts_b, ends_b) -> np.ndarray:
@@ -71,7 +71,7 @@ class ProposalSet:
 
     Construction checks every row at once (finite, start < end, a length
     end - start that float64 holds, score in [0, 1]) and raises
-    IntervalError naming the first bad row. A scalar source applies to
+    DataError naming the first bad row. A scalar source applies to
     every row.
     """
 
@@ -91,7 +91,7 @@ class ProposalSet:
         bad = ~(np.isfinite(lengths) & (starts < ends) & (scores >= 0.0) & (scores <= 1.0))
         if bad.any():
             i = int(np.argmax(bad))
-            raise IntervalError(
+            raise DataError(
                 f"row {i}: need finite start < end with a finite length and a score in "
                 f"[0, 1], got [{starts[i]}, {ends[i]}) scored {scores[i]}")
         order = np.lexsort((lengths, starts, -scores))
@@ -128,7 +128,7 @@ class VideoRecord:
 
     Construction checks every instance once (0 <= start < end <= duration;
     the finite duration also rules out NaN and infinities) and raises
-    IntervalError naming the first bad instance.
+    DataError naming the first bad instance.
     """
 
     video_id: str
@@ -141,19 +141,19 @@ class VideoRecord:
     def __post_init__(self) -> None:
         duration = float(self.duration)
         if not 0.0 < duration < math.inf:
-            raise IntervalError(f"video {self.video_id}: duration must be finite and > 0, got {self.duration}")
+            raise DataError(f"video {self.video_id}: duration must be finite and > 0, got {self.duration}")
         labels = tuple(self.labels)
         # plain floats: one chained comparison per instance is cheaper than
         # numpy calls on the few instances a video has
         starts = [float(s) for s in self.starts]
         ends = [float(e) for e in self.ends]
         if not len(labels) == len(starts) == len(ends):
-            raise IntervalError(f"video {self.video_id}: {len(labels)} labels, "
-                                f"{len(starts)} starts and {len(ends)} ends")
+            raise DataError(f"video {self.video_id}: {len(labels)} labels, "
+                            f"{len(starts)} starts and {len(ends)} ends")
         for i, (start, end) in enumerate(zip(starts, ends)):
             if not 0.0 <= start < end <= duration:
-                raise IntervalError(f"instance {i}: need 0 <= start < end <= {duration}, "
-                                    f"got [{start}, {end})")
+                raise DataError(f"instance {i}: need 0 <= start < end <= {duration}, "
+                                f"got [{start}, {end})")
         object.__setattr__(self, "duration", duration)
         object.__setattr__(self, "subset", Subset(self.subset))
         object.__setattr__(self, "labels", labels)
@@ -176,7 +176,7 @@ class DatasetIndex:
         for rec in self.videos.values():
             for label in rec.labels:
                 if label not in known:
-                    raise IntervalError(
+                    raise DataError(
                         f"video {rec.video_id}: label {label!r} not in label_set"
                     )
 

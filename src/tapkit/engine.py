@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DivergenceError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError
 from .util import atomic_open
 
 ADAM_LR = 1e-3
@@ -44,9 +44,9 @@ ADAM_EPS = 1e-8
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error and its gradient w.r.t. pred."""
     if pred.shape != target.shape:
-        raise ShapeError(f"mse: shapes differ, {pred.shape} vs {target.shape}")
+        raise DataError(f"mse: shapes differ, {pred.shape} vs {target.shape}")
     if pred.size == 0:
-        raise ShapeError("mse: empty tensors")
+        raise DataError("mse: empty tensors")
     diff = pred - target
     loss = float(np.mean(diff * diff))
     grad = 2.0 * diff / diff.size
@@ -66,8 +66,8 @@ class Adam:
 
     def step(self, grad: np.ndarray) -> None:
         if grad.shape != self.params.shape:
-            raise ShapeError(f"adam: gradient shape {grad.shape} != parameter shape "
-                             f"{self.params.shape}")
+            raise DataError(f"adam: gradient shape {grad.shape} != parameter shape "
+                            f"{self.params.shape}")
         if not np.isfinite(grad).all():
             raise DivergenceError("adam: non-finite gradient")
         self.t += 1
@@ -97,7 +97,7 @@ class LayerSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "conv1d" and (self.kernel < 1 or self.stride < 1 or self.pad < 0):
-            raise ShapeError(f"bad conv spec: {self}")
+            raise DataError(f"bad conv spec: {self}")
 
 
 class Layer:
@@ -115,13 +115,13 @@ class Layer:
         raise NotImplementedError
 
     def _cached(self, value: np.ndarray | None, grad_y: np.ndarray | None = None) -> np.ndarray:
-        """What forward saved for backward; ShapeError if forward never ran, or
+        """What forward saved for backward; DataError if forward never ran, or
         if a grad_y is given whose shape is not the saved array's (an
         elementwise backward would otherwise broadcast it)."""
         if value is None:
-            raise ShapeError(f"{self.spec.kind}: backward called before forward")
+            raise DataError(f"{self.spec.kind}: backward called before forward")
         if grad_y is not None and grad_y.shape != value.shape:
-            raise ShapeError(
+            raise DataError(
                 f"{self.spec.kind} backward: grad_y shape {grad_y.shape} != {value.shape}")
         return value
 
@@ -160,10 +160,10 @@ class Conv1d(Layer):
         out_ch, in_ch, kernel = self.w.shape
         stride, pad = self.spec.stride, self.spec.pad
         if c != in_ch:
-            raise ShapeError(f"conv1d: input has {c} channels, kernel expects {in_ch}")
+            raise DataError(f"conv1d: input has {c} channels, kernel expects {in_ch}")
         t_out = conv_output_length(t, kernel, stride, pad)
         if t_out < 1:
-            raise ShapeError(
+            raise DataError(
                 f"conv1d: output length {t_out} < 1 for T={t}, k={kernel}, s={stride}, p={pad}"
             )
         # filled one tap j at a time from a strided slice of x; the entries
@@ -188,7 +188,7 @@ class Conv1d(Layer):
         stride, pad = self.spec.stride, self.spec.pad
         t_out = cols.shape[2]
         if grad_y.shape != (n, out_ch, t_out):
-            raise ShapeError(
+            raise DataError(
                 f"conv1d backward: grad_y shape {grad_y.shape} != {(n, out_ch, t_out)}"
             )
 
@@ -255,7 +255,7 @@ class Dense(Layer):
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
-            raise ShapeError(
+            raise DataError(
                 f"dense: input shape {x.shape} incompatible with weights {self.w.shape}")
         self._x = x
         return x @ self.w + self.b[None, :]
@@ -263,7 +263,7 @@ class Dense(Layer):
     def backward(self, grad_y):
         x = self._cached(self._x)
         if grad_y.shape != (x.shape[0], self.w.shape[1]):
-            raise ShapeError(
+            raise DataError(
                 f"dense backward: grad_y shape {grad_y.shape} != {(x.shape[0], self.w.shape[1])}")
         grad_x = grad_y @ self.w.T
         self.gw += x.T @ grad_y
@@ -286,7 +286,7 @@ class Sequential:
         named = [(layer, name) for layer in self.layers for name in layer.param_names]
         dtypes = {getattr(layer, name).dtype for layer, name in named}
         if len(dtypes) > 1:
-            raise ShapeError(f"model parameters mix dtypes {sorted(map(str, dtypes))}")
+            raise DataError(f"model parameters mix dtypes {sorted(map(str, dtypes))}")
         self.params = np.empty(sum(getattr(layer, name).size for layer, name in named),
                                dtype=dtypes.pop() if dtypes else np.float32)
         self.grads = np.zeros_like(self.params)
@@ -417,31 +417,31 @@ def load_weights(model: Sequential, path: str | Path) -> Sequential:
     The file is checked against the model before any weight is read: its
     layer table must equal the model's layer specs (else ConfigError) and
     its payload must be exactly the model's float32 parameters, all finite
-    (else DataFormatError).
+    (else DataError).
     """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
-        raise DataFormatError(f"cannot read model checkpoint {path}: {exc}") from exc
+        raise DataError(f"cannot read model checkpoint {path}: {exc}") from exc
     if len(blob) < 12 or blob[:4] != MODEL_MAGIC:
-        raise DataFormatError(f"{path}: bad magic, not a model checkpoint")
+        raise DataError(f"{path}: bad magic, not a model checkpoint")
     version, n_layers = struct.unpack("<II", blob[4:12])
     if version != MODEL_VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
     offset = 12 + 24 * n_layers
     if offset > len(blob):
-        raise DataFormatError(f"{path}: truncated layer table")
+        raise DataError(f"{path}: truncated layer table")
     if blob[12:offset] != _spec_table(model.layers):
         raise ConfigError(f"checkpoint {path} does not match the configured architecture")
     expected = 4 * model.params.size
     if len(blob) - offset != expected:
-        raise DataFormatError(
+        raise DataError(
             f"{path}: parameter payload has {len(blob) - offset} bytes, the model needs {expected}"
         )
     payload = np.frombuffer(blob, dtype="<f4", offset=offset)
     finite = np.isfinite(payload)
     if not finite.all():
-        raise DataFormatError(
+        raise DataError(
             f"{path}: parameter {int(np.argmin(finite))} of the payload is not finite")
     model.params[...] = payload
     return model

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProposalSet, Source, tiou_matrix
-from .errors import ConfigError, MetricError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,6 @@ def refine(p_ssad: ProposalSet, p_tag: ProposalSet, cfg: RefineConfig) -> Propos
     the same p_s, the highest-tIoU claimant wins (ties: earlier start, then
     shorter, then better ranked). Output has exactly one entry per p_s.
     """
-    if p_ssad.video_id != p_tag.video_id:
-        raise MetricError(
-            f"refine got proposal sets for different videos: "
-            f"{p_ssad.video_id!r} vs {p_tag.video_id!r}"
-        )
     if len(p_ssad) == 0 or len(p_tag) == 0:
         return p_ssad
     s_starts, s_ends = p_ssad.starts, p_ssad.ends

@@ -25,12 +25,11 @@ from typing import Iterable, NoReturn
 import numpy as np
 
 from .core import DatasetIndex, ProposalSet, Subset, VideoRecord
-from .errors import ConfigError, DataFormatError, IntervalError, PlacementError
-from .util import atomic_open, rng_for, write_json_atomic, KEY_SYNTH
+from .errors import ConfigError, DataError
+from .util import KEY_SYNTH, U32_MAX, atomic_open, rng_for, write_json_atomic
 
 FEATURE_MAGIC = b"TAPF"
 FEATURE_VERSION = 1
-_MAX_DIM = 2**32 - 1  # the header stores T and D as u32
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,12 @@ class FeatureSequence:
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float32)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DataFormatError(
+            raise DataError(
                 f"feature sequence for {self.video_id} must be T x D with T, D >= 1, "
                 f"got shape {arr.shape}"
             )
         if not np.isfinite(arr).all():
-            raise DataFormatError(f"feature sequence for {self.video_id} has non-finite values")
+            raise DataError(f"feature sequence for {self.video_id} has non-finite values")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -92,10 +91,10 @@ class SynthConfig:
             raise ConfigError(f"empty duration range {self.duration_range}")
         if self.snippet_length <= 0.0:
             raise ConfigError("snippet_length must be > 0")
-        if not self.duration_range[1] / self.snippet_length <= _MAX_DIM:  # false for inf, NaN
-            raise ConfigError(f"duration_range[1] / snippet_length must be <= {_MAX_DIM} snippets")
-        if self.feature_dim > _MAX_DIM:
-            raise ConfigError(f"feature_dim must be <= {_MAX_DIM}, got {self.feature_dim}")
+        if not self.duration_range[1] / self.snippet_length <= U32_MAX:  # false for inf, NaN
+            raise ConfigError(f"duration_range[1] / snippet_length must be <= {U32_MAX} snippets")
+        if self.feature_dim > U32_MAX:
+            raise ConfigError(f"feature_dim must be <= {U32_MAX}, got {self.feature_dim}")
         if self.num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
         if self.feature_dim < self.num_classes:
@@ -136,51 +135,51 @@ def _read_json(path: str | Path, what: str):
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except (OSError, ValueError, RecursionError) as exc:
-        raise DataFormatError(f"cannot parse {what} file {path}: {exc}") from exc
+        raise DataError(f"cannot parse {what} file {path}: {exc}") from exc
 
 
 def load_annotations(path: str | Path) -> DatasetIndex:
     """Parse an ActivityNet-style annotation file into a validated index."""
     raw = _read_json(path, "annotation")
     if not isinstance(raw, dict) or not isinstance(raw.get("database"), dict):
-        raise DataFormatError(f"{path}: missing or malformed 'database' map")
+        raise DataError(f"{path}: missing or malformed 'database' map")
 
     videos: dict[str, VideoRecord] = {}
     label_set: set[str] = set()
     for vid, entry in raw["database"].items():
         if not isinstance(entry, dict):
-            raise DataFormatError(f"{path}: database.{vid} is not an object")
+            raise DataError(f"{path}: database.{vid} is not an object")
         duration = entry.get("duration")
         if not _is_number(duration):
-            raise DataFormatError(f"{path}: database.{vid}.duration must be a number")
+            raise DataError(f"{path}: database.{vid}.duration must be a number")
         subset = entry.get("subset")
         try:
             subset = Subset(subset)
         except ValueError:
-            raise DataFormatError(
+            raise DataError(
                 f"{path}: database.{vid}.subset must be training/validation/testing, got {subset!r}"
             ) from None
         annotations = entry.get("annotations", [])
         if not isinstance(annotations, list):
-            raise DataFormatError(f"{path}: database.{vid}.annotations must be a list")
+            raise DataError(f"{path}: database.{vid}.annotations must be a list")
         labels, starts, ends = [], [], []
         for i, ann in enumerate(annotations):
             where = f"database.{vid}.annotations[{i}]"
             if not isinstance(ann, dict) or "label" not in ann or "segment" not in ann:
-                raise DataFormatError(f"{path}: {where} needs 'label' and 'segment'")
+                raise DataError(f"{path}: {where} needs 'label' and 'segment'")
             seg = ann["segment"]
             if not _is_pair(seg):
-                raise DataFormatError(f"{path}: {where}.segment must be a [start, end] pair")
+                raise DataError(f"{path}: {where}.segment must be a [start, end] pair")
             label = ann["label"]
             if not isinstance(label, str):
-                raise DataFormatError(f"{path}: {where}.label must be a string, got {label!r}")
+                raise DataError(f"{path}: {where}.label must be a string, got {label!r}")
             labels.append(label)
             starts.append(seg[0])
             ends.append(seg[1])
         try:
             videos[vid] = VideoRecord(vid, duration, subset, labels, starts, ends)
-        except IntervalError as exc:
-            raise DataFormatError(f"{path}: database.{vid}: {exc}") from exc
+        except DataError as exc:
+            raise DataError(f"{path}: database.{vid}: {exc}") from exc
         label_set.update(labels)
     return DatasetIndex(videos=videos, label_set=tuple(sorted(label_set)))
 
@@ -211,8 +210,6 @@ def resize_linear(seq: FeatureSequence, length: int) -> np.ndarray:
     Output row j samples the input at position j*(T-1)/(L-1); the first and
     last rows are preserved exactly, and L == T is the identity.
     """
-    if length < 1:
-        raise DataFormatError(f"target length must be >= 1, got {length}")
     t = seq.num_snippets
     if t == 1:
         return np.repeat(seq.data, length, axis=0)
@@ -247,15 +244,15 @@ def load_features(path: str | Path, video_id: str) -> FeatureSequence:
     try:
         blob = path.read_bytes()
     except OSError as exc:
-        raise DataFormatError(f"cannot read feature file {path}: {exc}") from exc
+        raise DataError(f"cannot read feature file {path}: {exc}") from exc
     if len(blob) < 16 or blob[:4] != FEATURE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic, not a feature file")
+        raise DataError(f"{path}: bad magic, not a feature file")
     version, t, d = struct.unpack("<III", blob[4:16])
     if version != FEATURE_VERSION:
-        raise DataFormatError(f"{path}: unsupported feature file version {version}")
+        raise DataError(f"{path}: unsupported feature file version {version}")
     expected = 16 + 4 * t * d
     if len(blob) != expected:
-        raise DataFormatError(
+        raise DataError(
             f"{path}: corrupt payload, header says T={t} D={d} "
             f"({expected} bytes) but file has {len(blob)}"
         )
@@ -313,12 +310,12 @@ def _raise_entry_error(path, vid: str, entries: list) -> NoReturn:
     """Raise the error of the first malformed entry of a video."""
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise DataFormatError(f"{path}: results.{vid}[{i}] is not an object")
+            raise DataError(f"{path}: results.{vid}[{i}] is not an object")
         if not _is_pair(entry.get("segment")):
-            raise DataFormatError(
+            raise DataError(
                 f"{path}: results.{vid}[{i}].segment must be a [start, end] pair")
         if not _is_number(entry.get("score")):
-            raise DataFormatError(f"{path}: results.{vid}[{i}].score must be a number")
+            raise DataError(f"{path}: results.{vid}[{i}].score must be a number")
 
 
 def read_results(path: str | Path) -> dict[str, ProposalSet]:
@@ -329,13 +326,13 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
     """
     raw = _read_json(path, "results")
     if not isinstance(raw, dict) or not isinstance(raw.get("results"), dict):
-        raise DataFormatError(f"{path}: missing 'results' map")
+        raise DataError(f"{path}: missing 'results' map")
     out = {}
     results = raw["results"]
     for vid in list(results):
         entries = results.pop(vid)  # pop, so the JSON of each finished video is freed
         if not isinstance(entries, list):
-            raise DataFormatError(f"{path}: results.{vid} must be a list")
+            raise DataError(f"{path}: results.{vid} must be a list")
         try:  # only a dict can be indexed by a string key
             segs = list(map(_SEGMENT, entries))
             scores = list(map(_SCORE, entries))
@@ -348,8 +345,8 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
             _raise_entry_error(path, vid, entries)
         try:
             out[vid] = ProposalSet(vid, starts, ends, scores)
-        except IntervalError as exc:
-            raise DataFormatError(f"{path}: results.{vid}: {exc}") from exc
+        except DataError as exc:
+            raise DataError(f"{path}: results.{vid}: {exc}") from exc
     return out
 
 
@@ -372,21 +369,21 @@ def read_classification(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Video-level classification results, confidence-sorted per video."""
     raw = _read_json(path, "classification")
     if not isinstance(raw, dict):
-        raise DataFormatError(f"{path}: expected a video_id -> entries map")
+        raise DataError(f"{path}: expected a video_id -> entries map")
     out = {}
     for vid, entries in raw.items():
         if not isinstance(entries, list):
-            raise DataFormatError(f"{path}: {vid} must map to a list")
+            raise DataError(f"{path}: {vid} must map to a list")
         rows = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or "label" not in entry or "score" not in entry:
-                raise DataFormatError(f"{path}: {vid}[{i}] needs 'label' and 'score'")
+                raise DataError(f"{path}: {vid}[{i}] needs 'label' and 'score'")
             score = entry["score"]
             if not _is_number(score) or not (0.0 <= score <= 1.0) or not math.isfinite(score):
-                raise DataFormatError(f"{path}: {vid}[{i}].score must be a number in [0, 1]")
+                raise DataError(f"{path}: {vid}[{i}].score must be a number in [0, 1]")
             label = entry["label"]
             if not isinstance(label, str):
-                raise DataFormatError(f"{path}: {vid}[{i}].label must be a string, got {label!r}")
+                raise DataError(f"{path}: {vid}[{i}].label must be a string, got {label!r}")
             rows.append((label, float(score)))
         rows.sort(key=lambda r: -r[1])
         out[vid] = rows
@@ -425,7 +422,7 @@ def _place_instances(
                 placed.append((start, end))
                 break
         else:
-            raise PlacementError(
+            raise DataError(
                 f"could not place {count} non-overlapping instances in a "
                 f"{duration:.1f}s video after 100 attempts"
             )

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import DatasetIndex, ProposalSet, Subset, VideoRecord, tiou_matrix
-from .errors import MetricError
+from .errors import DataError
 from .util import KEY_BASELINE, rng_for
 
 
@@ -35,31 +35,16 @@ def tiou_grid() -> tuple[float, ...]:
     return tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
-def _check_grid(grid) -> tuple[float, ...]:
-    if grid is None:
-        return tiou_grid()
-    grid = tuple(float(t) for t in grid)
-    if not grid:
-        raise MetricError("threshold grid must be non-empty")
-    for t in grid:
-        if not 0.0 < t <= 1.0:
-            raise MetricError(f"tiou threshold must lie in (0, 1], got {t}")
-    return grid
-
-
 # --------------------------------------------------------------------------
 # proposal metrics
 
 
 @dataclass(frozen=True)
 class ArAnCurve:
-    an_max: int
     ar: tuple[float, ...]
     area: float
 
     def ar_at(self, an: int) -> float:
-        if not 1 <= an <= self.an_max:
-            raise MetricError(f"an must lie in 1..{self.an_max}, got {an}")
         return self.ar[an - 1]
 
 
@@ -67,7 +52,7 @@ def ar_an(
     proposals: Mapping[str, ProposalSet],
     records: Sequence[VideoRecord],
     an_max: int,
-    grid=None,
+    grid: Sequence[float] = tiou_grid(),
 ) -> ArAnCurve:
     """AR at every AN in 1..an_max plus the mean-of-curve area, over the
     label-agnostic ground truth of the given records.
@@ -75,12 +60,9 @@ def ar_an(
     Computed by ranking, for each (instance, threshold) pair, the first
     proposal that reaches the threshold, then counting cumulatively.
     """
-    grid = _check_grid(grid)
-    if an_max < 1:
-        raise MetricError(f"an_max must be >= 1, got {an_max}")
     total = sum(len(rec.starts) for rec in records)
     if total == 0:
-        raise MetricError("recall undefined: no ground-truth instances")
+        raise DataError("recall undefined: no ground-truth instances")
 
     # hits[r, t]: (instance, threshold) pairs first recalled at rank r (1-based)
     hits = np.zeros((an_max + 1, len(grid)), dtype=np.int64)
@@ -100,7 +82,7 @@ def ar_an(
 
     cum = np.cumsum(hits, axis=0)
     ar = tuple(float(np.mean(cum[an] / total)) for an in range(1, an_max + 1))
-    return ArAnCurve(an_max, ar, float(np.mean(np.asarray(ar))))
+    return ArAnCurve(ar, float(np.mean(np.asarray(ar))))
 
 
 def _random_intervals(rng, duration: float, count: int):
@@ -130,8 +112,6 @@ def uniform_random_proposals(
     seed: int,
 ) -> dict[str, ProposalSet]:
     """Scored random-interval baseline, deterministic per seed."""
-    if count < 1:
-        raise MetricError(f"count must be >= 1, got {count}")
     rng = rng_for(seed, KEY_BASELINE)
     return {rec.video_id: ProposalSet(rec.video_id, *_random_intervals(rng, rec.duration, count))
             for rec in index.subset_videos(subset)}
@@ -160,13 +140,11 @@ def attach_labels(
     but no classification entry is an error, and one whose entry lists no
     class gets no entries.
     """
-    if top_c < 1:
-        raise MetricError(f"top_c must be >= 1, got {top_c}")
     out: dict[str, list[LocEntry]] = {}
     for vid in sorted(proposals):
         pset = proposals[vid]
         if len(pset) and vid not in classification:
-            raise MetricError(f"no classification entry for video {vid}")
+            raise DataError(f"no classification entry for video {vid}")
         rows = list(zip(pset.starts.tolist(), pset.ends.tolist(), pset.scores.tolist()))
         out[vid] = sorted(
             ((label, start, end, score * confidence)
@@ -204,10 +182,7 @@ def mean_ap(
     each n of at_n. Each class is ranked and matched once (see the module
     docstring); each n only masks the match.
     """
-    thresholds = tuple(dict.fromkeys(_check_grid(thresholds)))
-    for n in at_n:
-        if n < 1:
-            raise MetricError(f"n must be >= 1, got {n}")
+    thresholds = tuple(dict.fromkeys(thresholds))
     records = index.subset_videos(subset)
     # gt_by_class[label][v]: the indices of that class's instances in records[v], in order
     gt_by_class: dict[str, dict[int, list[int]]] = {}
@@ -226,7 +201,7 @@ def mean_ap(
                 stacklevel=2,
             )
     if not gt_by_class:
-        raise MetricError(f"mAP undefined: no ground truth in subset {subset.value}")
+        raise DataError(f"mAP undefined: no ground truth in subset {subset.value}")
 
     cutoffs = (None, *dict.fromkeys(at_n))
     t = np.asarray(thresholds)

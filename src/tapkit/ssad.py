@@ -15,9 +15,9 @@ import numpy as np
 
 from .core import ProposalSet, Source, VideoRecord, tiou_matrix
 from .engine import Conv1d, Layer, ReLU, Sequential, Sigmoid, fit
-from .errors import ConfigError, DataFormatError, ShapeError
+from .errors import ConfigError, DataError
 from .ingest import FeatureSequence, resize_linear
-from .util import KEY_SSAD_INIT, KEY_SSAD_SHUFFLE, rng_for
+from .util import KEY_SSAD_INIT, KEY_SSAD_SHUFFLE, U32_MAX, rng_for
 
 # Videos per inference forward pass. Against one video per pass, over 21
 # in-process scoring rounds of perfbench's propose config, batch 4 raised
@@ -53,6 +53,9 @@ class SsadConfig:
             raise ConfigError("hidden_channels must be >= 1")
         if self.base_kernel < 1 or self.base_kernel % 2 == 0:
             raise ConfigError(f"base_kernel must be odd and >= 1, got {self.base_kernel}")
+        for name in ("hidden_channels", "base_kernel"):
+            if getattr(self, name) > U32_MAX:
+                raise ConfigError(f"{name} must be <= {U32_MAX}, got {getattr(self, name)}")
         if not self.scale_ratios:
             raise ConfigError("scale_ratios must be non-empty")
         for d in self.scale_ratios:
@@ -145,7 +148,7 @@ class SsadModel(Sequential):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.feature_dim or x.shape[2] != self.cfg.input_length:
-            raise ShapeError(
+            raise DataError(
                 f"expected (N, {self.feature_dim}, {self.cfg.input_length}) input, "
                 f"got {x.shape}"
             )
@@ -167,7 +170,7 @@ class SsadModel(Sequential):
 
     def backward(self, grad_scores: np.ndarray) -> None:
         if grad_scores.ndim != 2 or grad_scores.shape[1] != self.num_anchors:
-            raise ShapeError(
+            raise DataError(
                 f"score gradient shape {grad_scores.shape} != (N, {self.num_anchors} anchors)"
             )
         n = grad_scores.shape[0]
@@ -217,9 +220,6 @@ def train(
     cfg = model.cfg
     pyramid = build_anchor_pyramid(cfg)
     records = sorted(records, key=lambda r: r.video_id)
-    missing = [r.video_id for r in records if r.video_id not in features]
-    if missing:
-        raise DataFormatError(f"no features for training video {missing[0]}")
     inputs = np.stack([_prepare_input(features[r.video_id], cfg) for r in records])
     targets = np.stack([assign_targets(pyramid, r.starts / r.duration, r.ends / r.duration)
                         for r in records]).astype(np.float32)
@@ -240,15 +240,8 @@ def infer(
     matmul runs one gemm per sample, so a video's scores do not depend on
     the batch it is scored in; the pipeline scores INFER_BATCH at a time.
     """
-    missing = [r.video_id for r in records if r.video_id not in features]
-    if missing:
-        raise DataFormatError(f"no features for video {missing[0]}")
     x = np.stack([_prepare_input(features[r.video_id], model.cfg) for r in records])
     scores = model.forward(x)
-    if scores.shape[1] != len(pyramid):
-        raise ShapeError(
-            f"model emitted {scores.shape[1]} scores for {len(pyramid)} anchors"
-        )
     return {
         rec.video_id: ProposalSet(rec.video_id, pyramid.starts * rec.duration,
                                   pyramid.ends * rec.duration, row, Source.SSAD

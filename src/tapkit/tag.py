@@ -13,9 +13,9 @@ import numpy as np
 
 from .core import ProposalSet, Source, VideoRecord
 from .engine import Dense, ReLU, Sequential, Sigmoid, fit
-from .errors import ConfigError, DataFormatError, ShapeError
+from .errors import ConfigError, DataError
 from .ingest import FeatureSequence, snippets_inside
-from .util import KEY_TAG_INIT, KEY_TAG_SHUFFLE, rng_for
+from .util import KEY_TAG_INIT, KEY_TAG_SHUFFLE, U32_MAX, rng_for
 
 
 _DECILE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -35,6 +35,8 @@ class TagConfig:
     def __post_init__(self) -> None:
         if self.hidden_width < 1:
             raise ConfigError("hidden_width must be >= 1")
+        if self.hidden_width > U32_MAX:
+            raise ConfigError(f"hidden_width must be <= {U32_MAX}, got {self.hidden_width}")
         for name, grid in (("tau_grid", self.tau_grid), ("gamma_grid", self.gamma_grid)):
             if not grid:
                 raise ConfigError(f"{name} must be non-empty")
@@ -51,16 +53,12 @@ class TagConfig:
 
 def actionness_targets(record: VideoRecord, num_snippets: int) -> np.ndarray:
     """Binary snippet labels: 1 iff the snippet center falls inside an instance."""
-    if num_snippets < 1:
-        raise ShapeError(f"num_snippets must be >= 1, got {num_snippets}")
     return snippets_inside(num_snippets, record.duration, record.starts, record.ends).astype(np.float64)
 
 
 def build_mlp(feature_dim: int, cfg: TagConfig, seed: int = 0) -> Sequential:
     """One-hidden-layer scorer. The output layer starts at zero so an
     untrained model emits exactly 0.5 everywhere."""
-    if feature_dim < 1:
-        raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     rng = rng_for(seed, KEY_TAG_INIT)
     return Sequential([
         Dense(feature_dim, cfg.hidden_width, rng=rng),
@@ -79,9 +77,6 @@ def train_actionness(
 ) -> list[float]:
     """Per-snippet MSE training on pooled snippets; returns the loss trace."""
     records = sorted(records, key=lambda r: r.video_id)
-    missing = [r.video_id for r in records if r.video_id not in features]
-    if missing:
-        raise DataFormatError(f"no features for training video {missing[0]}")
     xs = [features[r.video_id].data for r in records]
     ys = [actionness_targets(r, features[r.video_id].num_snippets) for r in records]
     x = np.concatenate(xs, axis=0)
@@ -185,10 +180,10 @@ def tag_proposals(values, cfg: TagConfig, record: VideoRecord) -> ProposalSet:
     actionness. values holds the video's per-snippet actionness in [0, 1]."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.shape[0] < 1:
-        raise ShapeError(f"actionness for {record.video_id} must be a non-empty 1-D sequence, "
-                         f"got shape {values.shape}")
+        raise DataError(f"actionness for {record.video_id} must be a non-empty 1-D sequence, "
+                        f"got shape {values.shape}")
     if not np.isfinite(values).all() or values.min() < 0.0 or values.max() > 1.0:
-        raise ShapeError(f"actionness values for {record.video_id} outside [0, 1]")
+        raise DataError(f"actionness values for {record.video_id} outside [0, 1]")
     num = values.shape[0]
     starts, ends = _regions(values, cfg.tau_grid, cfg.gamma_grid, cfg.min_fragment,
                             cfg.scan_cutoff)

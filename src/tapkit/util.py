@@ -1,4 +1,5 @@
-"""Seeding, hashing and the one artifact writer shared by every stage.
+"""Seeding, hashing, the u32 size limit of the binary headers and the one
+artifact writer shared by every stage.
 
 Every artifact file (JSON, CSV, features, checkpoints) is written through
 `atomic_open`: the bytes go to `<name>.tmp` next to the target, which replaces
@@ -25,6 +26,10 @@ KEY_TAG_INIT = (2, 0)
 KEY_TAG_SHUFFLE = (2, 1)
 KEY_BASELINE = (5,)
 KEY_GRADCHECK = (7,)
+
+# The largest size a TAPF feature header (T, D) or a TAPM checkpoint's layer
+# table (channels, kernel) can store: both write u32 fields.
+U32_MAX = 2**32 - 1
 
 
 def rng_for(seed: int, key: tuple[int, ...]) -> np.random.Generator:

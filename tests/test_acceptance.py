@@ -5,11 +5,14 @@ terminal summary echoes after the run (see conftest.record_criterion).
 """
 
 import json
+import re
 import time
 
 import numpy as np
+import pytest
 
 from conftest import average_precision, group, pset, recall, record_criterion, tiou
+from golden import GOLDEN_PATH, fingerprint, fixture42_config, verify_golden
 from oracles import (
     brute_ap,
     brute_ar_an,
@@ -25,7 +28,7 @@ from tapkit.engine import Conv1d, Dense, ReLU, Sequential, Sigmoid, grad_check, 
 from tapkit.fusion import RefineConfig, refine
 from tapkit.ingest import load_annotations, read_results
 from tapkit.metrics import ar_an, mean_ap, tiou_grid
-from tapkit.pipeline import load_config, run_command
+from tapkit.pipeline import run_command
 from tapkit.ssad import SsadConfig, build_anchor_pyramid, build_model
 
 
@@ -267,7 +270,7 @@ def test_criterion_6_end_to_end_ordering(fixture42):
 
 def test_criterion_7_determinism(fixture42, tmp_path):
     first = fixture42.cfg.output_dir
-    cfg = load_config(None, ["ssad.input_length=64"], seed=42, output_dir=str(tmp_path / "again"))
+    cfg = fixture42_config(tmp_path / "again")
     run_command(cfg, "pipeline")
 
     manifest_a = json.loads((first / "manifest_pipeline.json").read_text())
@@ -284,6 +287,36 @@ def test_criterion_7_determinism(fixture42, tmp_path):
         f"{len(manifest_a['artifacts'])} artifacts, checksums equal {same_checksums}, "
         f"bytes equal {same_bytes}")
     assert ok
+
+
+def test_criterion_7_golden_checksums(fixture42):
+    manifest = json.loads((fixture42.cfg.output_dir / "manifest_pipeline.json").read_text())
+    verify_golden(manifest["artifacts"], json.loads(GOLDEN_PATH.read_text()), fingerprint(),
+                  record_criterion)
+
+
+def test_golden_gemm_group_is_reported_when_the_fingerprint_differs():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    elsewhere = {**golden["fingerprint"], "blas": "other-blas 1.0"}
+    rng_file, gemm_file = next(iter(golden["rng"])), next(iter(golden["gemm"]))
+    artifacts = {**golden["rng"], **golden["gemm"], gemm_file: "0" * 64}
+    lines = []
+
+    def record(*line):
+        lines.append(line)
+
+    # another BLAS: the moved gemm checksum is not compared, and the skip says why
+    skipped = r"gemm checksums not compared, the fingerprint differs: blas '.+' -> 'other-blas"
+    with pytest.raises(pytest.skip.Exception, match=skipped):
+        verify_golden(artifacts, golden, elsewhere, record)
+    assert lines[-1][:2] == (7, None) and re.search(skipped, lines[-1][2])
+    # the same fingerprint: it is compared and fails
+    with pytest.raises(AssertionError, match=re.escape(f"1 differ ['{gemm_file}']")):
+        verify_golden(artifacts, golden, golden["fingerprint"], record)
+    # an rng checksum is compared on any machine
+    with pytest.raises(AssertionError, match=re.escape(f"1 differ ['{rng_file}']")):
+        verify_golden({**golden["rng"], **golden["gemm"], rng_file: "0" * 64}, golden, elsewhere,
+                      record)
 
 
 def test_criterion_8_anchor_and_grid_shapes():

@@ -15,7 +15,7 @@ import pytest
 import tapkit
 from tapkit import __version__
 from tapkit.cli import main
-from tapkit.errors import ConfigError
+from tapkit.errors import ConfigError, TapkitError
 from tapkit.core import ProposalSet, Source
 from tapkit.fusion import NmsConfig, RefineConfig, nms, refine
 from tapkit.ingest import FeatureSequence, SynthConfig, read_results, save_features, write_results
@@ -80,6 +80,22 @@ class TestExitCodes:
     def test_stage_dependency_error(self, tmp_path):
         assert main(["refine", "--out", str(tmp_path)]) == 5
 
+    @pytest.mark.parametrize("error", [*TapkitError.__subclasses__(), RuntimeError],
+                             ids=lambda error: error.__name__)
+    def test_each_error_class_exits_with_its_code(self, tmp_path, caplog, monkeypatch, error):
+        def fail(cfg):
+            """A stage that fails (the parser shows this line as its help)."""
+            raise error("injected failure")
+
+        monkeypatch.setitem(STAGES, "synth", fail)
+        code = main(["synth", "--out", str(tmp_path)])
+        if error is RuntimeError:
+            assert code == 1
+            assert "unexpected error" in caplog.text
+        else:
+            assert code == error.exit_code
+            assert f"{error.kind}: injected failure" in caplog.text
+
     @pytest.mark.parametrize("command", ["synth", "refine"])
     def test_config_error_on_out_naming_a_file(self, tmp_path, caplog, command):
         out = tmp_path / "file"
@@ -97,6 +113,20 @@ class TestExitCodes:
         assert main(["synth", "--out", str(tmp_path), "--set", kv]) == 2
         assert f"{key} must be <= 4294967295" in caplog.text
         assert not (tmp_path / "annotations.json").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train-ssad", "ssad.hidden_channels", 2**32),
+        ("train-ssad", "ssad.hidden_channels", 2**64),
+        ("train-ssad", "ssad.base_kernel", 2**32 + 1),  # odd, as a kernel must be
+        ("train-ssad", "ssad.base_kernel", 2**64 + 1),
+        ("train-tag", "tag.hidden_width", 2**32),
+        ("train-tag", "tag.hidden_width", 2**64),
+    ])
+    def test_config_error_on_model_sizes_beyond_checkpoints(self, tmp_path, caplog,
+                                                            command, key, value):
+        # a TAPM layer table holds channel counts and kernel widths as u32
+        assert main([command, "--out", str(tmp_path), "--set", f"{key}={value}"]) == 2
+        assert f"{key.partition('.')[2]} must be <= 4294967295, got {value}" in caplog.text
 
     def test_synth_sizes_at_the_feature_file_limit_are_valid(self):
         cfg = load_config(None, ["synth.duration_range=[4294967295.0,4294967295.0]",
@@ -148,6 +178,7 @@ class TestExitCodes:
         ("eval-loc", "proposals_refined.json", "refine"),
         ("eval-loc", "classification=<missing path>", "synth"),
         ("train-ssad", "features/<training video>", "synth"),
+        ("infer", "features/<validation video>", "synth"),
     ])
     def test_missing_input_names_its_producer(self, tmp_path, caplog, tiny_run,
                                               command, missing, producer):
@@ -159,8 +190,9 @@ class TestExitCodes:
             path = tmp_path / "absent.json"
             extra = [f"classification={path}"]
         elif missing.startswith("features/"):
+            subset = missing.split("<")[1].split()[0]
             database = json.loads((out / "annotations.json").read_text())["database"]
-            vid = next(v for v, entry in sorted(database.items()) if entry["subset"] == "training")
+            vid = next(v for v, entry in sorted(database.items()) if entry["subset"] == subset)
             path = out / "features" / f"{vid}.feat"
             path.unlink()
         else:
@@ -318,6 +350,14 @@ class TestExitCodes:
         "annotations=[1]",
         "features_dir=true",
         "classification={}",
+        "eval.an_max=0",
+        "eval.ar_at=[0]",
+        "eval.ar_at=[101]",
+        "eval.at_n=[0]",
+        "eval.top_c=0",
+        "eval.map_points=[0]",
+        "eval.map_points=[1.5]",
+        "ssad.input_length=0",
     ])
     def test_config_error_bad_section_value(self, tmp_path, assignment):
         assert main(["synth", *_tiny_args(tmp_path, [assignment])]) == 2

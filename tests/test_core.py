@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 
 from conftest import pset, tiou
 from oracles import masked_tiou_matrix, oracle_tiou
-from tapkit.cli import DATA_ERRORS
 from tapkit.core import ProposalSet, Source, Subset, VideoRecord, tiou_matrix
-from tapkit.errors import DataFormatError, IntervalError
+from tapkit.errors import DataError
 from tapkit.ingest import FeatureSequence, load_annotations, read_results
 from tapkit.ssad import AnchorPyramid, SsadConfig, SsadModel, infer
 
@@ -90,10 +89,12 @@ class TestTiouMatrix:
         assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
         assert got.tobytes() == masked_tiou_matrix(*zip(*a_rows), *zip(*b_rows)).tobytes()
 
+    # sorted pairs, so that only ties are filtered out: filtering every
+    # reversed pair as well trips hypothesis's filter_too_much health check
     @given(st.lists(st.tuples(_ROW_VALUES | st.just(-0.0), _ROW_VALUES | st.just(-0.0))
-                    .filter(lambda p: p[0] < p[1]), max_size=8),
+                    .map(sorted).filter(lambda p: p[0] < p[1]), max_size=8),
            st.lists(st.tuples(_ROW_VALUES | st.just(-0.0), _ROW_VALUES | st.just(-0.0))
-                    .filter(lambda p: p[0] < p[1]), max_size=8))
+                    .map(sorted).filter(lambda p: p[0] < p[1]), max_size=8))
     def test_matches_masked_kernel_bitwise(self, a_rows, b_rows):
         a = ([r[0] for r in a_rows], [r[1] for r in a_rows])
         b = ([r[0] for r in b_rows], [r[1] for r in b_rows])
@@ -121,7 +122,7 @@ class TestNormalize:
 
     def test_bad_duration(self):
         for duration in (0.0, -3.0, math.inf):
-            with pytest.raises(IntervalError):
+            with pytest.raises(DataError, match="duration must be finite and > 0"):
                 self._infer(0.1, 0.2, duration)
 
     @given(
@@ -144,7 +145,7 @@ class TestProposal:
     def test_score_bounds(self):
         assert len(ProposalSet("v", [0, 0], [1, 1], [0.0, 1.0])) == 2
         for score in (1.5, -0.1, math.nan):
-            with pytest.raises(IntervalError):
+            with pytest.raises(DataError, match=r"^row 0: .* a score in \[0, 1\]"):
                 ProposalSet("v", [0], [1], [score])
 
     def test_source_coercion(self):
@@ -216,7 +217,7 @@ class TestProposalSet:
         at = min(at, len(rows))
         rows = [r[:3] for r in rows]
         rows.insert(at, _BAD_ROWS[kind])
-        with pytest.raises(IntervalError, match=f"^row {at}: "):
+        with pytest.raises(DataError, match=f"^row {at}: "):
             ProposalSet("v", *_columns(rows))
 
     @pytest.mark.parametrize("kind", sorted(_BAD_ROWS))
@@ -226,7 +227,7 @@ class TestProposalSet:
                    {"segment": [start, end], "score": score}]
         path = tmp_path / "props.json"
         path.write_text(json.dumps({"results": {"vid7": entries}}))
-        with pytest.raises(DATA_ERRORS, match=r"results\.vid7: row 1: "):
+        with pytest.raises(DataError, match=r"results\.vid7: row 1: "):
             read_results(path)
 
 
@@ -253,7 +254,7 @@ class TestVideoRecord:
     @pytest.mark.parametrize("kind", sorted(_BAD_INSTANCES))
     def test_first_bad_instance_is_named(self, kind, at):
         spans = _spans_with_bad(kind, at)
-        with pytest.raises(IntervalError, match=f"^instance {at}: "):
+        with pytest.raises(DataError, match=f"^instance {at}: "):
             VideoRecord("v", 10.0, "training", ("a",) * len(spans), *zip(*spans))
 
     @pytest.mark.parametrize("kind", sorted(_BAD_INSTANCES))
@@ -262,7 +263,7 @@ class TestVideoRecord:
         path = tmp_path / "ann.json"
         path.write_text(json.dumps({"database": {"vid7": {
             "duration": 10.0, "subset": "training", "annotations": anns}}}))
-        with pytest.raises(DataFormatError, match=r"database\.vid7: instance 1: "):
+        with pytest.raises(DataError, match=r"database\.vid7: instance 1: "):
             load_annotations(path)
 
     @pytest.mark.parametrize("labels, starts, ends", [
@@ -271,7 +272,7 @@ class TestVideoRecord:
         (("a", "b"), [1.0, 3.0], [2.0]),
     ], ids=["labels", "starts", "ends"])
     def test_column_lengths_must_match(self, labels, starts, ends):
-        with pytest.raises(IntervalError, match="labels"):
+        with pytest.raises(DataError, match="labels"):
             VideoRecord("v", 10.0, "training", labels, starts, ends)
 
     def test_columns_are_read_only_float64(self):
@@ -282,10 +283,10 @@ class TestVideoRecord:
             assert column.dtype == np.float64 and not column.flags.writeable
 
     def test_nonpositive_duration(self):
-        with pytest.raises(IntervalError):
+        with pytest.raises(DataError, match="duration must be finite and > 0, got 0.0"):
             VideoRecord("v", 0.0, "training")
 
     @pytest.mark.parametrize("duration", [math.inf, math.nan])
     def test_non_finite_duration(self, duration):
-        with pytest.raises(IntervalError, match="finite"):
+        with pytest.raises(DataError, match="finite"):
             VideoRecord("v", duration, "training")

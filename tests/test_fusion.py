@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import pset, tiou
 from oracles import brute_nms, brute_refine, loop_nms_keep, masked_tiou_matrix
 from tapkit.core import ProposalSet, Source
-from tapkit.errors import ConfigError, MetricError
+from tapkit.errors import ConfigError
 from tapkit.fusion import NmsConfig, RefineConfig, nms, refine
 
 
@@ -95,10 +95,6 @@ class TestRefine:
         assert len(replaced) == 1
         best = max(p_ssad, key=lambda p: tiou(p, (0.4, 10.0)))
         assert replaced[0].score == best.score
-
-    def test_video_mismatch(self):
-        with pytest.raises(MetricError):
-            refine(pset("a", [(0, 1, 0.5)]), pset("b", [(0, 1, 0.5)], Source.TAG), self.CFG)
 
     def test_empty_tag_is_identity(self):
         p_ssad = pset("v", [(0.0, 10.0, 0.8), (3.0, 7.0, 0.2)])

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from oracles import json_dump_localization, json_dump_results, loop_read_columns
 
-from tapkit.cli import DATA_ERRORS
 from tapkit.core import Subset
-from tapkit.errors import ConfigError, DataFormatError, IntervalError
+from tapkit.errors import ConfigError, DataError
 from tapkit.ingest import (
     FeatureSequence,
     SynthConfig,
@@ -71,18 +70,18 @@ class TestAnnotations:
         path = _write(tmp_path, "ann.json", {
             "database": {"v": {"duration": 15.0, "subset": "holdout", "annotations": []}},
         })
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match="subset must be training/validation/testing"):
             load_annotations(path)
 
     def test_missing_database(self, tmp_path):
         path = _write(tmp_path, "ann.json", {"version": "1.0"})
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match="missing or malformed 'database' map"):
             load_annotations(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "ann.json"
         path.write_text("{nope")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match="cannot parse annotation file"):
             load_annotations(path)
 
     @pytest.mark.parametrize("video", [
@@ -93,7 +92,8 @@ class TestAnnotations:
     def test_boolean_numbers_rejected(self, tmp_path, video):
         # bool is an int subclass; true must not read as 1
         path = _write(tmp_path, "ann.json", {"database": {"v": video}})
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError,
+                           match=r"database\.v\.(duration|annotations\[0\]\.segment) must be"):
             load_annotations(path)
 
     @pytest.mark.parametrize("label", [None, 5, {"x": 1}, ["a"], True])
@@ -102,7 +102,7 @@ class TestAnnotations:
         path = _write(tmp_path, "ann.json", {"database": {"v": {
             "duration": 60.0, "subset": "training",
             "annotations": [{"label": label, "segment": [1.0, 2.0]}]}}})
-        with pytest.raises(DataFormatError, match=r"database\.v\.annotations\[0\]\.label"):
+        with pytest.raises(DataError, match=r"database\.v\.annotations\[0\]\.label"):
             load_annotations(path)
 
     def test_round_trip(self, tmp_path):
@@ -138,10 +138,6 @@ class TestResizeLinear:
         assert np.array_equal(out[0], data[0])
         assert np.array_equal(out[-1], data[-1])
 
-    def test_bad_length(self):
-        with pytest.raises(DataFormatError):
-            resize_linear(FeatureSequence("v", np.zeros((3, 2))), 0)
-
     @settings(max_examples=50)
     @given(
         st.integers(min_value=2, max_value=9),
@@ -170,7 +166,7 @@ class TestFeatureFiles:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.feat"
         path.write_bytes(b"XXXX" + b"\0" * 20)
-        with pytest.raises(DataFormatError, match="magic"):
+        with pytest.raises(DataError, match="magic"):
             load_features(path, "v")
 
     def test_truncated_payload(self, tmp_path):
@@ -181,22 +177,22 @@ class TestFeatureFiles:
         blob = b"TAPF" + struct.pack("<III", 1, 10, 4)
         blob += np.zeros(39, dtype="<f4").tobytes()
         path.write_bytes(blob)
-        with pytest.raises(DataFormatError, match="corrupt"):
+        with pytest.raises(DataError, match="corrupt"):
             load_features(path, "v")
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "v.feat"
         save_features(FeatureSequence("v", np.zeros((3, 2), dtype=np.float32)), path)
         path.write_bytes(path.read_bytes() + b"\0\0\0\0")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match="corrupt payload"):
             load_features(path, "v")
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match="feature sequence for v has non-finite values"):
             FeatureSequence("v", np.array([[np.inf, 0.0]]))
 
     def test_shape_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match=r"must be T x D with T, D >= 1, got shape \(5,\)"):
             FeatureSequence("v", np.zeros(5))
 
 
@@ -290,21 +286,21 @@ class TestResultsFiles:
         path = _write(tmp_path, "props.json", {
             "results": {"v": [{"segment": [1.0], "score": 0.5}]},
         })
-        with pytest.raises(DataFormatError, match="segment"):
+        with pytest.raises(DataError, match="segment"):
             read_results(path)
 
     def test_reversed_segment(self, tmp_path):
         path = _write(tmp_path, "props.json", {
             "results": {"v": [{"segment": [9.0, 2.0], "score": 0.5}]},
         })
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match=r"results\.v: row 0: need finite start < end"):
             read_results(path)
 
     def test_missing_score(self, tmp_path):
         path = _write(tmp_path, "props.json", {
             "results": {"v": [{"segment": [0.0, 2.0]}]},
         })
-        with pytest.raises(DataFormatError, match="score"):
+        with pytest.raises(DataError, match="score"):
             read_results(path)
 
     @pytest.mark.parametrize("entry", [
@@ -314,12 +310,12 @@ class TestResultsFiles:
     @pytest.mark.parametrize("reader", [read_results])
     def test_boolean_numbers_rejected(self, tmp_path, reader, entry):
         path = _write(tmp_path, "props.json", {"results": {"v": [{**entry, "label": "x"}]}})
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match=r"results\.v\[0\]\.(segment|score) must be"):
             reader(path)
 
     def test_missing_results_map(self, tmp_path):
         path = _write(tmp_path, "props.json", {"version": "1.0"})
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match="missing 'results' map"):
             read_results(path)
 
     @pytest.mark.parametrize("name", ["proposals_ssad.json", "proposals_tag.json",
@@ -403,25 +399,25 @@ class TestClassificationFiles:
 
     def test_score_out_of_range(self, tmp_path):
         path = _write(tmp_path, "cls.json", {"v": [{"label": "a", "score": 1.5}]})
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match=r"v\[0\]\.score must be a number in \[0, 1\]"):
             read_classification(path)
 
     @pytest.mark.parametrize("score", [True, "0.5", [0.5]])
     def test_score_must_be_a_number(self, tmp_path, score):
         path = _write(tmp_path, "cls.json", {"v": [{"label": "a", "score": score}]})
-        with pytest.raises(DataFormatError, match="score"):
+        with pytest.raises(DataError, match="score"):
             read_classification(path)
 
     def test_missing_keys(self, tmp_path):
         path = _write(tmp_path, "cls.json", {"v": [{"label": "a"}]})
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataError, match=r"v\[0\] needs 'label' and 'score'"):
             read_classification(path)
 
     @pytest.mark.parametrize("label", [None, 5, {"x": 1}, ["a"], True])
     def test_non_string_label_rejected(self, tmp_path, label):
         path = _write(tmp_path, "cls.json", {"v": [{"label": "a", "score": 0.9},
                                                    {"label": label, "score": 0.5}]})
-        with pytest.raises(DataFormatError, match=r"v\[1\]\.label"):
+        with pytest.raises(DataError, match=r"v\[1\]\.label"):
             read_classification(path)
 
 
@@ -482,7 +478,10 @@ def _file_bytes(draw, name):
 def test_integers_beyond_float_range_rejected(tmp_path, name):
     path = tmp_path / name
     path.write_bytes(_valid_payloads(10**400)[name])
-    with pytest.raises(DataFormatError):
+    message = {"annotations.json": r"database\.v\.duration must be a number",
+               "results.json": r"results\.v\[0\]\.segment must be a \[start, end\] pair",
+               "classification.json": r"v\[0\]\.score must be a number in \[0, 1\]"}[name]
+    with pytest.raises(DataError, match=message):
         _READERS[name](path)
 
 
@@ -496,7 +495,7 @@ class TestReaderFuzz:
         path.write_bytes(data.draw(_file_bytes(name)))
         try:
             _READERS[name](path)
-        except DATA_ERRORS:
+        except DataError:
             pass
 
 
@@ -539,7 +538,7 @@ def _reference_read(path):
         for vid, columns in loop_read_columns(path):
             try:
                 out[vid] = ProposalSet(vid, *columns)
-            except IntervalError as exc:
+            except DataError as exc:
                 return f"{path}: results.{vid}: {exc}"
     except ValueError as exc:
         return f"{path}: {exc}"
@@ -558,7 +557,7 @@ class TestReaderColumns:
         want = _reference_read(path)
         try:
             got = read_results(path)
-        except DataFormatError as exc:
+        except DataError as exc:
             assert str(exc) == want
             return
         assert not isinstance(want, str), want
@@ -587,6 +586,6 @@ class TestReaderColumns:
             assert got.starts.tobytes() == want["v"].starts.tobytes()
             assert got.scores.tobytes() == want["v"].scores.tobytes()
         else:
-            with pytest.raises(DataFormatError, match=message) as info:
+            with pytest.raises(DataError, match=message) as info:
                 read_results(path)
             assert str(info.value) == want

@@ -15,7 +15,7 @@ from oracles import (
     oracle_tiou,
 )
 from tapkit.core import DatasetIndex, ProposalSet, Subset, VideoRecord
-from tapkit.errors import MetricError
+from tapkit.errors import ConfigError, DataError
 from tapkit.metrics import (
     ArAnCurve,
     _random_intervals,
@@ -25,6 +25,7 @@ from tapkit.metrics import (
     tiou_grid,
     uniform_random_proposals,
 )
+from tapkit.pipeline import EvalOptions
 from tapkit.util import KEY_BASELINE, rng_for
 
 
@@ -69,17 +70,13 @@ class TestRecall:
         assert recall(props, gt, an=1, threshold=0.5) == 0.5
 
     def test_no_gt_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError, match="recall undefined: no ground-truth instances"):
             recall({}, {"v": []}, an=1, threshold=0.5)
 
     def test_bad_args(self):
-        gt = {"v": [(0, 1)]}
-        with pytest.raises(MetricError):
-            recall({}, gt, an=0, threshold=0.5)
-        with pytest.raises(MetricError):
-            recall({}, gt, an=1, threshold=0.0)
-        with pytest.raises(MetricError):
-            recall({}, gt, an=1, threshold=1.1)
+        # ar_an trusts its an_max: eval.an_max is checked where it enters
+        with pytest.raises(ConfigError, match="eval.an_max must be >= 1"):
+            EvalOptions(an_max=0)
 
 
 class TestAverageRecall:
@@ -131,13 +128,10 @@ class TestArAn:
             assert curve == _loop_ar_an(props, gt, an_max)
 
     def test_ar_at_bounds(self):
-        props = {"v": pset("v", [(0.0, 10.0, 0.9)])}
-        gt = {"v": [(0.0, 10.0)]}
-        curve = ar_an(props, gt_records(gt), an_max=3)
-        with pytest.raises(MetricError):
-            curve.ar_at(0)
-        with pytest.raises(MetricError):
-            curve.ar_at(4)
+        # ar_at reads AN 1..an_max; EvalOptions keeps every eval.ar_at in range
+        for ar_at in ((0,), (4,)):
+            with pytest.raises(ConfigError, match=r"eval.ar_at values must lie in 1\.\.3"):
+                EvalOptions(an_max=3, ar_at=ar_at)
 
     def test_counts_only_the_given_records(self):
         # eval-prop passes one subset's records; other videos' gt is not counted
@@ -257,7 +251,7 @@ class TestAttachLabels:
 
     def test_missing_classification_rejected(self):
         props = {"v": pset("v", [(0.0, 10.0, 0.8)])}
-        with pytest.raises(MetricError, match="v"):
+        with pytest.raises(DataError, match="v"):
             attach_labels(props, {})
 
     def test_empty_classification_gives_no_entries(self):
@@ -303,7 +297,8 @@ class TestAveragePrecision:
         assert average_precision([], {"v": [(0, 1)]}, 0.5) == 0.0
 
     def test_no_gt_rejected(self):
-        with pytest.warns(RuntimeWarning, match="'x'"), pytest.raises(MetricError):
+        with pytest.warns(RuntimeWarning, match="'x'"), pytest.raises(
+                DataError, match="mAP undefined: no ground truth in subset validation"):
             average_precision([("v", 0, 1, 0.5)], {}, 0.5)
 
     def test_matches_oracle(self):
@@ -347,8 +342,15 @@ class TestMeanAp:
         with warnings.catch_warnings():
             # no labels have validation gt here, so every class warns first
             warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(MetricError):
+            with pytest.raises(DataError, match="no ground truth in subset training"):
                 mean_ap(loc, index, [0.5], subset=Subset.TRAINING)
+
+    def test_bad_threshold(self):
+        # eval-loc's thresholds are the tIoU grid plus eval.map_points, which
+        # EvalOptions keeps in (0, 1]
+        for t in (0.0, 1.5):
+            with pytest.raises(ConfigError, match=rf"must lie in \(0, 1\], got {t}"):
+                EvalOptions(map_points=(t,))
 
     def test_one_value_per_threshold_and_n(self):
         index, loc = self._fixture()
@@ -358,12 +360,6 @@ class TestMeanAp:
         assert list(maps) == [None, 2, 1]
         assert all(list(by_t) == [0.95, 0.5] for by_t in maps.values())
 
-    def test_bad_threshold(self):
-        index, loc = self._fixture()
-        for thresholds in ([], [0.0], [1.5]):
-            with pytest.raises(MetricError):
-                mean_ap(loc, index, thresholds)
-
 
 class TestEvalAtN:
     def test_identity_when_n_large(self):
@@ -372,6 +368,11 @@ class TestEvalAtN:
             warnings.simplefilter("ignore", RuntimeWarning)
             maps = mean_ap(loc, index, tiou_grid(), at_n=[100])
         assert maps[100] == maps[None]
+
+    def test_bad_n(self):
+        # mean_ap trusts its cutoffs: eval.at_n is checked where it enters
+        with pytest.raises(ConfigError, match="eval.at_n values must be >= 1"):
+            EvalOptions(at_n=(0,))
 
     def test_truncation_drops_low_scores(self):
         videos = {
@@ -383,11 +384,6 @@ class TestEvalAtN:
         maps = mean_ap(loc, index, [0.5], at_n=[1, 2])
         assert maps[1][0.5] == 0.0
         assert maps[2][0.5] == 0.5
-
-    def test_bad_n(self):
-        index, loc = TestMeanAp()._fixture()
-        with pytest.raises(MetricError):
-            mean_ap(loc, index, tiou_grid(), at_n=[0])
 
 
 _LABELS = ("a", "b", "c")
@@ -452,7 +448,7 @@ def _loop_ar_an(proposals, gt, an_max):
                     hits[rank + 1, ti] += 1
     cum = np.cumsum(hits, axis=0)
     ar = tuple(float(np.mean(cum[an] / total)) for an in range(1, an_max + 1))
-    return ArAnCurve(an_max, ar, float(np.mean(np.asarray(ar))))
+    return ArAnCurve(ar, float(np.mean(np.asarray(ar))))
 
 
 def _random_instance(rng):

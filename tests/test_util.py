@@ -9,6 +9,7 @@ import tapkit
 import tapkit.util
 from tapkit.core import DatasetIndex, ProposalSet, Subset, VideoRecord
 from tapkit.engine import Dense, ReLU, Sequential, save_model
+from tapkit.errors import TapkitError
 from tapkit.ingest import (
     FeatureSequence,
     save_annotations,
@@ -149,6 +150,42 @@ def test_only_util_opens_files_for_writing():
         if found:
             offenders[path.name] = found
     assert offenders == {}, "write artifacts through tapkit.util.atomic_open"
+
+
+# --------------------------------------------------------------------------
+# guard: every deliberate raise is a TapkitError, so the CLI maps it to its
+# documented exit code
+
+
+def _raised_names(source: str, allowed: set[str]) -> list[str]:
+    """What each raise statement raises, unless it calls a name in allowed."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue  # a bare raise re-raises the exception being handled
+        called = isinstance(node.exc, ast.Call)
+        exc = node.exc.func if called else node.exc
+        if not (called and isinstance(exc, ast.Name) and exc.id in allowed):
+            names.append(ast.unparse(exc))
+    return names
+
+
+def test_guard_detects_foreign_raises():
+    source = ('raise ValueError("x")\nraise ConfigError("y") from exc\nraise\n'
+              'raise exc\nraise errors.ConfigError("z")\n')
+    assert _raised_names(source, {"ConfigError"}) == ["ValueError", "exc", "errors.ConfigError"]
+
+
+def test_every_raise_is_a_tapkit_error():
+    package = Path(tapkit.__file__).parent
+    allowed = {cls.__name__ for cls in TapkitError.__subclasses__()}
+    foreign = {}
+    for path in sorted(package.glob("*.py")):
+        names = _raised_names(path.read_text(encoding="utf-8"), allowed)
+        if names:
+            foreign[path.name] = names
+    # engine.Layer's forward/backward stubs, which every layer overrides
+    assert foreign == {"engine.py": ["NotImplementedError", "NotImplementedError"]}
 
 
 # --------------------------------------------------------------------------
