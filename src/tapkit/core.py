@@ -5,10 +5,12 @@ everywhere. All time arithmetic is 64-bit floating point.
 
 Proposals and ground truth are both columnar. A ProposalSet holds start,
 end, score and source arrays for one video, validated and ranked as a whole;
-Proposal is only a row view of it, yielded by iteration. The package reads
-the columns; perfbench's tracer iterates rows to count refined ones. A
-VideoRecord holds its instances' labels, starts and ends, validated once and
-kept in input order.
+the video's id is the key it is stored under, not a field. Proposal is only
+a row view of it, yielded by iteration. The package reads the columns;
+perfbench's tracer iterates rows to count refined ones. A VideoRecord holds
+its instances' labels, starts and ends, validated once and kept in input
+order. A DatasetIndex holds the records and derives its label vocabulary
+from them.
 
 tiou_matrix is the one interval kernel: refinement, NMS, target assignment,
 AR-AN and AP all compare intervals through it, so the tIoU formula lives in
@@ -75,7 +77,6 @@ class ProposalSet:
     every row.
     """
 
-    video_id: str
     starts: np.ndarray = field(default=(), repr=False)
     ends: np.ndarray = field(default=(), repr=False)
     scores: np.ndarray = field(default=(), repr=False)
@@ -111,8 +112,7 @@ class ProposalSet:
 
     def take(self, idx) -> ProposalSet:
         """The rows at idx (an index array, list or slice), ranked again."""
-        return ProposalSet(self.video_id, self.starts[idx], self.ends[idx],
-                           self.scores[idx], self.sources[idx])
+        return ProposalSet(self.starts[idx], self.ends[idx], self.scores[idx], self.sources[idx])
 
 
 class Subset(str, Enum):
@@ -165,20 +165,15 @@ class VideoRecord:
 
 @dataclass(frozen=True, eq=False)
 class DatasetIndex:
-    """All video records keyed by id, plus the ordered label vocabulary.
-    Like a record, an index compares by identity."""
+    """All video records keyed by id. Like a record, an index compares by
+    identity."""
 
     videos: dict[str, VideoRecord] = field(default_factory=dict)
-    label_set: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        known = set(self.label_set)
-        for rec in self.videos.values():
-            for label in rec.labels:
-                if label not in known:
-                    raise DataError(
-                        f"video {rec.video_id}: label {label!r} not in label_set"
-                    )
+    @property
+    def label_set(self) -> tuple[str, ...]:
+        """The label vocabulary: every label of the records' instances, sorted."""
+        return tuple(sorted({label for rec in self.videos.values() for label in rec.labels}))
 
     def subset_videos(self, subset: Subset | str) -> list[VideoRecord]:
         subset = Subset(subset)

@@ -21,7 +21,7 @@ class RefineConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.iou_threshold < 1.0:
-            raise ConfigError(f"refine iou_threshold must lie in (0, 1), got {self.iou_threshold}")
+            raise ConfigError(f"iou_threshold must lie in (0, 1), got {self.iou_threshold}")
 
 
 NMS_PLACEMENTS = ("before", "after", "off")
@@ -38,11 +38,11 @@ class NmsConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.iou_threshold <= 1.0:
-            raise ConfigError(f"nms iou_threshold must lie in (0, 1], got {self.iou_threshold}")
+            raise ConfigError(f"iou_threshold must lie in (0, 1], got {self.iou_threshold}")
         if self.max_per_video < 1:
-            raise ConfigError(f"nms max_per_video must be >= 1, got {self.max_per_video}")
+            raise ConfigError(f"max_per_video must be >= 1, got {self.max_per_video}")
         if self.placement not in NMS_PLACEMENTS:
-            raise ConfigError(f"nms.placement must be one of {NMS_PLACEMENTS}, got {self.placement!r}")
+            raise ConfigError(f"placement must be one of {NMS_PLACEMENTS}, got {self.placement!r}")
 
 
 def refine(p_ssad: ProposalSet, p_tag: ProposalSet, cfg: RefineConfig) -> ProposalSet:
@@ -74,7 +74,7 @@ def refine(p_ssad: ProposalSet, p_tag: ProposalSet, cfg: RefineConfig) -> Propos
 
     starts, ends, sources = s_starts.copy(), s_ends.copy(), p_ssad.sources.copy()
     starts[won], ends[won], sources[won] = t_starts[winners], t_ends[winners], Source.REFINED
-    return ProposalSet(p_ssad.video_id, starts, ends, p_ssad.scores, sources)
+    return ProposalSet(starts, ends, p_ssad.scores, sources)
 
 
 def nms(pset: ProposalSet, cfg: NmsConfig) -> ProposalSet:

@@ -18,7 +18,7 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NoReturn
 
@@ -36,18 +36,16 @@ FEATURE_VERSION = 1
 class FeatureSequence:
     """T x D matrix of snippet-level feature vectors for one video."""
 
-    video_id: str
     data: np.ndarray  # float32, shape (T, D), row per snippet
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float32)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DataError(
-                f"feature sequence for {self.video_id} must be T x D with T, D >= 1, "
-                f"got shape {arr.shape}"
+                f"feature sequence must be T x D with T, D >= 1, got shape {arr.shape}"
             )
         if not np.isfinite(arr).all():
-            raise DataError(f"feature sequence for {self.video_id} has non-finite values")
+            raise DataError("feature sequence has non-finite values")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -86,30 +84,32 @@ class SynthConfig:
             if len(getattr(self, name)) != 2:
                 raise ConfigError(f"{name} must be a [low, high] pair, got {getattr(self, name)}")
         if self.num_videos < 1:
-            raise ConfigError("num_videos must be >= 1")
+            raise ConfigError(f"num_videos must be >= 1, got {self.num_videos}")
         if not (0.0 < self.duration_range[0] <= self.duration_range[1]):
-            raise ConfigError(f"empty duration range {self.duration_range}")
+            raise ConfigError(f"duration_range must be 0 < low <= high, got {self.duration_range}")
         if self.snippet_length <= 0.0:
-            raise ConfigError("snippet_length must be > 0")
+            raise ConfigError(f"snippet_length must be > 0, got {self.snippet_length}")
         if not self.duration_range[1] / self.snippet_length <= U32_MAX:  # false for inf, NaN
-            raise ConfigError(f"duration_range[1] / snippet_length must be <= {U32_MAX} snippets")
+            raise ConfigError(f"duration_range[1] / snippet_length must be <= {U32_MAX} snippets, "
+                              f"got {self.duration_range[1] / self.snippet_length}")
         if self.feature_dim > U32_MAX:
             raise ConfigError(f"feature_dim must be <= {U32_MAX}, got {self.feature_dim}")
         if self.num_classes < 1:
-            raise ConfigError("num_classes must be >= 1")
+            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.feature_dim < self.num_classes:
             raise ConfigError(
                 f"feature_dim must be >= num_classes (class indicator directions), "
                 f"got D={self.feature_dim} < {self.num_classes}"
             )
         if not (0 <= self.instances_range[0] <= self.instances_range[1]):
-            raise ConfigError(f"empty instances range {self.instances_range}")
+            raise ConfigError(f"instances_range must be 0 <= low <= high, got {self.instances_range}")
         if not (0.0 < self.instance_len_frac[0] <= self.instance_len_frac[1] < 1.0):
-            raise ConfigError(f"bad instance length fractions {self.instance_len_frac}")
-        if self.signal_strength <= 0.0 or self.noise_sigma <= 0.0:
-            raise ConfigError("signal_strength and noise_sigma must be > 0")
+            raise ConfigError(f"instance_len_frac must be 0 < low <= high < 1, got {self.instance_len_frac}")
+        for name in ("signal_strength", "noise_sigma"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0.0 <= self.val_fraction < 1.0):
-            raise ConfigError("val_fraction must be in [0, 1)")
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
 # --------------------------------------------------------------------------
@@ -145,7 +145,6 @@ def load_annotations(path: str | Path) -> DatasetIndex:
         raise DataError(f"{path}: missing or malformed 'database' map")
 
     videos: dict[str, VideoRecord] = {}
-    label_set: set[str] = set()
     for vid, entry in raw["database"].items():
         if not isinstance(entry, dict):
             raise DataError(f"{path}: database.{vid} is not an object")
@@ -180,8 +179,7 @@ def load_annotations(path: str | Path) -> DatasetIndex:
             videos[vid] = VideoRecord(vid, duration, subset, labels, starts, ends)
         except DataError as exc:
             raise DataError(f"{path}: database.{vid}: {exc}") from exc
-        label_set.update(labels)
-    return DatasetIndex(videos=videos, label_set=tuple(sorted(label_set)))
+    return DatasetIndex(videos)
 
 
 def save_annotations(index: DatasetIndex, path: str | Path) -> None:
@@ -238,8 +236,8 @@ def save_features(seq: FeatureSequence, path: str | Path) -> None:
         f.write(payload)
 
 
-def load_features(path: str | Path, video_id: str) -> FeatureSequence:
-    """Read a TAPF feature file as the features of video_id."""
+def load_features(path: str | Path) -> FeatureSequence:
+    """Read a TAPF feature file."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -257,7 +255,10 @@ def load_features(path: str | Path, video_id: str) -> FeatureSequence:
             f"({expected} bytes) but file has {len(blob)}"
         )
     arr = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, d)
-    return FeatureSequence(video_id, arr.copy())
+    try:
+        return FeatureSequence(arr.copy())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -344,7 +345,7 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
         if not (_numbers(starts) and _numbers(ends) and _numbers(scores)):
             _raise_entry_error(path, vid, entries)
         try:
-            out[vid] = ProposalSet(vid, starts, ends, scores)
+            out[vid] = ProposalSet(starts, ends, scores)
         except DataError as exc:
             raise DataError(f"{path}: results.{vid}: {exc}") from exc
     return out
@@ -463,11 +464,10 @@ def generate_synthetic(
 
         videos[vid] = VideoRecord(vid, duration, subset, (labels[cls],) * len(instances),
                                   starts, ends)
-        features[vid] = FeatureSequence(vid, data)
+        features[vid] = FeatureSequence(data)
         if instances:
             classification[vid] = [(labels[cls], 1.0)]
         else:
             classification[vid] = []
 
-    index = DatasetIndex(videos=videos, label_set=labels)
-    return index, features, classification
+    return DatasetIndex(videos), features, classification

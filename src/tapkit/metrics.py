@@ -113,7 +113,7 @@ def uniform_random_proposals(
 ) -> dict[str, ProposalSet]:
     """Scored random-interval baseline, deterministic per seed."""
     rng = rng_for(seed, KEY_BASELINE)
-    return {rec.video_id: ProposalSet(rec.video_id, *_random_intervals(rng, rec.duration, count))
+    return {rec.video_id: ProposalSet(*_random_intervals(rng, rec.duration, count))
             for rec in index.subset_videos(subset)}
 
 

@@ -55,8 +55,8 @@ from .metrics import (
     tiou_grid,
     uniform_random_proposals,
 )
-from .ssad import SsadConfig, SsadModel, build_anchor_pyramid, build_model
-from .ssad import INFER_BATCH, infer as ssad_infer
+from .ssad import SsadConfig, SsadModel, build_model
+from .ssad import infer as ssad_infer
 from .ssad import train as ssad_train
 from .tag import TagConfig, build_mlp, predict_actionness, tag_proposals, train_actionness
 from .util import KEY_GRADCHECK, atomic_open, rng_for, sha256_file, write_json_atomic
@@ -75,18 +75,18 @@ class EvalOptions:
 
     def __post_init__(self) -> None:
         if self.an_max < 1:
-            raise ConfigError("eval.an_max must be >= 1")
+            raise ConfigError(f"an_max must be >= 1, got {self.an_max}")
         if not self.ar_at or any(not 1 <= n <= self.an_max for n in self.ar_at):
-            raise ConfigError(f"eval.ar_at values must lie in 1..{self.an_max}")
+            raise ConfigError(f"ar_at values must lie in 1..{self.an_max}, got {self.ar_at}")
         if not self.at_n or any(n < 1 for n in self.at_n):
-            raise ConfigError("eval.at_n values must be >= 1")
+            raise ConfigError(f"at_n values must be >= 1, got {self.at_n}")
         if self.top_c < 1:
-            raise ConfigError("eval.top_c must be >= 1")
+            raise ConfigError(f"top_c must be >= 1, got {self.top_c}")
         if self.subset not in [s.value for s in Subset]:
-            raise ConfigError(f"eval.subset must be one of {[s.value for s in Subset]}")
+            raise ConfigError(f"subset must be one of {[s.value for s in Subset]}, got {self.subset!r}")
         for t in self.map_points:
             if not 0.0 < t <= 1.0:
-                raise ConfigError(f"eval.map_points values must lie in (0, 1], got {t}")
+                raise ConfigError(f"map_points values must lie in (0, 1], got {t}")
 
 
 def _section_defaults(dc_cls, skip=()) -> dict:
@@ -165,7 +165,10 @@ def _build_section(dc_cls, section: dict, what: str, **extra):
                               f"{json.dumps(f.default)}, got {json.dumps(kwargs[f.name])}")
         if isinstance(kwargs[f.name], list):
             kwargs[f.name] = tuple(kwargs[f.name])
-    return dc_cls(**kwargs)
+    try:
+        return dc_cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}.{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -282,11 +285,11 @@ def _load_feature_map(cfg: PipelineConfig, records) -> tuple[dict, int]:
     for rec in records:
         path = _feature_path(cfg, rec.video_id)
         _require(path, "synth")
-        seq = out[rec.video_id] = load_features(path, rec.video_id)
+        seq = out[rec.video_id] = load_features(path)
         first = out[records[0].video_id]
         if seq.feature_dim != first.feature_dim:
             raise DataError(f"video {rec.video_id} has feature dimension {seq.feature_dim}, "
-                            f"video {first.video_id} has {first.feature_dim}")
+                            f"video {records[0].video_id} has {first.feature_dim}")
     return out, first.feature_dim
 
 
@@ -347,7 +350,7 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
     n_train = len(index.subset_videos(Subset.TRAINING))
     n_val = len(index.subset_videos(Subset.VALIDATION))
     logger.info("synth: %d videos (%d training, %d validation), %d classes",
-                len(index.videos), n_train, n_val, len(index.label_set))
+                len(index.videos), n_train, n_val, cfg.synth.num_classes)
     return paths
 
 
@@ -373,11 +376,8 @@ def run_infer(cfg: PipelineConfig) -> list[Path]:
     features, feature_dim = _load_feature_map(cfg, records)
     model = load_weights(SsadModel(feature_dim, cfg.ssad), _input(cfg, "ssad_model.tapm"))
     mlp = load_weights(build_mlp(feature_dim, cfg.tag), _input(cfg, "tag_model.tapm"))
-    pyramid = build_anchor_pyramid(cfg.ssad)
 
-    ssad_sets = {}
-    for lo in range(0, len(records), INFER_BATCH):
-        ssad_sets.update(ssad_infer(model, records[lo : lo + INFER_BATCH], features, pyramid))
+    ssad_sets = ssad_infer(model, records, features)
     tag_sets = {rec.video_id: tag_proposals(predict_actionness(mlp, features[rec.video_id]),
                                             cfg.tag, rec)
                 for rec in records}
@@ -386,7 +386,7 @@ def run_infer(cfg: PipelineConfig) -> list[Path]:
     write_results(ssad_sets, ssad_path)
     write_results(tag_sets, tag_path)
     logger.info("infer: %d videos, %d anchor proposals/video, %d grouped proposals total",
-                len(records), len(pyramid), sum(len(s) for s in tag_sets.values()))
+                len(records), model.num_anchors, sum(len(s) for s in tag_sets.values()))
     return [ssad_path, tag_path]
 
 
@@ -401,7 +401,7 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
     ssad_final = {}
     for vid in sorted(ssad_sets):
         p_ssad = ssad_sets[vid]
-        p_tag = tag_sets.get(vid, ProposalSet(vid))
+        p_tag = tag_sets.get(vid, ProposalSet())
         if cfg.nms.placement == "before":
             p_ssad = nms(p_ssad, cfg.nms)
         ssad_final[vid] = p_ssad

@@ -43,30 +43,31 @@ class SsadConfig:
         largest = self.input_length // 4
         if largest & (largest - 1) != 0:
             raise ConfigError(
-                f"input_length/4 must be a power of two, got {largest}"
+                f"input_length must be 4 times a power of two, got {self.input_length}"
             )
         return tuple(2**i for i in range(int(math.log2(largest)) + 1))
 
     def __post_init__(self) -> None:
         self.resolved_layer_lengths()
         if self.hidden_channels < 1:
-            raise ConfigError("hidden_channels must be >= 1")
+            raise ConfigError(f"hidden_channels must be >= 1, got {self.hidden_channels}")
         if self.base_kernel < 1 or self.base_kernel % 2 == 0:
             raise ConfigError(f"base_kernel must be odd and >= 1, got {self.base_kernel}")
         for name in ("hidden_channels", "base_kernel"):
             if getattr(self, name) > U32_MAX:
                 raise ConfigError(f"{name} must be <= {U32_MAX}, got {getattr(self, name)}")
         if not self.scale_ratios:
-            raise ConfigError("scale_ratios must be non-empty")
+            raise ConfigError(f"scale_ratios must be non-empty, got {self.scale_ratios}")
         for d in self.scale_ratios:
             if not d > 0.0:
-                raise ConfigError(f"scale ratio must be > 0, got {d}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+                raise ConfigError(f"scale_ratios values must be > 0, got {d}")
+        for name, low in (("epochs", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.learning_rate > 0.0:
-            raise ConfigError("learning_rate must be > 0")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
+            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +108,7 @@ class SsadModel(Sequential):
     """Shared conv trunk with one overlap-prediction head per feature map.
 
     Forward maps (N, D, L_in) to (N, A) sigmoid overlap scores, flattened in
-    the anchor pyramid's (layer, cell, ratio) order, where D is the feature
+    the (layer, cell, ratio) order of self.pyramid, its A anchors; D is the feature
     dimension. self.layers holds the stem, down and head layers in that order.
     """
 
@@ -115,6 +116,7 @@ class SsadModel(Sequential):
                  rng: np.random.Generator | None = None, dtype=np.float32):
         self.feature_dim = feature_dim
         self.cfg = cfg
+        self.pyramid = build_anchor_pyramid(cfg)
         lengths = cfg.resolved_layer_lengths()
         self.map_lengths = tuple(reversed(lengths))  # descending, as produced
         h = cfg.hidden_channels
@@ -142,7 +144,7 @@ class SsadModel(Sequential):
 
     @property
     def num_anchors(self) -> int:
-        return sum(self.map_lengths) * len(self.cfg.scale_ratios)
+        return len(self.pyramid)
 
     # -- forward/backward
 
@@ -218,10 +220,9 @@ def train(
     gradient or the loss goes non-finite.
     """
     cfg = model.cfg
-    pyramid = build_anchor_pyramid(cfg)
     records = sorted(records, key=lambda r: r.video_id)
     inputs = np.stack([_prepare_input(features[r.video_id], cfg) for r in records])
-    targets = np.stack([assign_targets(pyramid, r.starts / r.duration, r.ends / r.duration)
+    targets = np.stack([assign_targets(model.pyramid, r.starts / r.duration, r.ends / r.duration)
                         for r in records]).astype(np.float32)
 
     return fit(model, inputs, targets, cfg.epochs, cfg.batch_size, cfg.learning_rate,
@@ -232,19 +233,21 @@ def infer(
     model: SsadModel,
     records: list[VideoRecord],
     features: dict[str, FeatureSequence],
-    pyramid: AnchorPyramid,
 ) -> dict[str, ProposalSet]:
-    """Score every anchor of the given videos in one forward pass and emit each
-    video's top-k default intervals in seconds, keyed by video id.
+    """Score every anchor of model.pyramid on the given videos, INFER_BATCH
+    videos per forward pass, and emit each video's top-k default intervals in
+    seconds, keyed by video id.
 
     matmul runs one gemm per sample, so a video's scores do not depend on
-    the batch it is scored in; the pipeline scores INFER_BATCH at a time.
+    the batch it is scored in.
     """
-    x = np.stack([_prepare_input(features[r.video_id], model.cfg) for r in records])
-    scores = model.forward(x)
-    return {
-        rec.video_id: ProposalSet(rec.video_id, pyramid.starts * rec.duration,
-                                  pyramid.ends * rec.duration, row, Source.SSAD
-                                  ).take(slice(model.cfg.top_k))
-        for rec, row in zip(records, scores)
-    }
+    pyramid = model.pyramid
+    out = {}
+    for lo in range(0, len(records), INFER_BATCH):
+        batch = records[lo : lo + INFER_BATCH]
+        x = np.stack([_prepare_input(features[r.video_id], model.cfg) for r in batch])
+        for rec, row in zip(batch, model.forward(x)):
+            out[rec.video_id] = ProposalSet(pyramid.starts * rec.duration,
+                                            pyramid.ends * rec.duration, row, Source.SSAD
+                                            ).take(slice(model.cfg.top_k))
+    return out

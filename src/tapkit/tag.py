@@ -34,21 +34,22 @@ class TagConfig:
 
     def __post_init__(self) -> None:
         if self.hidden_width < 1:
-            raise ConfigError("hidden_width must be >= 1")
+            raise ConfigError(f"hidden_width must be >= 1, got {self.hidden_width}")
         if self.hidden_width > U32_MAX:
             raise ConfigError(f"hidden_width must be <= {U32_MAX}, got {self.hidden_width}")
         for name, grid in (("tau_grid", self.tau_grid), ("gamma_grid", self.gamma_grid)):
             if not grid:
-                raise ConfigError(f"{name} must be non-empty")
+                raise ConfigError(f"{name} must be non-empty, got {grid}")
             for v in grid:
                 if not 0.0 < v < 1.0:
                     raise ConfigError(f"{name} values must lie in (0, 1), got {v}")
         if self.min_fragment < 1:
-            raise ConfigError("min_fragment must be >= 1")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+            raise ConfigError(f"min_fragment must be >= 1, got {self.min_fragment}")
+        for name, low in (("epochs", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.learning_rate > 0.0:
-            raise ConfigError("learning_rate must be > 0")
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def actionness_targets(record: VideoRecord, num_snippets: int) -> np.ndarray:
@@ -190,6 +191,6 @@ def tag_proposals(values, cfg: TagConfig, record: VideoRecord) -> ProposalSet:
     duration = record.duration
     # a mean of values in [0, 1] lies in [0, 1]; the region's last snippet
     # ends at the duration exactly
-    return ProposalSet(record.video_id, starts * duration / num,
+    return ProposalSet(starts * duration / num,
                        np.where(ends == num, duration, ends * duration / num),
                        _region_means(values, starts, ends), Source.TAG)

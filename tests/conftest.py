@@ -44,13 +44,13 @@ def average_precision(preds, gt, threshold):
     loc = {}
     for vid, start, end, score in preds:
         loc.setdefault(vid, []).append(("x", start, end, score))
-    return mean_ap(loc, DatasetIndex(videos, ("x",)), [threshold])[None][threshold]
+    return mean_ap(loc, DatasetIndex(videos), [threshold])[None][threshold]
 
 
-def pset(vid, rows, source=Source.SSAD):
+def pset(rows, source=Source.SSAD):
     """A proposal set from (start, end, score) rows."""
     columns = np.asarray(rows, dtype=np.float64).reshape(-1, 3).T
-    return ProposalSet(vid, *columns, source)
+    return ProposalSet(*columns, source)
 
 
 def group(values, tau, gamma, min_frag=1, scan_cutoff=True):

@@ -101,7 +101,7 @@ def _random_metric_instance(rng):
              float(rng.integers(0, 11)) / 10.0)
             for _ in range(int(rng.integers(0, 7)))
         ]
-        props[vid] = pset(vid, rows)
+        props[vid] = pset(rows)
         loc[vid] = [(labels[int(rng.integers(0, 2))], s, e, score) for s, e, score in rows]
         spans = []
         for _ in range(int(rng.integers(0, 3))):
@@ -113,8 +113,7 @@ def _random_metric_instance(rng):
         gt[vids[0]] = [("jump", 0.0, 5.0)]
     for vid in vids:
         records[vid] = VideoRecord(vid, 100.0, Subset.VALIDATION, *zip(*gt[vid]))
-    index = DatasetIndex(videos=records, label_set=tuple(sorted(
-        {lbl for rows in gt.values() for lbl, _s, _e in rows})))
+    index = DatasetIndex(videos=records)
     return props, gt, loc, index
 
 
@@ -208,8 +207,8 @@ def test_criterion_5_refinement_contract():
         for _ in range(n_t):
             s = float(rng.uniform(0, 30))
             rows_t.append((s, s + float(rng.uniform(0.5, 20)), float(rng.uniform(0, 1))))
-        p_ssad = pset("v", rows_s)
-        out = refine(p_ssad, pset("v", rows_t, Source.TAG), cfg)
+        p_ssad = pset(rows_s)
+        out = refine(p_ssad, pset(rows_t, Source.TAG), cfg)
         if len(out) != len(p_ssad):
             preserved = False
         if sorted(p.score for p in out) != sorted(p.score for p in p_ssad):
@@ -220,7 +219,7 @@ def test_criterion_5_refinement_contract():
     for a, b in (((0.0, 4.0), (1.0, 4.0)), ((0.0, 8.0), (2.0, 8.0)),
                  ((0.0, 16.0), (4.0, 16.0)), ((10.0, 14.0), (11.0, 14.0))):
         assert tiou(a, b) == 0.75
-        out = refine(pset("v", [(*a, 0.5)]), pset("v", [(*b, 0.5)], Source.TAG), cfg)
+        out = refine(pset([(*a, 0.5)]), pset([(*b, 0.5)], Source.TAG), cfg)
         [p] = out
         if (p.start, p.end) != a or p.source is not Source.SSAD:
             strict = False

@@ -74,6 +74,24 @@ class TestExitCodes:
     def test_config_error_bad_value(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--set", "synth.num_videos=0"]) == 2
 
+    @pytest.mark.parametrize("kv, message", [
+        ("ssad.epochs=-1", "ssad.epochs must be >= 0, got -1"),
+        ("tag.epochs=-1", "tag.epochs must be >= 0, got -1"),
+        ("ssad.batch_size=0", "ssad.batch_size must be >= 1, got 0"),
+        ("tag.batch_size=0", "tag.batch_size must be >= 1, got 0"),
+        ("ssad.hidden_channels=0", "ssad.hidden_channels must be >= 1, got 0"),
+        ("tag.learning_rate=0", "tag.learning_rate must be > 0, got 0"),
+        ("synth.signal_strength=0", "synth.signal_strength must be > 0, got 0"),
+        ("synth.noise_sigma=0", "synth.noise_sigma must be > 0, got 0"),
+        ("eval.top_c=0", "eval.top_c must be >= 1, got 0"),
+        ("nms.iou_threshold=0", "nms.iou_threshold must lie in (0, 1], got 0"),
+        ('nms.placement="x"', "nms.placement must be one of ('before', 'after', 'off'), got 'x'"),
+        ("refine.iou_threshold=1", "refine.iou_threshold must lie in (0, 1), got 1"),
+    ])
+    def test_config_error_names_its_dotted_key(self, tmp_path, caplog, kv, message):
+        assert main(["synth", "--out", str(tmp_path), "--set", kv]) == 2
+        assert f"config error: {message}" in caplog.text
+
     def test_config_error_missing_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -274,7 +292,7 @@ class TestExitCodes:
     ])
     def test_data_error_on_mixed_feature_dimensions(self, tmp_path, caplog, command, video):
         assert main(["synth", *_tiny_args(tmp_path)]) == 0
-        save_features(FeatureSequence(video, np.zeros((5, 8))), tmp_path / "features" / f"{video}.feat")
+        save_features(FeatureSequence(np.zeros((5, 8))), tmp_path / "features" / f"{video}.feat")
         assert main([command, *_tiny_args(tmp_path)]) == 3
         assert f"video {video} has feature dimension 8" in caplog.text
 
@@ -520,7 +538,7 @@ class TestPipeline:
         before = (lambda p: nms(p, cfg.nms)) if placement == "before" else (lambda p: p)
         after = (lambda p: nms(p, cfg.nms)) if placement == "after" else (lambda p: p)
         final = {vid: after(before(p)) for vid, p in ssad.items()}
-        refined = {vid: after(refine(before(p), tag.get(vid, ProposalSet(vid)), cfg.refine))
+        refined = {vid: after(refine(before(p), tag.get(vid, ProposalSet()), cfg.refine))
                    for vid, p in ssad.items()}
         assert any(len(nms(p, cfg.nms)) < len(p) for p in ssad.values())
         assert any((p.sources == Source.REFINED).any() for p in refined.values())
@@ -600,6 +618,60 @@ class TestPipeline:
     def test_gradcheck_avoids_relu_kinks(self, tmp_path, seed):
         # the first draw at these seeds puts a ReLU input within 1e-4 of 0
         assert main(["gradcheck", "--out", str(tmp_path), "--seed", str(seed)]) == 0
+
+
+# the artifacts that hold seconds: segments, and durations in the annotations
+_SECONDS = {"annotations.json", "proposals_ssad.json", "proposals_tag.json",
+            "proposals_refined.json", "proposals_ssad_final.json", "localization.json"}
+
+
+def _checksums(out, command):
+    return json.loads((out / f"manifest_{command}.json").read_text())["artifacts"]
+
+
+def _times(value, c):
+    """A results or annotations JSON value with every segment and duration times c."""
+    if isinstance(value, list):
+        return [_times(v, c) for v in value]
+    if not isinstance(value, dict):
+        return value
+    return {k: [c * t for t in v] if k == "segment" else c * v if k == "duration"
+            else _times(v, c) for k, v in value.items()}
+
+
+class TestMetamorphicRelations:
+    """Whole TINY runs against the base run of the same seed. A stage that
+    mixes seconds with snippet indices, or comes to depend on file or dict
+    order, breaks these relations even where every unit oracle passes."""
+
+    # powers of two: a float times c rounds exactly as the unscaled value did
+    @pytest.mark.parametrize("c", [2.0, 0.5])
+    def test_time_scale(self, tmp_path, tiny_run, c):
+        synth = SynthConfig()  # TINY keeps the default durations
+        extra = [f"synth.duration_range={[c * t for t in synth.duration_range]}",
+                 f"synth.snippet_length={c * synth.snippet_length}"]
+        assert main(["pipeline", *_tiny_args(tmp_path, extra)]) == 0
+        base, scaled = _checksums(tiny_run, "pipeline"), _checksums(tmp_path, "pipeline")
+        assert scaled.keys() == base.keys()
+        for name in base:
+            if name in _SECONDS:
+                assert scaled[name] != base[name], name
+                assert json.loads((tmp_path / name).read_text()) == \
+                    _times(json.loads((tiny_run / name).read_text()), c), name
+            else:
+                assert scaled[name] == base[name], name
+
+    def test_annotation_order(self, tmp_path, tiny_run):
+        assert main(["synth", *_tiny_args(tmp_path)]) == 0
+        path = tmp_path / "annotations.json"
+        raw = json.loads(path.read_text())
+        raw["database"] = dict(reversed(raw["database"].items()))
+        path.write_text(json.dumps(raw, indent=2))
+        base = _checksums(tiny_run, "pipeline")
+        for command in ("train-ssad", "train-tag", "infer", "refine", "eval-prop", "eval-loc"):
+            assert main([command, *_tiny_args(tmp_path)]) == 0, command
+            for name, checksum in _checksums(tmp_path, command).items():
+                assert checksum == base[name], name
 
 
 def test_producers_return_what_the_table_names(tmp_path):

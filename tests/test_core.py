@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import pset, tiou
 from oracles import masked_tiou_matrix, oracle_tiou
-from tapkit.core import ProposalSet, Source, Subset, VideoRecord, tiou_matrix
+from tapkit.core import DatasetIndex, ProposalSet, Source, Subset, VideoRecord, tiou_matrix
 from tapkit.errors import DataError
 from tapkit.ingest import FeatureSequence, load_annotations, read_results
 from tapkit.ssad import AnchorPyramid, SsadConfig, SsadModel, infer
@@ -109,9 +109,9 @@ class TestNormalize:
     def _infer(unit_start, unit_end, duration):
         cfg = SsadConfig(input_length=4, hidden_channels=2, scale_ratios=(1.0,))
         rec = VideoRecord("v", duration, Subset.VALIDATION)
-        pyramid = AnchorPyramid(np.array([unit_start]), np.array([unit_end]))
-        [p] = infer(SsadModel(2, cfg), [rec], {"v": FeatureSequence("v", np.zeros((4, 2)))},
-                    pyramid)["v"]
+        model = SsadModel(2, cfg)
+        model.pyramid = AnchorPyramid(np.array([unit_start]), np.array([unit_end]))
+        [p] = infer(model, [rec], {"v": FeatureSequence(np.zeros((4, 2)))})["v"]
         return p.start, p.end
 
     def test_full_span(self):
@@ -143,16 +143,16 @@ class TestProposal:
     """Rows of a set: plain floats and a Source member."""
 
     def test_score_bounds(self):
-        assert len(ProposalSet("v", [0, 0], [1, 1], [0.0, 1.0])) == 2
+        assert len(ProposalSet([0, 0], [1, 1], [0.0, 1.0])) == 2
         for score in (1.5, -0.1, math.nan):
             with pytest.raises(DataError, match=r"^row 0: .* a score in \[0, 1\]"):
-                ProposalSet("v", [0], [1], [score])
+                ProposalSet([0], [1], [score])
 
     def test_source_coercion(self):
         # a scalar source applies to every row; per-row sources follow their rows
-        assert [p.source for p in pset("v", [(0, 1, 0.5), (2, 3, 0.7)], 2)] == [
+        assert [p.source for p in pset([(0, 1, 0.5), (2, 3, 0.7)], 2)] == [
             Source.REFINED, Source.REFINED]
-        mixed = ProposalSet("v", [0.0, 2.0], [1.0, 3.0], [0.5, 0.7],
+        mixed = ProposalSet([0.0, 2.0], [1.0, 3.0], [0.5, 0.7],
                             [Source.REFINED, Source.SSAD])
         rows = list(mixed)
         assert rows == [(2.0, 3.0, 0.7, Source.SSAD), (0.0, 1.0, 0.5, Source.REFINED)]
@@ -160,7 +160,7 @@ class TestProposal:
 
     def test_fields_are_python_floats(self):
         # json writes Python floats by repr; NumPy scalars would not do
-        [p] = pset("v", [(0.1, 0.7, 0.3)])
+        [p] = pset([(0.1, 0.7, 0.3)])
         assert all(type(v) is float for v in (p.start, p.end, p.score))
 
 
@@ -188,15 +188,15 @@ def _columns(rows):
 
 class TestProposalSet:
     def test_sorted_on_construction(self):
-        ps = pset("v", [(5, 9, 0.2), (0, 4, 0.9), (1, 3, 0.5)])
+        ps = pset([(5, 9, 0.2), (0, 4, 0.9), (1, 3, 0.5)])
         assert [p.score for p in ps] == [0.9, 0.5, 0.2]
 
     def test_tie_break_start_then_length(self):
-        ps = pset("v", [(2, 4, 0.5), (1, 9, 0.5), (1, 3, 0.5)])
+        ps = pset([(2, 4, 0.5), (1, 9, 0.5), (1, 3, 0.5)])
         assert [(p.start, p.end) for p in ps] == [(1, 3), (1, 9), (2, 4)]
 
     def test_top(self):
-        ps = pset("v", [(i, i + 1, (i + 1) / 10.0) for i in range(5)])
+        ps = pset([(i, i + 1, (i + 1) / 10.0) for i in range(5)])
         top2 = ps.take(slice(2))
         assert [p.score for p in top2] == [0.5, 0.4]
         assert len(ps.take(slice(100))) == 5
@@ -206,7 +206,7 @@ class TestProposalSet:
     def test_order_is_the_stable_ranking_key(self, rows):
         # bit for bit: hex() tells -0.0 from 0.0, so a tie that the sort
         # reordered would show
-        ps = ProposalSet("v", *_columns(rows), [r[3] for r in rows])
+        ps = ProposalSet(*_columns(rows), [r[3] for r in rows])
         order = sorted(range(len(rows)),
                        key=lambda i: (-rows[i][2], rows[i][0], rows[i][1] - rows[i][0]))
         want = [(rows[i][0].hex(), rows[i][1].hex(), rows[i][2].hex(), rows[i][3]) for i in order]
@@ -218,7 +218,7 @@ class TestProposalSet:
         rows = [r[:3] for r in rows]
         rows.insert(at, _BAD_ROWS[kind])
         with pytest.raises(DataError, match=f"^row {at}: "):
-            ProposalSet("v", *_columns(rows))
+            ProposalSet(*_columns(rows))
 
     @pytest.mark.parametrize("kind", sorted(_BAD_ROWS))
     def test_read_results_names_the_video_and_row(self, tmp_path, kind):
@@ -290,3 +290,11 @@ class TestVideoRecord:
     def test_non_finite_duration(self, duration):
         with pytest.raises(DataError, match="finite"):
             VideoRecord("v", duration, "training")
+
+
+def test_index_labels_come_from_its_records():
+    videos = {"x": VideoRecord("x", 10.0, "training", ("swim", "dive", "swim"), [0, 2, 4], [1, 3, 5]),
+              "y": VideoRecord("y", 10.0, "testing", ("jump",), [0], [1]),
+              "z": VideoRecord("z", 10.0, "validation")}
+    assert DatasetIndex(videos).label_set == ("dive", "jump", "swim")
+    assert DatasetIndex().label_set == ()

@@ -117,24 +117,24 @@ class TestAnnotations:
 
 class TestResizeLinear:
     def test_two_row_example(self):
-        seq = FeatureSequence("v", np.array([[0.0], [1.0]]))
+        seq = FeatureSequence(np.array([[0.0], [1.0]]))
         out = resize_linear(seq, 3)
         assert out.dtype == np.float32
         assert out.tolist() == [[0.0], [0.5], [1.0]]
 
     def test_same_length_is_identity(self):
         data = np.random.default_rng(0).standard_normal((7, 3)).astype(np.float32)
-        seq = FeatureSequence("v", data)
+        seq = FeatureSequence(data)
         out = resize_linear(seq, 7)
         assert np.array_equal(out, data)
 
     def test_single_row_broadcasts(self):
-        out = resize_linear(FeatureSequence("v", np.array([[7.0]])), 4)
+        out = resize_linear(FeatureSequence(np.array([[7.0]])), 4)
         assert out.tolist() == [[7.0]] * 4
 
     def test_endpoints_preserved(self):
         data = np.random.default_rng(1).standard_normal((5, 2)).astype(np.float32)
-        out = resize_linear(FeatureSequence("v", data), 11)
+        out = resize_linear(FeatureSequence(data), 11)
         assert np.array_equal(out[0], data[0])
         assert np.array_equal(out[-1], data[-1])
 
@@ -147,7 +147,7 @@ class TestResizeLinear:
     def test_output_within_input_hull(self, t, length, seed):
         # linear interpolation cannot overshoot the per-column value range
         data = np.random.default_rng(seed).uniform(-5, 5, size=(t, 2)).astype(np.float32)
-        out = resize_linear(FeatureSequence("v", data), length)
+        out = resize_linear(FeatureSequence(data), length)
         eps = 1e-5
         for c in range(2):
             assert out[:, c].min() >= data[:, c].min() - eps
@@ -158,16 +158,15 @@ class TestFeatureFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         data = np.random.default_rng(2).standard_normal((10, 4)).astype(np.float32)
         path = tmp_path / "v.feat"
-        save_features(FeatureSequence("v", data), path)
-        back = load_features(path, "v")
-        assert back.video_id == "v"
+        save_features(FeatureSequence(data), path)
+        back = load_features(path)
         assert np.array_equal(back.data, data)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.feat"
         path.write_bytes(b"XXXX" + b"\0" * 20)
         with pytest.raises(DataError, match="magic"):
-            load_features(path, "v")
+            load_features(path)
 
     def test_truncated_payload(self, tmp_path):
         import struct
@@ -178,22 +177,30 @@ class TestFeatureFiles:
         blob += np.zeros(39, dtype="<f4").tobytes()
         path.write_bytes(blob)
         with pytest.raises(DataError, match="corrupt"):
-            load_features(path, "v")
+            load_features(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "v.feat"
-        save_features(FeatureSequence("v", np.zeros((3, 2), dtype=np.float32)), path)
+        save_features(FeatureSequence(np.zeros((3, 2), dtype=np.float32)), path)
         path.write_bytes(path.read_bytes() + b"\0\0\0\0")
         with pytest.raises(DataError, match="corrupt payload"):
-            load_features(path, "v")
+            load_features(path)
+
+    @pytest.mark.parametrize("t, d, payload", [(0, 2, b""), (1, 1, np.float32(np.nan).tobytes())])
+    def test_bad_sequence_in_file_names_the_file(self, tmp_path, t, d, payload):
+        path = tmp_path / "v.feat"
+        path.write_bytes(b"TAPF" + struct.pack("<III", 1, t, d) + payload)
+        with pytest.raises(DataError) as exc:
+            load_features(path)
+        assert str(exc.value).startswith(f"{path}: feature sequence ")
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DataError, match="feature sequence for v has non-finite values"):
-            FeatureSequence("v", np.array([[np.inf, 0.0]]))
+        with pytest.raises(DataError, match="feature sequence has non-finite values"):
+            FeatureSequence(np.array([[np.inf, 0.0]]))
 
     def test_shape_rejected(self):
         with pytest.raises(DataError, match=r"must be T x D with T, D >= 1, got shape \(5,\)"):
-            FeatureSequence("v", np.zeros(5))
+            FeatureSequence(np.zeros(5))
 
 
 class TestSynthetic:
@@ -257,7 +264,7 @@ class TestSynthetic:
 
 class TestResultsFiles:
     def _pset(self):
-        return ProposalSet("v1", [0.0, 5.0], [10.0, 25.0], [0.9, 0.4])
+        return ProposalSet([0.0, 5.0], [10.0, 25.0], [0.9, 0.4])
 
     def test_proposal_round_trip(self, tmp_path):
         path = tmp_path / "props.json"
@@ -342,7 +349,7 @@ class TestResultsFiles:
         sets = {}
         for v in range(64):
             vid, starts = f"v{v:05d}", rng.uniform(0.0, 50.0, 225)
-            sets[vid] = ProposalSet(vid, starts, starts + rng.uniform(0.5, 10.0, 225),
+            sets[vid] = ProposalSet(starts, starts + rng.uniform(0.5, 10.0, 225),
                                     rng.uniform(0.0, 1.0, 225))
         tracemalloc.start()
         try:
@@ -374,7 +381,7 @@ class TestResultsEncoder:
     @example({})
     @example({"": [], "v\u2028\"": _EDGE_ROWS, "é": []})
     def test_write_results_matches_json_dump(self, tmp_path, rows):
-        sets = {vid: ProposalSet(vid, [r[0] for r in rs], [r[1] for r in rs], [r[2] for r in rs])
+        sets = {vid: ProposalSet([r[0] for r in rs], [r[1] for r in rs], [r[2] for r in rs])
                 for vid, rs in rows.items()}
         write_results(sets, tmp_path / "props.json")
         assert (tmp_path / "props.json").read_bytes() == json_dump_results(sets)
@@ -436,7 +443,7 @@ _READERS = {
     "annotations.json": load_annotations,
     "results.json": read_results,
     "classification.json": read_classification,
-    "v.feat": lambda path: load_features(path, "v"),
+    "v.feat": load_features,
 }
 
 _json_leaf = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)
@@ -537,7 +544,7 @@ def _reference_read(path):
     try:
         for vid, columns in loop_read_columns(path):
             try:
-                out[vid] = ProposalSet(vid, *columns)
+                out[vid] = ProposalSet(*columns)
             except DataError as exc:
                 return f"{path}: results.{vid}: {exc}"
     except ValueError as exc:

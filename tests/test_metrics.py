@@ -25,7 +25,7 @@ from tapkit.metrics import (
     tiou_grid,
     uniform_random_proposals,
 )
-from tapkit.pipeline import EvalOptions
+from tapkit.pipeline import EvalOptions, load_config
 from tapkit.util import KEY_BASELINE, rng_for
 
 
@@ -44,21 +44,21 @@ def test_grid_is_exact():
 
 class TestRecall:
     def test_perfect_proposal(self):
-        props = {"v": pset("v", [(0.0, 10.0, 0.9)])}
+        props = {"v": pset([(0.0, 10.0, 0.9)])}
         gt = {"v": [(0.0, 10.0)]}
         assert recall(props, gt, an=1, threshold=0.95) == 1.0
 
     def test_top_an_cutoff(self):
         # the matching proposal is ranked second, so AN=1 misses it
-        props = {"v": pset("v", [(50.0, 60.0, 0.9), (0.0, 10.0, 0.5)])}
+        props = {"v": pset([(50.0, 60.0, 0.9), (0.0, 10.0, 0.5)])}
         gt = {"v": [(0.0, 10.0)]}
         assert recall(props, gt, an=1, threshold=0.5) == 0.0
         assert recall(props, gt, an=2, threshold=0.5) == 1.0
 
     def test_pooled_over_videos(self):
         props = {
-            "a": pset("a", [(0.0, 10.0, 0.9)]),
-            "b": pset("b", [(90.0, 95.0, 0.9)]),
+            "a": pset([(0.0, 10.0, 0.9)]),
+            "b": pset([(90.0, 95.0, 0.9)]),
         }
         gt = {"a": [(0.0, 10.0), (20.0, 30.0)], "b": [(0.0, 5.0)]}
         # 1 of 3 pooled instances recalled
@@ -66,7 +66,7 @@ class TestRecall:
 
     def test_video_without_proposals_counts_misses(self):
         gt = {"a": [(0.0, 10.0)], "b": [(0.0, 5.0)]}
-        props = {"a": pset("a", [(0.0, 10.0, 0.9)])}
+        props = {"a": pset([(0.0, 10.0, 0.9)])}
         assert recall(props, gt, an=1, threshold=0.5) == 0.5
 
     def test_no_gt_rejected(self):
@@ -76,13 +76,13 @@ class TestRecall:
     def test_bad_args(self):
         # ar_an trusts its an_max: eval.an_max is checked where it enters
         with pytest.raises(ConfigError, match="eval.an_max must be >= 1"):
-            EvalOptions(an_max=0)
+            load_config(None, ["eval.an_max=0"])
 
 
 class TestAverageRecall:
     def test_half_grid_match(self):
         # proposal overlaps gt at tiou 0.72: thresholds 0.50..0.70 hit (5 of 10)
-        props = {"v": pset("v", [(0.0, 7.2, 0.9)])}
+        props = {"v": pset([(0.0, 7.2, 0.9)])}
         gt = {"v": [(0.0, 10.0)]}
         value = 0.72
         hits = sum(1 for t in tiou_grid() if value >= t)
@@ -93,7 +93,7 @@ class TestAverageRecall:
 class TestArAn:
     def test_two_instance_curve(self):
         # rank 1 recalls one instance everywhere, rank 2 adds the other
-        props = {"v": pset("v", [(0.0, 10.0, 0.9), (20.0, 30.0, 0.8)])}
+        props = {"v": pset([(0.0, 10.0, 0.9), (20.0, 30.0, 0.8)])}
         gt = {"v": [(0.0, 10.0), (20.0, 30.0)]}
         curve = ar_an(props, gt_records(gt), an_max=2)
         assert curve.ar == (0.5, 1.0)
@@ -120,7 +120,7 @@ class TestArAn:
                 for _ in range(int(rng.integers(0, 9))):
                     s = float(rng.integers(0, 16))
                     rows.append((s, s + float(rng.integers(1, 9)), float(rng.integers(1, 4)) / 4))
-                props[vid] = pset(vid, rows)
+                props[vid] = pset(rows)
                 gt[vid] = [(float(s), s + float(k)) for s, k in
                            zip(rng.integers(0, 16, size=2), rng.integers(1, 9, size=2))]
             an_max = int(rng.integers(1, 10))
@@ -131,15 +131,15 @@ class TestArAn:
         # ar_at reads AN 1..an_max; EvalOptions keeps every eval.ar_at in range
         for ar_at in ((0,), (4,)):
             with pytest.raises(ConfigError, match=r"eval.ar_at values must lie in 1\.\.3"):
-                EvalOptions(an_max=3, ar_at=ar_at)
+                load_config(None, ["eval.an_max=3", f"eval.ar_at={list(ar_at)}"])
 
     def test_counts_only_the_given_records(self):
         # eval-prop passes one subset's records; other videos' gt is not counted
         index = DatasetIndex(videos={
             "a": _record("a", [("x", 1.0, 2.0)], duration=10.0),
             "b": _record("b", [("x", 3.0, 4.0)], duration=10.0, subset=Subset.TRAINING),
-        }, label_set=("x",))
-        props = {"a": pset("a", [(1.0, 2.0, 0.9)])}
+        })
+        props = {"a": pset([(1.0, 2.0, 0.9)])}
         curve = ar_an(props, index.subset_videos(Subset.VALIDATION), an_max=1)
         assert curve.ar == (1.0,)
 
@@ -155,7 +155,7 @@ class TestUniformBaseline:
             "b": VideoRecord("b", 60.0, Subset.VALIDATION),
             "c": VideoRecord("c", 45.0, Subset.TRAINING),
         }
-        return DatasetIndex(videos=videos, label_set=("x",))
+        return DatasetIndex(videos=videos)
 
     def test_deterministic_and_bounded(self):
         index = self._index()
@@ -178,11 +178,11 @@ class TestUniformBaseline:
     def test_matches_one_draw_at_a_time(self, seed):
         durations = {"a": 30.0, "b": 60.0, "d": 0.1 + 0.2, "e": 1e-300, "f": 7.25}
         index = DatasetIndex({vid: VideoRecord(vid, d, Subset.VALIDATION)
-                              for vid, d in durations.items()}, ())
+                              for vid, d in durations.items()})
         got = uniform_random_proposals(index, Subset.VALIDATION, count=37, seed=seed)
         rng = rng_for(seed, KEY_BASELINE)
         for vid in sorted(durations):
-            want = ProposalSet(vid, *loop_random_intervals(rng, durations[vid], 37))
+            want = ProposalSet(*loop_random_intervals(rng, durations[vid], 37))
             for column in ("starts", "ends", "scores"):
                 assert getattr(got[vid], column).tobytes() == getattr(want, column).tobytes()
 
@@ -227,17 +227,17 @@ class TestUniformBaseline:
 
 class TestAttachLabels:
     def test_full_confidence_keeps_scores(self):
-        props = {"v": pset("v", [(0.0, 10.0, 0.8), (5.0, 15.0, 0.4)])}
+        props = {"v": pset([(0.0, 10.0, 0.8), (5.0, 15.0, 0.4)])}
         loc = attach_labels(props, {"v": [("jump", 1.0)]})
         assert loc["v"] == [("jump", 0.0, 10.0, 0.8), ("jump", 5.0, 15.0, 0.4)]
 
     def test_confidence_scales_scores(self):
-        props = {"v": pset("v", [(0.0, 10.0, 0.8)])}
+        props = {"v": pset([(0.0, 10.0, 0.8)])}
         loc = attach_labels(props, {"v": [("jump", 0.5)]})
         assert loc["v"][0][3] == 0.4
 
     def test_top_c_duplicates_proposals(self):
-        props = {"v": pset("v", [(0.0, 10.0, 0.8), (5.0, 15.0, 0.4)])}
+        props = {"v": pset([(0.0, 10.0, 0.8), (5.0, 15.0, 0.4)])}
         cls = {"v": [("jump", 0.9), ("swim", 0.6), ("dive", 0.5)]}
         loc = attach_labels(props, cls, top_c=2)
         assert len(loc["v"]) == 4
@@ -246,17 +246,17 @@ class TestAttachLabels:
         assert scores == sorted(scores, reverse=True)
 
     def test_empty_proposals_allowed(self):
-        loc = attach_labels({"v": ProposalSet("v")}, {})
+        loc = attach_labels({"v": ProposalSet()}, {})
         assert loc["v"] == []
 
     def test_missing_classification_rejected(self):
-        props = {"v": pset("v", [(0.0, 10.0, 0.8)])}
+        props = {"v": pset([(0.0, 10.0, 0.8)])}
         with pytest.raises(DataError, match="v"):
             attach_labels(props, {})
 
     def test_empty_classification_gives_no_entries(self):
         # synth writes [] for a video without instances: no class, no entries
-        props = {"v": pset("v", [(0.0, 10.0, 0.8)]), "w": pset("w", [(1.0, 2.0, 0.5)])}
+        props = {"v": pset([(0.0, 10.0, 0.8)]), "w": pset([(1.0, 2.0, 0.5)])}
         loc = attach_labels(props, {"v": [], "w": [("jump", 1.0)]})
         assert loc == {"v": [], "w": [("jump", 1.0, 2.0, 0.5)]}
 
@@ -297,9 +297,11 @@ class TestAveragePrecision:
         assert average_precision([], {"v": [(0, 1)]}, 0.5) == 0.0
 
     def test_no_gt_rejected(self):
+        # "x" has ground truth in training only, none in the validation subset scored
+        index = DatasetIndex({"t": _record("t", [("x", 0.0, 1.0)], subset=Subset.TRAINING)})
         with pytest.warns(RuntimeWarning, match="'x'"), pytest.raises(
                 DataError, match="mAP undefined: no ground truth in subset validation"):
-            average_precision([("v", 0, 1, 0.5)], {}, 0.5)
+            mean_ap({"v": [("x", 0, 1, 0.5)]}, index, [0.5])
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(1)
@@ -317,8 +319,10 @@ class TestMeanAp:
         videos = {
             "a": _record("a", [("jump", 0.0, 10.0), ("swim", 50.0, 60.0)]),
             "b": _record("b", [("jump", 20.0, 40.0)]),
+            # "dive" is in the vocabulary but has no training or validation gt
+            "c": _record("c", [("dive", 0.0, 10.0)], subset=Subset.TESTING),
         }
-        index = DatasetIndex(videos=videos, label_set=("dive", "jump", "swim"))
+        index = DatasetIndex(videos=videos)
         loc = {
             "a": [("jump", 0.0, 10.0, 0.9), ("swim", 50.0, 60.0, 0.8)],
             "b": [("jump", 20.0, 40.0, 0.7)],
@@ -372,13 +376,13 @@ class TestEvalAtN:
     def test_bad_n(self):
         # mean_ap trusts its cutoffs: eval.at_n is checked where it enters
         with pytest.raises(ConfigError, match="eval.at_n values must be >= 1"):
-            EvalOptions(at_n=(0,))
+            load_config(None, ["eval.at_n=[0]"])
 
     def test_truncation_drops_low_scores(self):
         videos = {
             "a": _record("a", [("jump", 0.0, 10.0)]),
         }
-        index = DatasetIndex(videos=videos, label_set=("jump",))
+        index = DatasetIndex(videos=videos)
         # the matching entry is ranked second within the video
         loc = {"a": [("jump", 40.0, 80.0, 0.9), ("jump", 0.0, 10.0, 0.5)]}
         maps = mean_ap(loc, index, [0.5], at_n=[1, 2])
@@ -415,7 +419,7 @@ class TestTableMatchesOracle:
             gt["v0"] = [("a", 0.0, 5.0)]
         index = DatasetIndex(videos={
             vid: _record(vid, spans) for vid, spans in gt.items()
-        }, label_set=_LABELS)
+        })
         at_n = range(1, max(map(len, loc.values())) + extra_n + 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -464,7 +468,7 @@ def _random_instance(rng):
             e = s + float(rng.uniform(1, 20))
             rows.append((s, e, float(rng.integers(0, 11)) / 10.0))
         if rows:
-            props[vid] = pset(vid, rows)
+            props[vid] = pset(rows)
         spans = []
         for _ in range(int(rng.integers(0, 3))):
             s = float(rng.uniform(0, 40))

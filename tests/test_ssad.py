@@ -7,7 +7,6 @@ from tapkit.engine import Conv1d, load_weights, save_model
 from tapkit.errors import ConfigError, DataError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.ssad import (
-    INFER_BATCH,
     SsadConfig,
     SsadModel,
     assign_targets,
@@ -166,8 +165,8 @@ class TestModel:
         cfg = SsadConfig(input_length=16, hidden_channels=8, top_k=5)
         model = SsadModel(4, cfg, rng=None)
         rec = VideoRecord("v", 20.0, Subset.VALIDATION)
-        seq = FeatureSequence("v", np.zeros((10, 4), dtype=np.float32))
-        pset = infer(model, [rec], {"v": seq}, build_anchor_pyramid(cfg))["v"]
+        seq = FeatureSequence(np.zeros((10, 4), dtype=np.float32))
+        pset = infer(model, [rec], {"v": seq})["v"]
         assert len(pset) == 5
         keys = [(p.start, p.end - p.start) for p in pset]
         assert keys == sorted(keys)
@@ -176,8 +175,8 @@ class TestModel:
         cfg = SsadConfig(input_length=16, hidden_channels=8, top_k=11)
         model = build_model(4, cfg, seed=3)
         rec = VideoRecord("v", 37.5, Subset.VALIDATION)
-        seq = FeatureSequence("v", np.random.default_rng(3).standard_normal((9, 4)).astype(np.float32))
-        pset = infer(model, [rec], {"v": seq}, build_anchor_pyramid(cfg))["v"]
+        seq = FeatureSequence(np.random.default_rng(3).standard_normal((9, 4)).astype(np.float32))
+        pset = infer(model, [rec], {"v": seq})["v"]
         assert len(pset) == 11
         for p in pset:
             assert 0.0 <= p.start < p.end <= 37.5
@@ -213,7 +212,7 @@ def _tiny_dataset(n_videos=12, seed=5):
 
 
 class TestBatchedInference:
-    """INFER_BATCH videos per forward pass against one pass per video."""
+    """infer's INFER_BATCH videos per forward pass against one pass per video."""
 
     @pytest.mark.parametrize("n_videos", [1, 7, 11])
     def test_matches_one_pass_per_video(self, n_videos):
@@ -225,15 +224,13 @@ class TestBatchedInference:
         records = index.subset_videos(Subset.TRAINING)
         assert len({feats[r.video_id].num_snippets for r in records}) > 1 or n_videos == 1
         model = build_model(6, cfg, seed=4)
-        pyramid = build_anchor_pyramid(cfg)
-        got = {}
-        for lo in range(0, len(records), INFER_BATCH):
-            got.update(infer(model, records[lo : lo + INFER_BATCH], feats, pyramid))
+        pyramid = model.pyramid
+        got = infer(model, records, feats)
         x = np.stack([_prepare_input(feats[r.video_id], cfg) for r in records])
         scores = loop_infer_scores(model, x)
         assert list(got) == [r.video_id for r in records]
         for rec, row in zip(records, scores):
-            want = ProposalSet(rec.video_id, pyramid.starts * rec.duration,
+            want = ProposalSet(pyramid.starts * rec.duration,
                                pyramid.ends * rec.duration, row, Source.SSAD)
             for column in ("starts", "ends", "scores", "sources"):
                 assert getattr(got[rec.video_id], column).tobytes() == \
@@ -272,7 +269,7 @@ class TestTraining:
     def test_single_video_converges(self):
         # one video, many epochs: the net should memorize its target vector
         rec = VideoRecord("v", 30.0, Subset.TRAINING, ("a",), [10.0], [20.0])
-        feats = {"v": FeatureSequence("v", np.random.default_rng(8).standard_normal((15, 4)).astype(np.float32))}
+        feats = {"v": FeatureSequence(np.random.default_rng(8).standard_normal((15, 4)).astype(np.float32))}
         cfg = SsadConfig(input_length=16, hidden_channels=8,
                          epochs=200, batch_size=1, learning_rate=3e-3)
         model = build_model(4, cfg, seed=8)
@@ -288,10 +285,9 @@ class TestCheckpoint:
         save_model(model, path)
         loaded = load_weights(SsadModel(4, cfg), path)
         rec = VideoRecord("v", 25.0, Subset.VALIDATION)
-        seq = FeatureSequence("v", np.random.default_rng(9).standard_normal((7, 4)).astype(np.float32))
-        pyramid = build_anchor_pyramid(cfg)
-        a = infer(model, [rec], {"v": seq}, pyramid)["v"]
-        b = infer(loaded, [rec], {"v": seq}, pyramid)["v"]
+        seq = FeatureSequence(np.random.default_rng(9).standard_normal((7, 4)).astype(np.float32))
+        a = infer(model, [rec], {"v": seq})["v"]
+        b = infer(loaded, [rec], {"v": seq})["v"]
         assert list(a) == list(b)
 
     def test_architecture_mismatch(self, tmp_path):

@@ -49,7 +49,7 @@ class TestActionnessTargets:
     def test_bad_snippet_count(self):
         # the snippet count is a FeatureSequence's T, which is at least 1
         with pytest.raises(DataError, match=r"T x D with T, D >= 1, got shape \(0, 2\)"):
-            FeatureSequence("v", np.zeros((0, 2)))
+            FeatureSequence(np.zeros((0, 2)))
 
 
 class TestGroup:
@@ -207,7 +207,7 @@ class TestArrayGrouping:
                         scan_cutoff=cutoff)
         duration = float(np.random.default_rng(seed).uniform(1.0, 400.0))
         got = tag_proposals(values, cfg, _record(duration))
-        want = ProposalSet("v", *loop_tag_columns(values, cfg, duration), Source.TAG)
+        want = ProposalSet(*loop_tag_columns(values, cfg, duration), Source.TAG)
         for column in ("starts", "ends", "scores", "sources"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
@@ -237,7 +237,7 @@ class TestArrayGrouping:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000, f"tag_proposals peaked at {peak} bytes"
-        want = ProposalSet("v", *loop_tag_columns(values, cfg, 2000.0), Source.TAG)
+        want = ProposalSet(*loop_tag_columns(values, cfg, 2000.0), Source.TAG)
         assert len(got) == 1000
         for column in ("starts", "ends", "scores"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
@@ -246,7 +246,7 @@ class TestArrayGrouping:
 class TestMlp:
     def test_untrained_predicts_exactly_half(self):
         model = build_mlp(6, TagConfig(), seed=0)
-        seq = FeatureSequence("v", np.random.default_rng(0).standard_normal((9, 6)).astype(np.float32))
+        seq = FeatureSequence(np.random.default_rng(0).standard_normal((9, 6)).astype(np.float32))
         out = predict_actionness(model, seq)
         assert out.dtype == np.float64 and out.shape == (9,)
         assert np.all(out == 0.5)

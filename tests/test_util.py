@@ -26,11 +26,10 @@ _IV = (1.0, 4.0)
 # One call per artifact writer, each given only the target path.
 WRITERS = {
     "save_annotations": lambda p: save_annotations(DatasetIndex(
-        videos={"v": VideoRecord("v", 10.0, Subset.TRAINING, ("a",), [_IV[0]], [_IV[1]])},
-        label_set=("a",)), p),
-    "save_features": lambda p: save_features(FeatureSequence("v", np.ones((3, 2))), p),
+        videos={"v": VideoRecord("v", 10.0, Subset.TRAINING, ("a",), [_IV[0]], [_IV[1]])}), p),
+    "save_features": lambda p: save_features(FeatureSequence(np.ones((3, 2))), p),
     "write_results": lambda p: write_results(
-        {"v": ProposalSet("v", [_IV[0]], [_IV[1]], [0.5])}, p),
+        {"v": ProposalSet([_IV[0]], [_IV[1]], [0.5])}, p),
     "write_localization": lambda p: write_localization({"v": [("a", *_IV, 0.5)]}, p),
     "write_classification": lambda p: write_classification({"v": [("a", 1.0)]}, p),
     "save_model": lambda p: save_model(Sequential([Dense(2, 3), ReLU()]), p),
@@ -199,16 +198,26 @@ def _names(node: ast.AST) -> Counter:
                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _attributes(node: ast.AST) -> Counter:
+    """Every attribute name (`x.name`) and string constant (`getattr(x, "name")`)
+    under a node, with multiplicity: the ways a method or property is reached."""
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.value
+                   for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                   or isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
 def _public_definitions(module: str, tree: ast.Module):
-    """(qualified name, node) of each public module-level function and class
-    and each public method or property of those classes."""
+    """(qualified name, node, counter of its uses) of each public module-level
+    function and class and each public method or property of those classes.
+    A member is used only as an attribute or a string constant; a bare name
+    that shares its spelling is some other variable or function."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, _names
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{module}.{node.name}.{member.name}", member
+                    yield f"{module}.{node.name}.{member.name}", member, _attributes
 
 
 def _unreferenced(sources: dict[str, str]) -> list[str]:
@@ -222,16 +231,17 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
     ProposalSet: perfbench's tracer reads a refined set's rows through it.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    used = sum((_names(tree) for tree in trees.values()), Counter())
+    used = {count: sum((count(tree) for tree in trees.values()), Counter())
+            for count in (_names, _attributes)}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.alias) and node.asname:
-                used[node.name] += used[node.asname]
+                used[_names][node.name] += used[_names][node.asname]
     return sorted(
         name
         for module, tree in trees.items()
-        for name, node in _public_definitions(module, tree)
-        if used[node.name] == _names(node)[node.name]
+        for name, node, count in _public_definitions(module, tree)
+        if used[count][node.name] == count(node)[node.name]
     )
 
 
@@ -259,16 +269,53 @@ def test_guard_detects_unreferenced_members_and_classes():
              "    @property\n    def size(self):\n        return 3\n\n"
              "    @property\n    def unread(self):\n        return 4\n\n"
              "    def _private(self):\n        return 5\n\n"
+             "    @property\n    def shadowed(self):\n        return 6\n\n"
+             "    def by_name(self):\n        return 7\n\n"
              "class Unused:\n    def make(self):\n        return Unused()\n",
         "b": "from .a import Unused, Used\n\n"
-             "def entry(x: Used):\n    return x.called(), x.size\n\n"
-             "TABLE = {'entry': entry}\n",
+             "def entry(x: Used):\n    shadowed = x.called(), x.size\n"
+             "    return shadowed, getattr(x, 'by_name')()\n\n"
+             "def unused():\n    return entry\n\n"
+             "TABLE = {'entry': entry, 'other': unused}\n",
     }
-    assert _unreferenced(sources) == ["a.Unused", "a.Unused.make", "a.Used.unread",
-                                      "a.Used.unused"]
+    assert _unreferenced(sources) == ["a.Unused", "a.Unused.make", "a.Used.shadowed",
+                                      "a.Used.unread", "a.Used.unused"]
 
 
 def test_every_public_function_is_used_by_the_package():
     package = Path(tapkit.__file__).parent
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert _unreferenced(sources) == [], "delete what only tests use"
+
+
+# --------------------------------------------------------------------------
+# guard: every import is used
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Each name a module imports and never references as a bare name
+    (`np` of `np.zeros` included); `from __future__` imports are exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # `import a.b` binds a
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_guard_detects_unused_imports():
+    source = ("from __future__ import annotations\nimport json\nimport os.path\n"
+              "import numpy as np\nfrom typing import Iterable as It, NoReturn\n"
+              "from .a import used, unused\nfrom . import b as c\n\n"
+              "def f(x: It) -> NoReturn:\n    return np.zeros, os.path, used\n")
+    assert _unused_imports(source) == ["json", "unused", "c"]
+
+
+def test_every_import_is_used():
+    package = Path(tapkit.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
