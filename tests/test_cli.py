@@ -13,27 +13,26 @@ import numpy as np
 import pytest
 
 import tapkit
+from conftest import record_criterion
+from golden import PLACEMENTS, TINY, fingerprint, golden_path, tiny7_config, verify_golden
 from tapkit import __version__
 from tapkit.cli import main
 from tapkit.errors import ConfigError, TapkitError
 from tapkit.core import ProposalSet, Source
 from tapkit.fusion import NmsConfig, RefineConfig, nms, refine
 from tapkit.ingest import FeatureSequence, SynthConfig, read_results, save_features, write_results
-from tapkit.pipeline import _PRODUCERS, STAGES, EvalOptions, _input, config_defaults, load_config
+from tapkit.pipeline import (
+    _PRODUCERS,
+    STAGES,
+    EvalOptions,
+    _input,
+    config_defaults,
+    load_config,
+    run_command,
+)
 from tapkit.ssad import SsadConfig
 from tapkit.tag import TagConfig
 from tapkit.util import sha256_file
-
-TINY = [
-    "synth.num_videos=10",
-    "synth.feature_dim=4",
-    "synth.num_classes=2",
-    "ssad.input_length=16",
-    "ssad.hidden_channels=8",
-    "ssad.epochs=2",
-    "tag.hidden_width=8",
-    "tag.epochs=2",
-]
 
 
 def _tiny_args(out, extra=()):
@@ -49,6 +48,14 @@ def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")
     assert main(["pipeline", *_tiny_args(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module", params=PLACEMENTS)
+def placement_run(request, tmp_path_factory):
+    """The config of a pinned TINY pipeline run (golden.tiny7_config)."""
+    cfg = tiny7_config(tmp_path_factory.mktemp(request.param), request.param)
+    run_command(cfg, "pipeline")
+    return cfg
 
 
 def test_version(capsys):
@@ -523,15 +530,8 @@ class TestPipeline:
             assert (out_b / rel).read_bytes() == (out_a / rel).read_bytes(), rel
             assert sha256_file(out_b / rel) == digest, rel
 
-    @pytest.mark.parametrize("placement", ["before", "after", "off"])
-    def test_refine_under_each_nms_placement(self, tmp_path, placement):
-        out = tmp_path / "out"
-        # thresholds low enough that NMS and refine both change the TINY sets
-        extra = [f'nms.placement="{placement}"', "nms.iou_threshold=0.3",
-                 "refine.iou_threshold=0.5"]
-        for command in ("synth", "train-ssad", "train-tag", "infer", "refine"):
-            assert main([command, *_tiny_args(out, extra)]) == 0, command
-        cfg = load_config(None, [*TINY, *extra])
+    def test_refine_under_each_nms_placement(self, tmp_path, placement_run):
+        cfg, out, placement = placement_run, placement_run.output_dir, placement_run.nms.placement
         ssad, tag = read_results(out / "proposals_ssad.json"), read_results(out / "proposals_tag.json")
         # run_refine's contract: NMS on the anchor proposals before refine, or
         # on both outputs after it, or not at all
@@ -546,6 +546,12 @@ class TestPipeline:
         write_results(refined, tmp_path / "refined.json")
         assert (out / "proposals_ssad_final.json").read_bytes() == (tmp_path / "final.json").read_bytes()
         assert (out / "proposals_refined.json").read_bytes() == (tmp_path / "refined.json").read_bytes()
+
+    def test_tiny_run_matches_golden(self, placement_run):
+        manifest = json.loads((placement_run.output_dir / "manifest_pipeline.json").read_text())
+        path = golden_path(f"tiny7_{placement_run.nms.placement}")
+        verify_golden(manifest["artifacts"], json.loads(path.read_text()), fingerprint(),
+                      record_criterion, path.name)
 
     # with at most one instance per video, some class has no validation gt
     @pytest.mark.filterwarnings("ignore:class .* has no ground truth:RuntimeWarning")
