@@ -77,7 +77,6 @@ class SynthConfig:
     signal_strength: float = 2.0
     noise_sigma: float = 1.0
     val_fraction: float = 0.2
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("duration_range", "instances_range", "instance_len_frac"):
@@ -433,14 +432,15 @@ def _place_instances(
 
 def generate_synthetic(
     cfg: SynthConfig,
+    seed: int,
 ) -> tuple[DatasetIndex, dict[str, FeatureSequence], dict[str, list[tuple[str, float]]]]:
     """Build a seeded synthetic dataset.
 
     Returns the annotation index, per-video feature sequences, and oracle
     video-level classification results (each video's class, confidence 1.0).
-    Deterministic given cfg.seed.
+    Deterministic given the seed.
     """
-    rng = rng_for(cfg.seed, KEY_SYNTH)
+    rng = rng_for(seed, KEY_SYNTH)
     num_val = int(round(cfg.num_videos * cfg.val_fraction))
     num_train = cfg.num_videos - num_val
 

@@ -89,12 +89,11 @@ class EvalOptions:
                 raise ConfigError(f"map_points values must lie in (0, 1], got {t}")
 
 
-def _section_defaults(dc_cls, skip=()) -> dict:
+def _section_defaults(dc_cls) -> dict:
     return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-            for f in dataclasses.fields(dc_cls) if f.name not in skip}
+            for f in dataclasses.fields(dc_cls)}
 
 
-# Config sections and their dataclasses. synth's seed is the top-level seed.
 SECTIONS = {"synth": SynthConfig, "ssad": SsadConfig, "tag": TagConfig,
             "refine": RefineConfig, "nms": NmsConfig, "eval": EvalOptions}
 
@@ -106,65 +105,65 @@ def config_defaults() -> dict:
         "annotations": None,
         "features_dir": None,
         "classification": None,
-        **{name: _section_defaults(dc_cls, skip=("seed",) if name == "synth" else ())
-           for name, dc_cls in SECTIONS.items()},
+        **{name: _section_defaults(dc_cls) for name, dc_cls in SECTIONS.items()},
     }
 
 
-def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
+def _deep_merge(base: dict, override: dict, path: str = "") -> None:
+    """Overlay one layer on the config tree: a section merges key by key, a value is replaced."""
     for key, value in override.items():
         where = f"{path}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
+        if where in SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
             _deep_merge(base[key], value, where + ".")
         else:
             base[key] = value
-    return base
 
 
-def apply_set_overrides(data: dict, assignments: list[str]) -> None:
-    """Dotted-path overrides; values parse as JSON literals, else strings."""
-    for assignment in assignments:
-        key, sep, raw = assignment.partition("=")
-        if not sep or not key:
-            raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
-        try:
-            value = json.loads(raw)
-        except ValueError:  # not JSON, or an integer too long to convert
-            value = raw
-        node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set key {key!r} crosses a non-object value")
-        node[parts[-1]] = value
+def _parse_set(assignment: str) -> dict:
+    """A --set pair `a.b=v` as the object {"a": {"b": v}}; v parses as a JSON
+    literal, else it is a string."""
+    key, sep, raw = assignment.partition("=")
+    if not sep or not key:
+        raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
+    try:
+        value = json.loads(raw)
+    except ValueError:  # not JSON, or an integer too long to convert
+        value = raw
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
 
 
 def _type_ok(value, default) -> bool:
-    """Whether a JSON value has the type of a field default. Numbers a float
-    can hold pass for floats (JSON parsing also yields NaN, Infinity and
-    huge ints), bools pass only for bools, lists pass for tuples element-wise."""
+    """Whether a JSON value has the type of a field default. Ints pass for
+    floats, bools pass only for bools, lists pass for tuples element-wise."""
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(_type_ok(v, default[0]) for v in value)
     if isinstance(value, bool) or isinstance(default, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, float):
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        return isinstance(value, (int, float))
     return isinstance(value, type(default))
 
 
-def _build_section(dc_cls, section: dict, what: str, **extra):
-    kwargs = {**section, **extra}
+def _build_section(dc_cls, section: dict, what: str):
+    kwargs = dict(section)
     for f in dataclasses.fields(dc_cls):
-        if not _type_ok(kwargs[f.name], f.default):
+        value = kwargs[f.name]
+        if not _type_ok(value, f.default):
             raise ConfigError(f"{what}.{f.name} must have the JSON type of its default "
-                              f"{json.dumps(f.default)}, got {json.dumps(kwargs[f.name])}")
-        if isinstance(kwargs[f.name], list):
-            kwargs[f.name] = tuple(kwargs[f.name])
+                              f"{json.dumps(f.default)}, got {json.dumps(value)}")
+        # the numbers of a float or float list must lie in float range; NaN does not
+        kind = f.default[0] if isinstance(f.default, tuple) else f.default
+        numbers = value if isinstance(value, list) else [value]
+        if isinstance(kind, float) and not all(abs(v) <= sys.float_info.max for v in numbers):
+            raise ConfigError(f"{what}.{f.name} must be finite, got {json.dumps(value)}")
+        if isinstance(value, list):
+            kwargs[f.name] = tuple(value)
     try:
         return dc_cls(**kwargs)
     except ConfigError as exc:
@@ -186,62 +185,55 @@ class PipelineConfig:
     eval: EvalOptions
     snapshot: dict = field(repr=False)
 
-    @staticmethod
-    def from_dict(data: dict) -> "PipelineConfig":
-        merged = _deep_merge(config_defaults(), data)
-        seed = merged["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-        if not isinstance(merged["output_dir"], str):
-            raise ConfigError(f"output_dir must be a string, got {json.dumps(merged['output_dir'])}")
-        for key in ("annotations", "features_dir", "classification"):
-            if merged[key] is not None and not isinstance(merged[key], str):
-                raise ConfigError(f"{key} must be a string or null, got {json.dumps(merged[key])}")
-        out_dir = Path(merged["output_dir"])
-        return PipelineConfig(
-            seed=seed,
-            output_dir=out_dir,
-            annotations=Path(merged["annotations"]) if merged["annotations"] else out_dir / "annotations.json",
-            features_dir=Path(merged["features_dir"]) if merged["features_dir"] else out_dir / "features",
-            classification=Path(merged["classification"]) if merged["classification"] else out_dir / "classification.json",
-            **{name: _build_section(dc_cls, merged[name], name,
-                                    **({"seed": seed} if name == "synth" else {}))
-               for name, dc_cls in SECTIONS.items()},
-            snapshot=merged,
-        )
-
 
 def load_config(
     config_path: str | None,
-    set_overrides: list[str] | None = None,
-    seed: int | None = None,
-    output_dir: str | None = None,
+    set_overrides: list[str],
+    seed: int | None,
+    output_dir: str | None,
 ) -> PipelineConfig:
-    """Config file -> CLI flags -> --set pairs -> TAPKIT_SEED, in that order."""
+    """Defaults overlaid in turn by the config file, --out/--seed, each --set and TAPKIT_SEED."""
+    layers = []
     if config_path is not None:
         try:
             with open(config_path, "r", encoding="utf-8") as f:
-                data = json.load(f)
+                layers.append(json.load(f))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {config_path} is not valid UTF-8 JSON: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(layers[0], dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
-    else:
-        data = {}
-    if output_dir is not None:
-        data["output_dir"] = output_dir
-    if seed is not None:
-        data["seed"] = seed
-    apply_set_overrides(data, list(set_overrides or []))
+    flags = {"output_dir": output_dir, "seed": seed}
+    layers.append({key: value for key, value in flags.items() if value is not None})
+    layers += [_parse_set(assignment) for assignment in set_overrides]
     env_seed = os.environ.get("TAPKIT_SEED")
     if env_seed is not None:
         try:
-            data["seed"] = int(env_seed)
+            layers.append({"seed": int(env_seed)})
         except ValueError:
             raise ConfigError(f"TAPKIT_SEED must be an integer, got {env_seed!r}") from None
-    return PipelineConfig.from_dict(data)
+    merged = config_defaults()
+    for layer in layers:
+        _deep_merge(merged, layer)
+    seed = merged["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(merged["output_dir"], str):
+        raise ConfigError(f"output_dir must be a string, got {json.dumps(merged['output_dir'])}")
+    for key in ("annotations", "features_dir", "classification"):
+        if merged[key] is not None and not isinstance(merged[key], str):
+            raise ConfigError(f"{key} must be a string or null, got {json.dumps(merged[key])}")
+    out_dir = Path(merged["output_dir"])
+    return PipelineConfig(
+        seed=seed,
+        output_dir=out_dir,
+        annotations=Path(merged["annotations"]) if merged["annotations"] else out_dir / "annotations.json",
+        features_dir=Path(merged["features_dir"]) if merged["features_dir"] else out_dir / "features",
+        classification=Path(merged["classification"]) if merged["classification"] else out_dir / "classification.json",
+        **{name: _build_section(dc_cls, merged[name], name) for name, dc_cls in SECTIONS.items()},
+        snapshot=merged,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +246,7 @@ def _require(path: Path, producer: str) -> None:
 
 
 # The stage that writes each input a later stage reads. Feature files are
-# named by the annotations, so _load_feature_map checks them with _require.
+# named by the annotations, so _load_videos checks them with _require.
 _PRODUCERS = {
     "annotations": "synth",
     "classification": "synth",
@@ -279,18 +271,21 @@ def _feature_path(cfg: PipelineConfig, video_id: str) -> Path:
     return cfg.features_dir / f"{video_id}.feat"
 
 
-def _load_feature_map(cfg: PipelineConfig, records) -> tuple[dict, int]:
-    """Features of every record and their common dimension D."""
-    out = {}
+def _load_videos(cfg: PipelineConfig, subset: Subset) -> tuple[list, dict, int]:
+    """The records of a subset, their features and the features' common dimension D."""
+    records = load_annotations(_input(cfg, "annotations")).subset_videos(subset)
+    if not records:
+        raise DataError(f"no {subset.value} videos in annotations")
+    features = {}
     for rec in records:
         path = _feature_path(cfg, rec.video_id)
         _require(path, "synth")
-        seq = out[rec.video_id] = load_features(path)
-        first = out[records[0].video_id]
+        seq = features[rec.video_id] = load_features(path)
+        first = features[records[0].video_id]
         if seq.feature_dim != first.feature_dim:
             raise DataError(f"video {rec.video_id} has feature dimension {seq.feature_dim}, "
                             f"video {records[0].video_id} has {first.feature_dim}")
-    return out, first.feature_dim
+    return records, features, first.feature_dim
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -303,10 +298,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _train(cfg: PipelineConfig, name: str, build, train) -> list[Path]:
     """Training stage of network `name`, its config section and file prefix."""
-    records = load_annotations(_input(cfg, "annotations")).subset_videos(Subset.TRAINING)
-    if not records:
-        raise DataError("no training videos in annotations")
-    features, feature_dim = _load_feature_map(cfg, records)
+    records, features, feature_dim = _load_videos(cfg, Subset.TRAINING)
     model = build(feature_dim, getattr(cfg, name), cfg.seed)
     trace = train(model, records, features)
     model_path = cfg.output_dir / f"{name}_model.tapm"
@@ -335,7 +327,7 @@ def _writing(cfg: PipelineConfig, key: str):
 
 def run_synth(cfg: PipelineConfig) -> list[Path]:
     """Generate the synthetic dataset (annotations, features, classification)."""
-    index, features, classification = generate_synthetic(cfg.synth)
+    index, features, classification = generate_synthetic(cfg.synth, cfg.seed)
     with _writing(cfg, "annotations"):
         save_annotations(index, cfg.annotations)
     paths = [cfg.annotations]
@@ -369,13 +361,9 @@ def run_train_tag(cfg: PipelineConfig) -> list[Path]:
 
 def run_infer(cfg: PipelineConfig) -> list[Path]:
     """Score the evaluation subset: anchor proposals and grouped proposals."""
-    index = load_annotations(_input(cfg, "annotations"))
-    records = index.subset_videos(Subset(cfg.eval.subset))
-    if not records:
-        raise DataError(f"no {cfg.eval.subset} videos in annotations")
-    features, feature_dim = _load_feature_map(cfg, records)
+    records, features, feature_dim = _load_videos(cfg, Subset(cfg.eval.subset))
     model = load_weights(SsadModel(feature_dim, cfg.ssad), _input(cfg, "ssad_model.tapm"))
-    mlp = load_weights(build_mlp(feature_dim, cfg.tag), _input(cfg, "tag_model.tapm"))
+    mlp = load_weights(build_mlp(feature_dim, cfg.tag, cfg.seed), _input(cfg, "tag_model.tapm"))
 
     ssad_sets = ssad_infer(model, records, features)
     tag_sets = {rec.video_id: tag_proposals(predict_actionness(mlp, features[rec.video_id]),

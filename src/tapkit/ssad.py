@@ -194,7 +194,7 @@ class SsadModel(Sequential):
             g = layer.backward(g)
 
 
-def build_model(feature_dim: int, cfg: SsadConfig, seed: int = 0) -> SsadModel:
+def build_model(feature_dim: int, cfg: SsadConfig, seed: int) -> SsadModel:
     return SsadModel(feature_dim, cfg, rng=rng_for(seed, KEY_SSAD_INIT))
 
 
@@ -211,7 +211,7 @@ def train(
     model: SsadModel,
     records: list[VideoRecord],
     features: dict[str, FeatureSequence],
-    seed: int = 0,
+    seed: int,
 ) -> list[float]:
     """Overlap-regression training; returns the per-epoch mean loss trace.
 

@@ -57,7 +57,7 @@ def actionness_targets(record: VideoRecord, num_snippets: int) -> np.ndarray:
     return snippets_inside(num_snippets, record.duration, record.starts, record.ends).astype(np.float64)
 
 
-def build_mlp(feature_dim: int, cfg: TagConfig, seed: int = 0) -> Sequential:
+def build_mlp(feature_dim: int, cfg: TagConfig, seed: int) -> Sequential:
     """One-hidden-layer scorer. The output layer starts at zero so an
     untrained model emits exactly 0.5 everywhere."""
     rng = rng_for(seed, KEY_TAG_INIT)
@@ -74,7 +74,7 @@ def train_actionness(
     records: list[VideoRecord],
     features: dict[str, FeatureSequence],
     cfg: TagConfig,
-    seed: int = 0,
+    seed: int,
 ) -> list[float]:
     """Per-snippet MSE training on pooled snippets; returns the loss trace."""
     records = sorted(records, key=lambda r: r.video_id)

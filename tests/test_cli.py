@@ -23,6 +23,7 @@ from tapkit.fusion import NmsConfig, RefineConfig, nms, refine
 from tapkit.ingest import FeatureSequence, SynthConfig, read_results, save_features, write_results
 from tapkit.pipeline import (
     _PRODUCERS,
+    SECTIONS,
     STAGES,
     EvalOptions,
     _input,
@@ -94,6 +95,12 @@ class TestExitCodes:
         ("nms.iou_threshold=0", "nms.iou_threshold must lie in (0, 1], got 0"),
         ('nms.placement="x"', "nms.placement must be one of ('before', 'after', 'off'), got 'x'"),
         ("refine.iou_threshold=1", "refine.iou_threshold must lie in (0, 1), got 1"),
+        ("synth.signal_strength=NaN", "synth.signal_strength must be finite, got NaN"),
+        ("tag.learning_rate=-Infinity", "tag.learning_rate must be finite, got -Infinity"),
+        ("synth.duration_range=[1, Infinity]",
+         "synth.duration_range must be finite, got [1, Infinity]"),
+        pytest.param("ssad.learning_rate=" + "9" * 401,
+                     "ssad.learning_rate must be finite, got " + "9" * 401, id="401-digit-float"),
     ])
     def test_config_error_names_its_dotted_key(self, tmp_path, caplog, kv, message):
         assert main(["synth", "--out", str(tmp_path), "--set", kv]) == 2
@@ -155,7 +162,7 @@ class TestExitCodes:
 
     def test_synth_sizes_at_the_feature_file_limit_are_valid(self):
         cfg = load_config(None, ["synth.duration_range=[4294967295.0,4294967295.0]",
-                                 "synth.feature_dim=4294967295"])
+                                 "synth.feature_dim=4294967295"], None, None)
         assert cfg.synth.duration_range[1] == cfg.synth.feature_dim == 2**32 - 1
 
     @pytest.mark.parametrize("key, kind", [
@@ -413,12 +420,17 @@ class TestConfigTypes:
             for v in values:
                 assert type(v) in (bool, int, float, str), f"{section.__name__}.{f.name}"
 
+    def test_no_section_field_is_named_like_a_top_level_key(self):
+        top_level = set(config_defaults()) - set(SECTIONS)
+        for name, section in SECTIONS.items():
+            assert not top_level & {f.name for f in dataclasses.fields(section)}, name
+
     def test_ints_pass_for_floats(self):
         cfg = load_config(None, [
             "ssad.learning_rate=1",
             "synth.duration_range=[20, 30]",
             "tag.tau_grid=[0.5]",
-        ])
+        ], None, None)
         assert cfg.ssad.learning_rate == 1
         assert cfg.synth.duration_range == (20, 30)
         assert cfg.tag.tau_grid == (0.5,)
@@ -450,13 +462,13 @@ class TestConfigPrecedence:
 
     def test_seed_must_be_integer(self):
         with pytest.raises(ConfigError):
-            load_config(None, ["seed=true"])
+            load_config(None, ["seed=true"], None, None)
         with pytest.raises(ConfigError):
-            load_config(None, ["seed=1.5"])
+            load_config(None, ["seed=1.5"], None, None)
         with pytest.raises(ConfigError):
-            load_config(None, ["seed=-3"])
+            load_config(None, ["seed=-3"], None, None)
         with pytest.raises(ConfigError):
-            load_config(None, [], seed=-1)
+            load_config(None, [], -1, None)
 
     def test_set_parses_json_values(self):
         cfg = load_config(None, [
@@ -464,21 +476,48 @@ class TestConfigPrecedence:
             "nms.placement=\"off\"",
             "tag.scan_cutoff=false",
             "eval.subset=validation",  # bare string fallback
-        ])
+        ], None, None)
         assert cfg.synth.duration_range == (20.0, 30.0)
         assert cfg.nms.placement == "off"
         assert cfg.tag.scan_cutoff is False
         assert cfg.eval.subset == "validation"
 
+    def test_later_value_replaces_an_object_given_for_a_value(self):
+        # the defaults, not the layers below, say which keys are sections
+        assert load_config(None, ['seed={"x": 1}', "seed=2"], None, None).seed == 2
+        cfg = load_config(None, ["synth.num_videos={}", "synth.num_videos=6"], None, None)
+        assert cfg.synth.num_videos == 6
+
     def test_set_requires_equals(self):
         with pytest.raises(ConfigError):
-            load_config(None, ["seed"])
+            load_config(None, ["seed"], None, None)
 
     def test_defaults_round_trip(self):
         # every default key is accepted back as explicit config
-        cfg = load_config(None, [])
+        cfg = load_config(None, [], None, None)
         snapshot = config_defaults()
         assert cfg.snapshot == snapshot
+
+    def test_each_default_given_by_set_or_file_keeps_the_snapshot(self, tmp_path):
+        # --set and the config file overlay the defaults by one rule
+        snapshot = config_defaults()
+        cfg_path = tmp_path / "cfg.json"
+        for dotted, value, layer in _default_leaves():
+            pair = f"{dotted}={json.dumps(value)}"
+            assert load_config(None, [pair], None, None).snapshot == snapshot, pair
+            cfg_path.write_text(json.dumps(layer))
+            assert load_config(str(cfg_path), [], None, None).snapshot == snapshot, layer
+
+
+def _default_leaves():
+    """Each leaf of config_defaults(): its dotted key, its value and the
+    config file object that gives only that value."""
+    for key, value in config_defaults().items():
+        if key in SECTIONS:
+            for name, leaf in value.items():
+                yield f"{key}.{name}", leaf, {key: {name: leaf}}
+        else:
+            yield key, value, {key: value}
 
 
 class TestManifest:

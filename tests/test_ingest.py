@@ -106,8 +106,8 @@ class TestAnnotations:
             load_annotations(path)
 
     def test_round_trip(self, tmp_path):
-        cfg = SynthConfig(num_videos=12, seed=3)
-        index, _, _ = generate_synthetic(cfg)
+        cfg = SynthConfig(num_videos=12)
+        index, _, _ = generate_synthetic(cfg, 3)
         path = tmp_path / "ann.json"
         save_annotations(index, path)
         back = load_annotations(path)
@@ -205,9 +205,9 @@ class TestFeatureFiles:
 
 class TestSynthetic:
     def test_deterministic(self, tmp_path):
-        cfg = SynthConfig(num_videos=10, seed=9)
-        a_index, a_feats, a_cls = generate_synthetic(cfg)
-        b_index, b_feats, b_cls = generate_synthetic(cfg)
+        cfg = SynthConfig(num_videos=10)
+        a_index, a_feats, a_cls = generate_synthetic(cfg, 9)
+        b_index, b_feats, b_cls = generate_synthetic(cfg, 9)
         assert (_annotation_bytes(a_index, tmp_path / "a.json")
                 == _annotation_bytes(b_index, tmp_path / "b.json"))
         assert a_cls == b_cls
@@ -215,21 +215,21 @@ class TestSynthetic:
             assert np.array_equal(a_feats[vid].data, b_feats[vid].data)
 
     def test_seed_changes_output(self, tmp_path):
-        a = generate_synthetic(SynthConfig(num_videos=10, seed=1))[0]
-        b = generate_synthetic(SynthConfig(num_videos=10, seed=2))[0]
+        a = generate_synthetic(SynthConfig(num_videos=10), 1)[0]
+        b = generate_synthetic(SynthConfig(num_videos=10), 2)[0]
         assert _annotation_bytes(a, tmp_path / "a.json") != _annotation_bytes(b, tmp_path / "b.json")
 
     def test_feature_dim_must_cover_classes(self):
         with pytest.raises(ConfigError):
-            generate_synthetic(SynthConfig(num_videos=4, feature_dim=3, num_classes=5))
+            generate_synthetic(SynthConfig(num_videos=4, feature_dim=3, num_classes=5), 0)
 
     def test_split_sizes(self):
-        index, _, _ = generate_synthetic(SynthConfig(num_videos=20, val_fraction=0.25, seed=0))
+        index, _, _ = generate_synthetic(SynthConfig(num_videos=20, val_fraction=0.25), 0)
         assert len(index.subset_videos(Subset.TRAINING)) == 15
         assert len(index.subset_videos(Subset.VALIDATION)) == 5
 
     def test_instances_sorted_and_disjoint(self):
-        index, _, _ = generate_synthetic(SynthConfig(num_videos=40, seed=5))
+        index, _, _ = generate_synthetic(SynthConfig(num_videos=40), 5)
         for rec in index.videos.values():
             spans = list(zip(rec.starts.tolist(), rec.ends.tolist()))
             for a, b in zip(spans, spans[1:]):
@@ -239,8 +239,8 @@ class TestSynthetic:
                 assert 0.0 <= start < end <= rec.duration
 
     def test_signal_mean_matches_generator(self):
-        cfg = SynthConfig(num_videos=60, seed=11)
-        index, feats, cls = generate_synthetic(cfg)
+        cfg = SynthConfig(num_videos=60)
+        index, feats, cls = generate_synthetic(cfg, 11)
         label_col = {f"class_{c}": c for c in range(cfg.num_classes)}
         inside_vals = []
         for rec in index.videos.values():
@@ -253,7 +253,7 @@ class TestSynthetic:
         assert abs(pooled.mean() - cfg.signal_strength) < bound
 
     def test_classification_is_oracle(self):
-        index, _, cls = generate_synthetic(SynthConfig(num_videos=8, seed=4))
+        index, _, cls = generate_synthetic(SynthConfig(num_videos=8), 4)
         for vid, rows in cls.items():
             assert len(rows) >= 1
             assert rows[0][1] == 1.0

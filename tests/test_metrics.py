@@ -76,7 +76,7 @@ class TestRecall:
     def test_bad_args(self):
         # ar_an trusts its an_max: eval.an_max is checked where it enters
         with pytest.raises(ConfigError, match="eval.an_max must be >= 1"):
-            load_config(None, ["eval.an_max=0"])
+            load_config(None, ["eval.an_max=0"], None, None)
 
 
 class TestAverageRecall:
@@ -131,7 +131,7 @@ class TestArAn:
         # ar_at reads AN 1..an_max; EvalOptions keeps every eval.ar_at in range
         for ar_at in ((0,), (4,)):
             with pytest.raises(ConfigError, match=r"eval.ar_at values must lie in 1\.\.3"):
-                load_config(None, ["eval.an_max=3", f"eval.ar_at={list(ar_at)}"])
+                load_config(None, ["eval.an_max=3", f"eval.ar_at={list(ar_at)}"], None, None)
 
     def test_counts_only_the_given_records(self):
         # eval-prop passes one subset's records; other videos' gt is not counted
@@ -376,7 +376,7 @@ class TestEvalAtN:
     def test_bad_n(self):
         # mean_ap trusts its cutoffs: eval.at_n is checked where it enters
         with pytest.raises(ConfigError, match="eval.at_n values must be >= 1"):
-            load_config(None, ["eval.at_n=[0]"])
+            load_config(None, ["eval.at_n=[0]"], None, None)
 
     def test_truncation_drops_low_scores(self):
         videos = {

@@ -205,8 +205,8 @@ class TestModel:
 
 def _tiny_dataset(n_videos=12, seed=5):
     cfg = SynthConfig(num_videos=n_videos, feature_dim=4, num_classes=2,
-                      duration_range=(20.0, 40.0), seed=seed)
-    index, feats, _ = generate_synthetic(cfg)
+                      duration_range=(20.0, 40.0))
+    index, feats, _ = generate_synthetic(cfg, seed)
     records = index.subset_videos(Subset.TRAINING)
     return records, feats
 
@@ -219,8 +219,8 @@ class TestBatchedInference:
         # the default trunk (input 256, 32 channels), keeping every anchor
         cfg = SsadConfig(top_k=1000)
         synth = SynthConfig(num_videos=n_videos, feature_dim=6, num_classes=2,
-                            duration_range=(15.0, 95.0), val_fraction=0.0, seed=n_videos)
-        index, feats, _ = generate_synthetic(synth)
+                            duration_range=(15.0, 95.0), val_fraction=0.0)
+        index, feats, _ = generate_synthetic(synth, n_videos)
         records = index.subset_videos(Subset.TRAINING)
         assert len({feats[r.video_id].num_snippets for r in records}) > 1 or n_videos == 1
         model = build_model(6, cfg, seed=4)

@@ -252,8 +252,8 @@ class TestMlp:
         assert np.all(out == 0.5)
 
     def test_training_deterministic(self):
-        cfg = SynthConfig(num_videos=10, feature_dim=6, num_classes=2, seed=12)
-        index, feats, _ = generate_synthetic(cfg)
+        cfg = SynthConfig(num_videos=10, feature_dim=6, num_classes=2)
+        index, feats, _ = generate_synthetic(cfg, 12)
         records = index.subset_videos(Subset.TRAINING)
         tcfg = TagConfig(epochs=3)
         a = build_mlp(6, tcfg, seed=5)
@@ -267,8 +267,8 @@ class TestMlp:
         # signal 3.0 keeps the Bayes MSE floor well below half the start;
         # with the default 2.0 the halving bar sits on the noise floor
         cfg = SynthConfig(num_videos=30, feature_dim=8, num_classes=2,
-                          signal_strength=3.0, seed=13)
-        index, feats, _ = generate_synthetic(cfg)
+                          signal_strength=3.0)
+        index, feats, _ = generate_synthetic(cfg, 13)
         records = index.subset_videos(Subset.TRAINING)
         tcfg = TagConfig(epochs=20, learning_rate=3e-3)
         model = build_mlp(8, tcfg, seed=6)
@@ -278,8 +278,8 @@ class TestMlp:
     def test_heldout_auc_above_bar(self):
         # committed fixture: stronger signal than the pipeline default so a
         # single snippet carries enough evidence (measured AUC 0.9268)
-        cfg = SynthConfig(num_videos=150, signal_strength=3.0, seed=42)
-        index, feats, _ = generate_synthetic(cfg)
+        cfg = SynthConfig(num_videos=150, signal_strength=3.0)
+        index, feats, _ = generate_synthetic(cfg, 42)
         tcfg = TagConfig()
         model = build_mlp(cfg.feature_dim, tcfg, seed=42)
         train = index.subset_videos(Subset.TRAINING)

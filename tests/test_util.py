@@ -319,3 +319,37 @@ def test_every_import_is_used():
     unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
               for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# --------------------------------------------------------------------------
+# guard: a seeded function gets its seed from its caller, never from a default
+
+
+def _defaulted_seeds(source: str) -> list[str]:
+    """Each function or lambda whose parameter named seed has a default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+        if any(arg.arg == "seed" for arg in defaulted):
+            found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def test_guard_detects_seed_defaults():
+    source = ("def a(seed=0):\n    pass\n\ndef b(x, seed):\n    pass\n\n"
+              "def c(seed, x=1):\n    pass\n\ndef d(*, seed=None):\n    pass\n\n"
+              "def e(x=1, *, seed):\n    pass\n\nf = lambda seed=3: seed\n")
+    assert _defaulted_seeds(source) == ["a", "d", "<lambda>"]
+
+
+def test_no_seed_parameter_has_a_default():
+    package = Path(tapkit.__file__).parent
+    found = {path.name: _defaulted_seeds(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: functions for name, functions in found.items() if functions} == {}
