@@ -9,8 +9,8 @@ the video's id is the key it is stored under, not a field. Proposal is only
 a row view of it, yielded by iteration. The package reads the columns;
 perfbench's tracer iterates rows to count refined ones. A VideoRecord holds
 its instances' labels, starts and ends, validated once and kept in input
-order. A DatasetIndex holds the records and derives its label vocabulary
-from them.
+order. A dataset is the dict of its records keyed by video id, and
+subset_videos is the one place that selects a subset and fixes its order.
 
 tiou_matrix is the one interval kernel: refinement, NMS, target assignment,
 AR-AN and AP all compare intervals through it, so the tIoU formula lives in
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -163,18 +163,7 @@ class VideoRecord:
             object.__setattr__(self, name, column)
 
 
-@dataclass(frozen=True, eq=False)
-class DatasetIndex:
-    """All video records keyed by id. Like a record, an index compares by
-    identity."""
-
-    videos: dict[str, VideoRecord] = field(default_factory=dict)
-
-    @property
-    def label_set(self) -> tuple[str, ...]:
-        """The label vocabulary: every label of the records' instances, sorted."""
-        return tuple(sorted({label for rec in self.videos.values() for label in rec.labels}))
-
-    def subset_videos(self, subset: Subset | str) -> list[VideoRecord]:
-        subset = Subset(subset)
-        return [self.videos[vid] for vid in sorted(self.videos) if self.videos[vid].subset == subset]
+def subset_videos(videos: Mapping[str, VideoRecord], subset: Subset) -> list[VideoRecord]:
+    """The records of one subset in video-id order, the order every stage
+    trains, scores and evaluates them in."""
+    return [videos[vid] for vid in sorted(videos) if videos[vid].subset == subset]

@@ -101,18 +101,12 @@ class LayerSpec:
 
 
 class Layer:
-    """Forward/backward pair with internally cached activations. A layer
-    with weights names them in param_names; the gradient of weight "w"
-    accumulates in "gw"."""
+    """A forward/backward pair, which each subclass defines, with internally
+    cached activations. A layer with weights names them in param_names; the
+    gradient of weight "w" accumulates in "gw"."""
 
     spec: LayerSpec
     param_names: tuple[str, ...] = ()
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def _cached(self, value: np.ndarray | None, grad_y: np.ndarray | None = None) -> np.ndarray:
         """What forward saved for backward; DataError if forward never ran, or

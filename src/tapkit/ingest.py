@@ -24,7 +24,7 @@ from typing import Iterable, NoReturn
 
 import numpy as np
 
-from .core import DatasetIndex, ProposalSet, Subset, VideoRecord
+from .core import ProposalSet, Subset, VideoRecord
 from .errors import ConfigError, DataError
 from .util import KEY_SYNTH, U32_MAX, atomic_open, rng_for, write_json_atomic
 
@@ -84,6 +84,10 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be a [low, high] pair, got {getattr(self, name)}")
         if self.num_videos < 1:
             raise ConfigError(f"num_videos must be >= 1, got {self.num_videos}")
+        for name, value in (("num_videos", self.num_videos),
+                            ("instances_range[1]", self.instances_range[1])):
+            if value >= 2**63:  # counts stay within numpy's int64
+                raise ConfigError(f"{name} must be below 2**63, got {value}")
         if not (0.0 < self.duration_range[0] <= self.duration_range[1]):
             raise ConfigError(f"duration_range must be 0 < low <= high, got {self.duration_range}")
         if self.snippet_length <= 0.0:
@@ -137,8 +141,8 @@ def _read_json(path: str | Path, what: str):
         raise DataError(f"cannot parse {what} file {path}: {exc}") from exc
 
 
-def load_annotations(path: str | Path) -> DatasetIndex:
-    """Parse an ActivityNet-style annotation file into a validated index."""
+def load_annotations(path: str | Path) -> dict[str, VideoRecord]:
+    """Parse an ActivityNet-style annotation file into validated records keyed by video id."""
     raw = _read_json(path, "annotation")
     if not isinstance(raw, dict) or not isinstance(raw.get("database"), dict):
         raise DataError(f"{path}: missing or malformed 'database' map")
@@ -178,13 +182,12 @@ def load_annotations(path: str | Path) -> DatasetIndex:
             videos[vid] = VideoRecord(vid, duration, subset, labels, starts, ends)
         except DataError as exc:
             raise DataError(f"{path}: database.{vid}: {exc}") from exc
-    return DatasetIndex(videos)
+    return videos
 
 
-def save_annotations(index: DatasetIndex, path: str | Path) -> None:
+def save_annotations(videos: dict[str, VideoRecord], path: str | Path) -> None:
     database = {}
-    for vid in sorted(index.videos):
-        rec = index.videos[vid]
+    for vid, rec in sorted(videos.items()):
         database[vid] = {
             "duration": rec.duration,
             "subset": rec.subset.value,
@@ -433,12 +436,12 @@ def _place_instances(
 def generate_synthetic(
     cfg: SynthConfig,
     seed: int,
-) -> tuple[DatasetIndex, dict[str, FeatureSequence], dict[str, list[tuple[str, float]]]]:
+) -> tuple[dict[str, VideoRecord], dict[str, FeatureSequence], dict[str, list[tuple[str, float]]]]:
     """Build a seeded synthetic dataset.
 
-    Returns the annotation index, per-video feature sequences, and oracle
-    video-level classification results (each video's class, confidence 1.0).
-    Deterministic given the seed.
+    Returns the annotation records keyed by video id, per-video feature
+    sequences, and oracle video-level classification results (each video's
+    class, confidence 1.0). Deterministic given the seed.
     """
     rng = rng_for(seed, KEY_SYNTH)
     num_val = int(round(cfg.num_videos * cfg.val_fraction))
@@ -470,4 +473,4 @@ def generate_synthetic(
         else:
             classification[vid] = []
 
-    return DatasetIndex(videos), features, classification
+    return videos, features, classification

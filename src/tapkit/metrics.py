@@ -25,14 +25,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DatasetIndex, ProposalSet, Subset, VideoRecord, tiou_matrix
+from .core import ProposalSet, Subset, VideoRecord, subset_videos, tiou_matrix
 from .errors import DataError
 from .util import KEY_BASELINE, rng_for
 
 
-def tiou_grid() -> tuple[float, ...]:
-    """The 10 evaluation thresholds 0.50, 0.55, ..., 0.95."""
-    return tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+# the 10 evaluation thresholds
+TIOU_GRID = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 
 
 # --------------------------------------------------------------------------
@@ -52,7 +51,7 @@ def ar_an(
     proposals: Mapping[str, ProposalSet],
     records: Sequence[VideoRecord],
     an_max: int,
-    grid: Sequence[float] = tiou_grid(),
+    grid: Sequence[float] = TIOU_GRID,
 ) -> ArAnCurve:
     """AR at every AN in 1..an_max plus the mean-of-curve area, over the
     label-agnostic ground truth of the given records.
@@ -106,15 +105,14 @@ def _random_intervals(rng, duration: float, count: int):
 
 
 def uniform_random_proposals(
-    index: DatasetIndex,
-    subset: Subset,
+    records: Sequence[VideoRecord],
     count: int,
     seed: int,
 ) -> dict[str, ProposalSet]:
-    """Scored random-interval baseline, deterministic per seed."""
+    """Scored random-interval baseline of the records, deterministic per seed and order."""
     rng = rng_for(seed, KEY_BASELINE)
     return {rec.video_id: ProposalSet(*_random_intervals(rng, rec.duration, count))
-            for rec in index.subset_videos(subset)}
+            for rec in records}
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +168,7 @@ def _average_precision(hits: np.ndarray, total: int) -> np.ndarray:
 
 def mean_ap(
     localization: Mapping[str, Sequence[LocEntry]],
-    index: DatasetIndex,
+    videos: Mapping[str, VideoRecord],
     thresholds: Sequence[float],
     at_n: Sequence[int] = (),
     subset: Subset = Subset.VALIDATION,
@@ -183,7 +181,7 @@ def mean_ap(
     docstring); each n only masks the match.
     """
     thresholds = tuple(dict.fromkeys(thresholds))
-    records = index.subset_videos(subset)
+    records = subset_videos(videos, subset)
     # gt_by_class[label][v]: the indices of that class's instances in records[v], in order
     gt_by_class: dict[str, dict[int, list[int]]] = {}
     preds_by_class: dict[str, list[tuple]] = {}
@@ -193,7 +191,7 @@ def mean_ap(
         ranked = sorted(localization.get(rec.video_id, ()), key=_loc_sort_key)
         for rank, (label, start, end, score) in enumerate(ranked):
             preds_by_class.setdefault(label, []).append((-score, start, end - start, v, end, rank))
-    for label in index.label_set:
+    for label in sorted({label for rec in videos.values() for label in rec.labels}):
         if label not in gt_by_class:
             warnings.warn(
                 f"class {label!r} has no ground truth in {subset.value}; excluded from mAP",

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ProposalSet, Source, Subset
+from .core import ProposalSet, Source, Subset, subset_videos
 from .engine import (
     Dense,
     ReLU,
@@ -49,10 +49,10 @@ from .ingest import (
     write_results,
 )
 from .metrics import (
+    TIOU_GRID,
     ar_an,
     attach_labels,
     mean_ap,
-    tiou_grid,
     uniform_random_proposals,
 )
 from .ssad import SsadConfig, SsadModel, build_model
@@ -273,7 +273,7 @@ def _feature_path(cfg: PipelineConfig, video_id: str) -> Path:
 
 def _load_videos(cfg: PipelineConfig, subset: Subset) -> tuple[list, dict, int]:
     """The records of a subset, their features and the features' common dimension D."""
-    records = load_annotations(_input(cfg, "annotations")).subset_videos(subset)
+    records = subset_videos(load_annotations(_input(cfg, "annotations")), subset)
     if not records:
         raise DataError(f"no {subset.value} videos in annotations")
     features = {}
@@ -327,9 +327,9 @@ def _writing(cfg: PipelineConfig, key: str):
 
 def run_synth(cfg: PipelineConfig) -> list[Path]:
     """Generate the synthetic dataset (annotations, features, classification)."""
-    index, features, classification = generate_synthetic(cfg.synth, cfg.seed)
+    videos, features, classification = generate_synthetic(cfg.synth, cfg.seed)
     with _writing(cfg, "annotations"):
-        save_annotations(index, cfg.annotations)
+        save_annotations(videos, cfg.annotations)
     paths = [cfg.annotations]
     with _writing(cfg, "features_dir"):
         for vid in sorted(features):
@@ -339,10 +339,10 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
     with _writing(cfg, "classification"):
         write_classification(classification, cfg.classification)
     paths.append(cfg.classification)
-    n_train = len(index.subset_videos(Subset.TRAINING))
-    n_val = len(index.subset_videos(Subset.VALIDATION))
+    n_train = len(subset_videos(videos, Subset.TRAINING))
+    n_val = len(subset_videos(videos, Subset.VALIDATION))
     logger.info("synth: %d videos (%d training, %d validation), %d classes",
-                len(index.videos), n_train, n_val, cfg.synth.num_classes)
+                len(videos), n_train, n_val, cfg.synth.num_classes)
     return paths
 
 
@@ -411,16 +411,14 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
 
 def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
     """Proposal metrics: AR@AN and the AR-AN curve/area."""
-    index = load_annotations(_input(cfg, "annotations"))
-    subset = Subset(cfg.eval.subset)
-    records = index.subset_videos(subset)
+    records = subset_videos(load_annotations(_input(cfg, "annotations")), Subset(cfg.eval.subset))
     refined_path = _input(cfg, "proposals_refined.json")
     final_path = _input(cfg, "proposals_ssad_final.json")
 
     sources = (
         ("refined", read_results(refined_path)),
         ("ssad", read_results(final_path)),
-        ("baseline", uniform_random_proposals(index, subset, cfg.eval.an_max, cfg.seed)),
+        ("baseline", uniform_random_proposals(records, cfg.eval.an_max, cfg.seed)),
     )
     paths = []
     for name, props in sources:
@@ -442,7 +440,7 @@ def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
 
 def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     """Localization metrics: mAP over the tIoU grid."""
-    index = load_annotations(_input(cfg, "annotations"))
+    videos = load_annotations(_input(cfg, "annotations"))
     refined_path = _input(cfg, "proposals_refined.json")
     classification_path = _input(cfg, "classification")
     proposals = read_results(refined_path)
@@ -452,18 +450,17 @@ def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     loc_path = cfg.output_dir / "localization.json"
     write_localization(localization, loc_path)
 
-    grid = tiou_grid()
-    maps = mean_ap(localization, index, grid + cfg.eval.map_points, cfg.eval.at_n,
+    maps = mean_ap(localization, videos, TIOU_GRID + cfg.eval.map_points, cfg.eval.at_n,
                    Subset(cfg.eval.subset))
     report = {
         "map": {str(t): maps[None][t] for t in cfg.eval.map_points},
-        "average_map": float(np.mean([maps[None][t] for t in grid])),
-        "at_n": {str(n): float(np.mean([maps[n][t] for t in grid])) for n in cfg.eval.at_n},
+        "average_map": float(np.mean([maps[None][t] for t in TIOU_GRID])),
+        "at_n": {str(n): float(np.mean([maps[n][t] for t in TIOU_GRID])) for n in cfg.eval.at_n},
     }
     report_path = cfg.output_dir / "eval_loc.json"
     write_json_atomic(report_path, report)
     csv_path = cfg.output_dir / "eval_loc.csv"
-    _write_csv(csv_path, "tiou,map", ((t, maps[None][t]) for t in grid))
+    _write_csv(csv_path, "tiou,map", ((t, maps[None][t]) for t in TIOU_GRID))
     logger.info("eval-loc: average_map=%.4f %s", report["average_map"],
                 " ".join(f"map@{k}={v:.4f}" for k, v in report["map"].items()))
     return [loc_path, report_path, csv_path]

@@ -215,12 +215,11 @@ def train(
 ) -> list[float]:
     """Overlap-regression training; returns the per-epoch mean loss trace.
 
-    Deterministic given the seed: a dedicated RNG drives the per-epoch video
-    shuffle and nothing else. Raises DivergenceError naming the epoch if a
-    gradient or the loss goes non-finite.
+    Deterministic given the seed and the records, which arrive in video-id
+    order: a dedicated RNG drives the per-epoch shuffle and nothing else.
+    Raises DivergenceError naming the epoch if a gradient or loss goes non-finite.
     """
     cfg = model.cfg
-    records = sorted(records, key=lambda r: r.video_id)
     inputs = np.stack([_prepare_input(features[r.video_id], cfg) for r in records])
     targets = np.stack([assign_targets(model.pyramid, r.starts / r.duration, r.ends / r.duration)
                         for r in records]).astype(np.float32)

@@ -52,11 +52,6 @@ class TagConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
-def actionness_targets(record: VideoRecord, num_snippets: int) -> np.ndarray:
-    """Binary snippet labels: 1 iff the snippet center falls inside an instance."""
-    return snippets_inside(num_snippets, record.duration, record.starts, record.ends).astype(np.float64)
-
-
 def build_mlp(feature_dim: int, cfg: TagConfig, seed: int) -> Sequential:
     """One-hidden-layer scorer. The output layer starts at zero so an
     untrained model emits exactly 0.5 everywhere."""
@@ -76,10 +71,11 @@ def train_actionness(
     cfg: TagConfig,
     seed: int,
 ) -> list[float]:
-    """Per-snippet MSE training on pooled snippets; returns the loss trace."""
-    records = sorted(records, key=lambda r: r.video_id)
+    """Per-snippet MSE training on the pooled snippets of records given in
+    video-id order, each labelled by snippets_inside; returns the loss trace."""
     xs = [features[r.video_id].data for r in records]
-    ys = [actionness_targets(r, features[r.video_id].num_snippets) for r in records]
+    ys = [snippets_inside(features[r.video_id].num_snippets, r.duration, r.starts, r.ends)
+          for r in records]
     x = np.concatenate(xs, axis=0)
     y = np.concatenate(ys, axis=0).astype(np.float32)[:, None]
 

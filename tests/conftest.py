@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from golden import fixture42_config
-from tapkit.core import DatasetIndex, ProposalSet, Source, Subset, VideoRecord, tiou_matrix
+from tapkit.core import ProposalSet, Source, Subset, VideoRecord, tiou_matrix
 from tapkit.metrics import ar_an, mean_ap
 from tapkit.pipeline import PipelineConfig, run_command
 from tapkit.tag import _regions
@@ -37,14 +37,14 @@ def recall(proposals, gt, an, threshold):
 
 
 def average_precision(preds, gt, threshold):
-    """AP of one class at one threshold: mean_ap over an index whose only
+    """AP of one class at one threshold: mean_ap over a dataset whose only
     class is "x". preds: [(vid, start, end, score)], gt: vid -> [(start, end)]."""
     vids = {*gt, *(p[0] for p in preds)}
     videos = {rec.video_id: rec for rec in gt_records({vid: gt.get(vid, ()) for vid in vids})}
     loc = {}
     for vid, start, end, score in preds:
         loc.setdefault(vid, []).append(("x", start, end, score))
-    return mean_ap(loc, DatasetIndex(videos), [threshold])[None][threshold]
+    return mean_ap(loc, videos, [threshold])[None][threshold]
 
 
 def pset(rows, source=Source.SSAD):

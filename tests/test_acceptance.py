@@ -23,11 +23,11 @@ from oracles import (
     mc_tiou,
     oracle_tiou,
 )
-from tapkit.core import DatasetIndex, Source, Subset, VideoRecord
+from tapkit.core import Source, Subset, VideoRecord, subset_videos
 from tapkit.engine import Conv1d, Dense, ReLU, Sequential, Sigmoid, grad_check, mse_loss, relu_margin
 from tapkit.fusion import RefineConfig, refine
 from tapkit.ingest import load_annotations, read_results
-from tapkit.metrics import ar_an, mean_ap, tiou_grid
+from tapkit.metrics import TIOU_GRID, ar_an, mean_ap
 from tapkit.pipeline import run_command
 from tapkit.ssad import SsadConfig, build_anchor_pyramid, build_model
 
@@ -113,8 +113,7 @@ def _random_metric_instance(rng):
         gt[vids[0]] = [("jump", 0.0, 5.0)]
     for vid in vids:
         records[vid] = VideoRecord(vid, 100.0, Subset.VALIDATION, *zip(*gt[vid]))
-    index = DatasetIndex(videos=records)
-    return props, gt, loc, index
+    return props, gt, loc, records
 
 
 def test_criterion_2_metric_oracles():
@@ -123,18 +122,18 @@ def test_criterion_2_metric_oracles():
     tol = 1e-9
     worst = 0.0
     for _ in range(500):
-        props, gt, loc, index = _random_metric_instance(rng)
+        props, gt, loc, videos = _random_metric_instance(rng)
         plain_props = {
             vid: [(p.start, p.end, p.score) for p in ps]
             for vid, ps in props.items()
         }
         plain_gt = {vid: [(s, e) for _l, s, e in rows] for vid, rows in gt.items()}
         an = int(rng.integers(1, 7))
-        threshold = float(rng.choice(tiou_grid()))
+        threshold = float(rng.choice(TIOU_GRID))
 
         diffs = [abs(recall(props, plain_gt, an, threshold)
                      - brute_recall(plain_props, plain_gt, an, threshold))]
-        curve = ar_an(props, index.subset_videos(Subset.VALIDATION), an_max=an)
+        curve = ar_an(props, subset_videos(videos, Subset.VALIDATION), an_max=an)
         diffs.append(abs(curve.ar_at(an) - brute_average_recall(plain_props, plain_gt, an)))
         want_ar, want_area = brute_ar_an(plain_props, plain_gt, an)
         diffs += [abs(a - b) for a, b in zip(curve.ar, want_ar)]
@@ -144,7 +143,7 @@ def test_criterion_2_metric_oracles():
         diffs.append(abs(average_precision(preds, plain_gt, threshold)
                          - brute_ap(preds, plain_gt, threshold)))
 
-        diffs.append(abs(mean_ap(loc, index, [threshold])[None][threshold]
+        diffs.append(abs(mean_ap(loc, videos, [threshold])[None][threshold]
                          - brute_mean_ap(loc, gt, threshold)))
         worst = max(worst, max(diffs))
     elapsed = time.time() - started
@@ -237,8 +236,7 @@ def test_criterion_6_end_to_end_ordering(fixture42):
         name: json.loads((out / f"eval_prop_{name}.json").read_text())
         for name in ("refined", "ssad", "baseline")
     }
-    index = load_annotations(out / "annotations.json")
-    records = index.subset_videos(Subset.VALIDATION)
+    records = subset_videos(load_annotations(out / "annotations.json"), Subset.VALIDATION)
     an = cfg.eval.an_max
     r95 = {
         name: ar_an(read_results(out / path), records, an, (0.95,)).ar_at(an)
@@ -324,7 +322,7 @@ def test_criterion_8_anchor_and_grid_shapes():
     model = build_model(16, cfg, seed=0)
     x = np.random.default_rng(0).standard_normal((1, 16, cfg.input_length))
     scores = model.forward(x.astype(np.float32))
-    grid = tiou_grid()
+    grid = TIOU_GRID
     ok = (len(pyramid) == 381 and scores.shape == (1, 381)
           and grid == (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95))
     record_criterion(

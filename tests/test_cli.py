@@ -101,10 +101,20 @@ class TestExitCodes:
          "synth.duration_range must be finite, got [1, Infinity]"),
         pytest.param("ssad.learning_rate=" + "9" * 401,
                      "ssad.learning_rate must be finite, got " + "9" * 401, id="401-digit-float"),
+        ("synth.instances_range=[0,9223372036854775808]",
+         "synth.instances_range[1] must be below 2**63, got 9223372036854775808"),
+        pytest.param("synth.num_videos=" + "9" * 401,
+                     "synth.num_videos must be below 2**63, got " + "9" * 401, id="401-digit-int"),
     ])
     def test_config_error_names_its_dotted_key(self, tmp_path, caplog, kv, message):
         assert main(["synth", "--out", str(tmp_path), "--set", kv]) == 2
         assert f"config error: {message}" in caplog.text
+
+    def test_instance_count_below_2_63_is_drawn(self, tmp_path, caplog):
+        # the largest count numpy can draw passes the config, then no video holds it
+        kv = "synth.instances_range=[0,9223372036854775807]"
+        assert main(["synth", "--out", str(tmp_path), "--set", kv]) == 3
+        assert "could not place" in caplog.text
 
     def test_config_error_missing_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "absent.json")]) == 2

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import pset, tiou
 from oracles import masked_tiou_matrix, oracle_tiou
-from tapkit.core import DatasetIndex, ProposalSet, Source, Subset, VideoRecord, tiou_matrix
+from tapkit.core import ProposalSet, Source, Subset, VideoRecord, subset_videos, tiou_matrix
 from tapkit.errors import DataError
 from tapkit.ingest import FeatureSequence, load_annotations, read_results
 from tapkit.ssad import AnchorPyramid, SsadConfig, SsadModel, infer
@@ -292,9 +292,16 @@ class TestVideoRecord:
             VideoRecord("v", duration, "training")
 
 
-def test_index_labels_come_from_its_records():
-    videos = {"x": VideoRecord("x", 10.0, "training", ("swim", "dive", "swim"), [0, 2, 4], [1, 3, 5]),
-              "y": VideoRecord("y", 10.0, "testing", ("jump",), [0], [1]),
-              "z": VideoRecord("z", 10.0, "validation")}
-    assert DatasetIndex(videos).label_set == ("dive", "jump", "swim")
-    assert DatasetIndex().label_set == ()
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_subset_videos_in_id_order(order):
+    # nothing after subset_videos sorts records: the trainers take them in its order
+    vids = [f"v{i:02d}" for i in range(12)]
+    train = vids[::3]
+    shuffled = [vids[i] for i in np.random.default_rng(3).permutation(len(vids))]
+    built = vids[::-1] if order == "reversed" else shuffled
+    videos = {vid: VideoRecord(vid, 10.0, Subset.TRAINING if vid in train else Subset.VALIDATION)
+              for vid in built}
+    assert list(videos) != vids
+    assert subset_videos(videos, Subset.TRAINING) == [videos[vid] for vid in train]
+    assert subset_videos(videos, Subset.VALIDATION) == [videos[vid] for vid in vids if vid not in train]
+    assert subset_videos(videos, Subset.TESTING) == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from oracles import json_dump_localization, json_dump_results, loop_read_columns
 
-from tapkit.core import Subset
+from tapkit.core import Subset, subset_videos
 from tapkit.errors import ConfigError, DataError
 from tapkit.ingest import (
     FeatureSequence,
@@ -30,8 +30,8 @@ from tapkit.core import ProposalSet
 from tapkit.metrics import attach_labels
 
 
-def _annotation_bytes(index, path):
-    save_annotations(index, path)
+def _annotation_bytes(videos, path):
+    save_annotations(videos, path)
     return path.read_bytes()
 
 
@@ -54,17 +54,16 @@ class TestAnnotations:
                 "vb": {"duration": 30.0, "subset": "validation", "annotations": []},
             },
         })
-        index = load_annotations(path)
-        assert set(index.videos) == {"va", "vb"}
-        assert index.label_set == ("jump",)
-        rec = index.videos["va"]
+        videos = load_annotations(path)
+        assert set(videos) == {"va", "vb"}
+        assert [rec.labels for rec in videos.values()] == [("jump",), ()]
+        rec = videos["va"]
         assert rec.subset is Subset.TRAINING
         assert (rec.labels, rec.starts.tolist(), rec.ends.tolist()) == (("jump",), [10.0], [20.0])
 
     def test_empty_database_is_valid(self, tmp_path):
         path = _write(tmp_path, "ann.json", {"version": "1.0", "database": {}})
-        index = load_annotations(path)
-        assert index.videos == {} and index.label_set == ()
+        assert load_annotations(path) == {}
 
     def test_bad_subset_rejected(self, tmp_path):
         path = _write(tmp_path, "ann.json", {
@@ -107,11 +106,12 @@ class TestAnnotations:
 
     def test_round_trip(self, tmp_path):
         cfg = SynthConfig(num_videos=12)
-        index, _, _ = generate_synthetic(cfg, 3)
+        videos, _, _ = generate_synthetic(cfg, 3)
         path = tmp_path / "ann.json"
-        save_annotations(index, path)
+        save_annotations(videos, path)
         back = load_annotations(path)
-        assert back.label_set == index.label_set
+        assert ({vid: rec.labels for vid, rec in back.items()}
+                == {vid: rec.labels for vid, rec in videos.items()})
         assert _annotation_bytes(back, tmp_path / "back.json") == path.read_bytes()
 
 
@@ -206,10 +206,10 @@ class TestFeatureFiles:
 class TestSynthetic:
     def test_deterministic(self, tmp_path):
         cfg = SynthConfig(num_videos=10)
-        a_index, a_feats, a_cls = generate_synthetic(cfg, 9)
-        b_index, b_feats, b_cls = generate_synthetic(cfg, 9)
-        assert (_annotation_bytes(a_index, tmp_path / "a.json")
-                == _annotation_bytes(b_index, tmp_path / "b.json"))
+        a_videos, a_feats, a_cls = generate_synthetic(cfg, 9)
+        b_videos, b_feats, b_cls = generate_synthetic(cfg, 9)
+        assert (_annotation_bytes(a_videos, tmp_path / "a.json")
+                == _annotation_bytes(b_videos, tmp_path / "b.json"))
         assert a_cls == b_cls
         for vid in a_feats:
             assert np.array_equal(a_feats[vid].data, b_feats[vid].data)
@@ -224,13 +224,13 @@ class TestSynthetic:
             generate_synthetic(SynthConfig(num_videos=4, feature_dim=3, num_classes=5), 0)
 
     def test_split_sizes(self):
-        index, _, _ = generate_synthetic(SynthConfig(num_videos=20, val_fraction=0.25), 0)
-        assert len(index.subset_videos(Subset.TRAINING)) == 15
-        assert len(index.subset_videos(Subset.VALIDATION)) == 5
+        videos, _, _ = generate_synthetic(SynthConfig(num_videos=20, val_fraction=0.25), 0)
+        assert len(subset_videos(videos, Subset.TRAINING)) == 15
+        assert len(subset_videos(videos, Subset.VALIDATION)) == 5
 
     def test_instances_sorted_and_disjoint(self):
-        index, _, _ = generate_synthetic(SynthConfig(num_videos=40), 5)
-        for rec in index.videos.values():
+        videos, _, _ = generate_synthetic(SynthConfig(num_videos=40), 5)
+        for rec in videos.values():
             spans = list(zip(rec.starts.tolist(), rec.ends.tolist()))
             for a, b in zip(spans, spans[1:]):
                 assert a[0] <= b[0]
@@ -240,10 +240,10 @@ class TestSynthetic:
 
     def test_signal_mean_matches_generator(self):
         cfg = SynthConfig(num_videos=60)
-        index, feats, cls = generate_synthetic(cfg, 11)
+        videos, feats, cls = generate_synthetic(cfg, 11)
         label_col = {f"class_{c}": c for c in range(cfg.num_classes)}
         inside_vals = []
-        for rec in index.videos.values():
+        for rec in videos.values():
             col = label_col[cls[rec.video_id][0][0]]
             data = feats[rec.video_id].data
             mask = snippets_inside(data.shape[0], rec.duration, rec.starts, rec.ends)
@@ -253,11 +253,11 @@ class TestSynthetic:
         assert abs(pooled.mean() - cfg.signal_strength) < bound
 
     def test_classification_is_oracle(self):
-        index, _, cls = generate_synthetic(SynthConfig(num_videos=8), 4)
+        videos, _, cls = generate_synthetic(SynthConfig(num_videos=8), 4)
         for vid, rows in cls.items():
             assert len(rows) >= 1
             assert rows[0][1] == 1.0
-            labels = set(index.videos[vid].labels)
+            labels = set(videos[vid].labels)
             if labels:
                 assert rows[0][0] in labels
 

@@ -14,15 +14,15 @@ from oracles import (
     loop_random_intervals,
     oracle_tiou,
 )
-from tapkit.core import DatasetIndex, ProposalSet, Subset, VideoRecord
+from tapkit.core import ProposalSet, Subset, VideoRecord, subset_videos
 from tapkit.errors import ConfigError, DataError
 from tapkit.metrics import (
+    TIOU_GRID,
     ArAnCurve,
     _random_intervals,
     ar_an,
     attach_labels,
     mean_ap,
-    tiou_grid,
     uniform_random_proposals,
 )
 from tapkit.pipeline import EvalOptions, load_config
@@ -39,7 +39,7 @@ def _record(vid, rows, duration=100.0, subset=Subset.VALIDATION):
 
 
 def test_grid_is_exact():
-    assert tiou_grid() == (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
+    assert TIOU_GRID == (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 
 
 class TestRecall:
@@ -85,7 +85,7 @@ class TestAverageRecall:
         props = {"v": pset([(0.0, 7.2, 0.9)])}
         gt = {"v": [(0.0, 10.0)]}
         value = 0.72
-        hits = sum(1 for t in tiou_grid() if value >= t)
+        hits = sum(1 for t in TIOU_GRID if value >= t)
         assert hits == 5
         assert ar_an(props, gt_records(gt), an_max=1).ar_at(1) == 0.5
 
@@ -107,7 +107,7 @@ class TestArAn:
             props, gt = _random_instance(rng)
             curve = ar_an(props, gt_records(gt), an_max=4)
             for an in range(1, 5):
-                per_threshold = [recall(props, gt, an, t) for t in tiou_grid()]
+                per_threshold = [recall(props, gt, an, t) for t in TIOU_GRID]
                 assert curve.ar_at(an) == float(np.mean(per_threshold))
 
     def test_matches_scalar_loop_reference(self):
@@ -135,12 +135,12 @@ class TestArAn:
 
     def test_counts_only_the_given_records(self):
         # eval-prop passes one subset's records; other videos' gt is not counted
-        index = DatasetIndex(videos={
+        videos = {
             "a": _record("a", [("x", 1.0, 2.0)], duration=10.0),
             "b": _record("b", [("x", 3.0, 4.0)], duration=10.0, subset=Subset.TRAINING),
-        })
+        }
         props = {"a": pset([(1.0, 2.0, 0.9)])}
-        curve = ar_an(props, index.subset_videos(Subset.VALIDATION), an_max=1)
+        curve = ar_an(props, subset_videos(videos, Subset.VALIDATION), an_max=1)
         assert curve.ar == (1.0,)
 
     def test_no_proposals_flat_zero(self):
@@ -149,37 +149,37 @@ class TestArAn:
 
 
 class TestUniformBaseline:
-    def _index(self):
-        videos = {
+    def _videos(self):
+        return {
             "a": _record("a", [("x", 5.0, 10.0)], duration=30.0),
             "b": VideoRecord("b", 60.0, Subset.VALIDATION),
             "c": VideoRecord("c", 45.0, Subset.TRAINING),
         }
-        return DatasetIndex(videos=videos)
 
     def test_deterministic_and_bounded(self):
-        index = self._index()
-        a = uniform_random_proposals(index, Subset.VALIDATION, count=20, seed=3)
-        b = uniform_random_proposals(index, Subset.VALIDATION, count=20, seed=3)
+        videos = self._videos()
+        records = subset_videos(videos, Subset.VALIDATION)
+        a = uniform_random_proposals(records, count=20, seed=3)
+        b = uniform_random_proposals(records, count=20, seed=3)
         assert set(a) == {"a", "b"}
         assert all(list(a[vid]) == list(b[vid]) for vid in a)
         for vid, ps in a.items():
             assert len(ps) == 20
             for p in ps:
-                assert 0.0 <= p.start < p.end <= index.videos[vid].duration
+                assert 0.0 <= p.start < p.end <= videos[vid].duration
 
     def test_seed_matters(self):
-        index = self._index()
-        a = uniform_random_proposals(index, Subset.VALIDATION, count=5, seed=1)
-        b = uniform_random_proposals(index, Subset.VALIDATION, count=5, seed=2)
+        records = subset_videos(self._videos(), Subset.VALIDATION)
+        a = uniform_random_proposals(records, count=5, seed=1)
+        b = uniform_random_proposals(records, count=5, seed=2)
         assert any(list(a[vid]) != list(b[vid]) for vid in a)
 
     @pytest.mark.parametrize("seed", [0, 3, 42])
     def test_matches_one_draw_at_a_time(self, seed):
         durations = {"a": 30.0, "b": 60.0, "d": 0.1 + 0.2, "e": 1e-300, "f": 7.25}
-        index = DatasetIndex({vid: VideoRecord(vid, d, Subset.VALIDATION)
-                              for vid, d in durations.items()})
-        got = uniform_random_proposals(index, Subset.VALIDATION, count=37, seed=seed)
+        videos = {vid: VideoRecord(vid, d, Subset.VALIDATION) for vid, d in durations.items()}
+        got = uniform_random_proposals(subset_videos(videos, Subset.VALIDATION), count=37,
+                                       seed=seed)
         rng = rng_for(seed, KEY_BASELINE)
         for vid in sorted(durations):
             want = ProposalSet(*loop_random_intervals(rng, durations[vid], 37))
@@ -298,10 +298,10 @@ class TestAveragePrecision:
 
     def test_no_gt_rejected(self):
         # "x" has ground truth in training only, none in the validation subset scored
-        index = DatasetIndex({"t": _record("t", [("x", 0.0, 1.0)], subset=Subset.TRAINING)})
+        videos = {"t": _record("t", [("x", 0.0, 1.0)], subset=Subset.TRAINING)}
         with pytest.warns(RuntimeWarning, match="'x'"), pytest.raises(
                 DataError, match="mAP undefined: no ground truth in subset validation"):
-            mean_ap({"v": [("x", 0, 1, 0.5)]}, index, [0.5])
+            mean_ap({"v": [("x", 0, 1, 0.5)]}, videos, [0.5])
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(1)
@@ -322,32 +322,31 @@ class TestMeanAp:
             # "dive" is in the vocabulary but has no training or validation gt
             "c": _record("c", [("dive", 0.0, 10.0)], subset=Subset.TESTING),
         }
-        index = DatasetIndex(videos=videos)
         loc = {
             "a": [("jump", 0.0, 10.0, 0.9), ("swim", 50.0, 60.0, 0.8)],
             "b": [("jump", 20.0, 40.0, 0.7)],
         }
-        return index, loc
+        return videos, loc
 
     def test_perfect_predictions(self):
-        index, loc = self._fixture()
+        videos, loc = self._fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert mean_ap(loc, index, [0.5]) == {None: {0.5: 1.0}}
+            assert mean_ap(loc, videos, [0.5]) == {None: {0.5: 1.0}}
 
     def test_zero_gt_class_warns_and_is_excluded(self):
-        index, loc = self._fixture()
+        videos, loc = self._fixture()
         with pytest.warns(RuntimeWarning, match="dive"):
-            value = mean_ap(loc, index, [0.5])[None][0.5]
+            value = mean_ap(loc, videos, [0.5])[None][0.5]
         assert value == 1.0  # mean over jump and swim only
 
     def test_subset_filter(self):
-        index, loc = self._fixture()
+        videos, loc = self._fixture()
         with warnings.catch_warnings():
             # no labels have validation gt here, so every class warns first
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(DataError, match="no ground truth in subset training"):
-                mean_ap(loc, index, [0.5], subset=Subset.TRAINING)
+                mean_ap(loc, videos, [0.5], subset=Subset.TRAINING)
 
     def test_bad_threshold(self):
         # eval-loc's thresholds are the tIoU grid plus eval.map_points, which
@@ -357,20 +356,20 @@ class TestMeanAp:
                 EvalOptions(map_points=(t,))
 
     def test_one_value_per_threshold_and_n(self):
-        index, loc = self._fixture()
+        videos, loc = self._fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            maps = mean_ap(loc, index, [0.95, 0.5, 0.95], at_n=[2, 1, 2])
+            maps = mean_ap(loc, videos, [0.95, 0.5, 0.95], at_n=[2, 1, 2])
         assert list(maps) == [None, 2, 1]
         assert all(list(by_t) == [0.95, 0.5] for by_t in maps.values())
 
 
 class TestEvalAtN:
     def test_identity_when_n_large(self):
-        index, loc = TestMeanAp()._fixture()
+        videos, loc = TestMeanAp()._fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            maps = mean_ap(loc, index, tiou_grid(), at_n=[100])
+            maps = mean_ap(loc, videos, TIOU_GRID, at_n=[100])
         assert maps[100] == maps[None]
 
     def test_bad_n(self):
@@ -382,10 +381,9 @@ class TestEvalAtN:
         videos = {
             "a": _record("a", [("jump", 0.0, 10.0)]),
         }
-        index = DatasetIndex(videos=videos)
         # the matching entry is ranked second within the video
         loc = {"a": [("jump", 40.0, 80.0, 0.9), ("jump", 0.0, 10.0, 0.5)]}
-        maps = mean_ap(loc, index, [0.5], at_n=[1, 2])
+        maps = mean_ap(loc, videos, [0.5], at_n=[1, 2])
         assert maps[1][0.5] == 0.0
         assert maps[2][0.5] == 0.5
 
@@ -417,13 +415,13 @@ class TestTableMatchesOracle:
         gt = {f"v{k}": spans for k, (_rows, spans) in enumerate(videos)}
         if not any(gt.values()):
             gt["v0"] = [("a", 0.0, 5.0)]
-        index = DatasetIndex(videos={
+        records = {
             vid: _record(vid, spans) for vid, spans in gt.items()
-        })
+        }
         at_n = range(1, max(map(len, loc.values())) + extra_n + 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            maps = mean_ap(loc, index, thresholds, at_n)
+            maps = mean_ap(loc, records, thresholds, at_n)
         for n in (None, *at_n):
             # each video's top n under the localization ranking
             top = {vid: sorted(rows, key=lambda r: (-r[3], r[1], r[2] - r[1], r[0]))[:n]
@@ -435,7 +433,7 @@ class TestTableMatchesOracle:
 def _loop_ar_an(proposals, gt, an_max):
     """ar_an as one scalar tIoU at a time: a running best per instance, then
     the first rank reaching each threshold."""
-    grid = tiou_grid()
+    grid = TIOU_GRID
     total = sum(len(v) for v in gt.values())
     hits = np.zeros((an_max + 1, len(grid)), dtype=np.int64)
     for vid, intervals in gt.items():
@@ -490,7 +488,7 @@ class TestOracleEquivalence:
                 for vid, ps in props.items()
             }
             an = int(rng.integers(1, 7))
-            threshold = float(rng.choice(tiou_grid()))
+            threshold = float(rng.choice(TIOU_GRID))
             assert recall(props, gt, an, threshold) == brute_recall(plain_props, gt, an, threshold)
             curve = ar_an(props, gt_records(gt), an_max=an)
             assert curve.ar_at(an) == pytest.approx(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import loop_infer_scores, oracle_tiou
-from tapkit.core import ProposalSet, Source, Subset, VideoRecord
+from tapkit.core import ProposalSet, Source, Subset, VideoRecord, subset_videos
 from tapkit.engine import Conv1d, load_weights, save_model
 from tapkit.errors import ConfigError, DataError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
@@ -206,8 +206,8 @@ class TestModel:
 def _tiny_dataset(n_videos=12, seed=5):
     cfg = SynthConfig(num_videos=n_videos, feature_dim=4, num_classes=2,
                       duration_range=(20.0, 40.0))
-    index, feats, _ = generate_synthetic(cfg, seed)
-    records = index.subset_videos(Subset.TRAINING)
+    videos, feats, _ = generate_synthetic(cfg, seed)
+    records = subset_videos(videos, Subset.TRAINING)
     return records, feats
 
 
@@ -220,8 +220,8 @@ class TestBatchedInference:
         cfg = SsadConfig(top_k=1000)
         synth = SynthConfig(num_videos=n_videos, feature_dim=6, num_classes=2,
                             duration_range=(15.0, 95.0), val_fraction=0.0)
-        index, feats, _ = generate_synthetic(synth, n_videos)
-        records = index.subset_videos(Subset.TRAINING)
+        videos, feats, _ = generate_synthetic(synth, n_videos)
+        records = subset_videos(videos, Subset.TRAINING)
         assert len({feats[r.video_id].num_snippets for r in records}) > 1 or n_videos == 1
         model = build_model(6, cfg, seed=4)
         pyramid = model.pyramid

@@ -6,15 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import group
 from oracles import brute_group, loop_regions, loop_tag_columns
-from tapkit.core import ProposalSet, Source, Subset, VideoRecord
+from tapkit.core import ProposalSet, Source, Subset, VideoRecord, subset_videos
 from tapkit.errors import ConfigError, DataError
-from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
+from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic, snippets_inside
 from tapkit.tag import (
     TagConfig,
     _fragments,
     _region_means,
     _regions,
-    actionness_targets,
     build_mlp,
     predict_actionness,
     tag_proposals,
@@ -34,16 +33,18 @@ def _record(duration=10.0, spans=()):
 
 
 class TestActionnessTargets:
+    """train_actionness's targets: snippets_inside over a record's instances."""
+
     def test_center_containment_by_hand(self):
         # duration 10, 10 snippets, instance [2.5, 5.0): centers 2.5, 3.5, 4.5
-        labels = actionness_targets(_record(10.0, [(2.5, 5.0)]), 10)
+        labels = snippets_inside(10, 10.0, [2.5], [5.0])
         assert np.flatnonzero(labels).tolist() == [2, 3, 4]
 
     def test_no_instances_all_zero(self):
-        assert actionness_targets(_record(), 8).tolist() == [0.0] * 8
+        assert snippets_inside(8, 10.0, [], []).tolist() == [0.0] * 8
 
     def test_full_coverage_all_one(self):
-        labels = actionness_targets(_record(10.0, [(0.0, 10.0)]), 8)
+        labels = snippets_inside(8, 10.0, [0.0], [10.0])
         assert labels.tolist() == [1.0] * 8
 
     def test_bad_snippet_count(self):
@@ -253,8 +254,8 @@ class TestMlp:
 
     def test_training_deterministic(self):
         cfg = SynthConfig(num_videos=10, feature_dim=6, num_classes=2)
-        index, feats, _ = generate_synthetic(cfg, 12)
-        records = index.subset_videos(Subset.TRAINING)
+        videos, feats, _ = generate_synthetic(cfg, 12)
+        records = subset_videos(videos, Subset.TRAINING)
         tcfg = TagConfig(epochs=3)
         a = build_mlp(6, tcfg, seed=5)
         b = build_mlp(6, tcfg, seed=5)
@@ -268,8 +269,8 @@ class TestMlp:
         # with the default 2.0 the halving bar sits on the noise floor
         cfg = SynthConfig(num_videos=30, feature_dim=8, num_classes=2,
                           signal_strength=3.0)
-        index, feats, _ = generate_synthetic(cfg, 13)
-        records = index.subset_videos(Subset.TRAINING)
+        videos, feats, _ = generate_synthetic(cfg, 13)
+        records = subset_videos(videos, Subset.TRAINING)
         tcfg = TagConfig(epochs=20, learning_rate=3e-3)
         model = build_mlp(8, tcfg, seed=6)
         trace = train_actionness(model, records, feats, tcfg, seed=6)
@@ -279,17 +280,17 @@ class TestMlp:
         # committed fixture: stronger signal than the pipeline default so a
         # single snippet carries enough evidence (measured AUC 0.9268)
         cfg = SynthConfig(num_videos=150, signal_strength=3.0)
-        index, feats, _ = generate_synthetic(cfg, 42)
+        videos, feats, _ = generate_synthetic(cfg, 42)
         tcfg = TagConfig()
         model = build_mlp(cfg.feature_dim, tcfg, seed=42)
-        train = index.subset_videos(Subset.TRAINING)
+        train = subset_videos(videos, Subset.TRAINING)
         train_actionness(model, train, feats, tcfg, seed=42)
 
         scores, labels = [], []
-        for rec in index.subset_videos(Subset.VALIDATION):
+        for rec in subset_videos(videos, Subset.VALIDATION):
             seq = feats[rec.video_id]
             scores.append(predict_actionness(model, seq))
-            labels.append(actionness_targets(rec, seq.num_snippets))
+            labels.append(snippets_inside(seq.num_snippets, rec.duration, rec.starts, rec.ends))
         s = np.concatenate(scores)
         y = np.concatenate(labels)
         pos, neg = s[y == 1.0], s[y == 0.0]
