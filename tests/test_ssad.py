@@ -3,7 +3,7 @@ import pytest
 
 from oracles import loop_infer_scores, oracle_tiou
 from tapkit.core import ProposalSet, Source, Subset, VideoRecord, subset_videos
-from tapkit.engine import Conv1d, load_weights, save_model
+from tapkit.engine import Conv1d, grad_check, load_weights, mse_loss, relu_margin, save_model
 from tapkit.errors import ConfigError, DataError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.ssad import (
@@ -201,6 +201,26 @@ class TestModel:
         assert len(convs) == 16
         assert len(by_role) == len(convs)
         assert all(a is b for a, b in zip(by_role, convs))
+
+
+class TestGradient:
+    """The anchor net's own wiring: head j-1 reads down block j, and backward
+    adds each head's input gradient into the trunk's."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = SsadConfig(input_length=16, hidden_channels=4)
+        # central differences are only valid away from a ReLU kink
+        for _ in range(200):
+            model = SsadModel(3, cfg, rng=rng, dtype=np.float64)
+            x = rng.standard_normal((2, 3, 16))
+            if relu_margin(model, x) > 1e-2:
+                break
+        else:
+            raise AssertionError("no kink-free draw")
+        target = rng.uniform(0.0, 1.0, size=(2, model.num_anchors))
+        assert grad_check(model, x, lambda y: mse_loss(y, target)) < 1e-4
 
 
 def _tiny_dataset(n_videos=12, seed=5):
