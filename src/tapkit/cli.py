@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Logs go to stderr; machine-readable outputs are files under the output
-directory. Exit codes: 0 success, 2 config error, 3 data error, 4 training or
-gradient divergence, 5 missing stage dependency, 1 anything unexpected. Each
+directory. Exit codes: 0 success, 2 config error, 3 data error, 4 training
+divergence, 5 missing stage dependency, 1 anything unexpected. Each
 TapkitError class carries its code and log prefix (see errors.py), so one
 handler maps every deliberate failure and the log line reads "<kind>: <message>".
 """

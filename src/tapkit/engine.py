@@ -1,9 +1,9 @@
 """Minimal deterministic neural-network engine.
 
 1D convolutions, relu/sigmoid, dense layers, MSE loss, Adam, the one
-training loop, a finite-difference gradient checker and checkpoints. Two
-numeric modes: float32 for training, float64 for gradient checking. A batch
-is the leading tensor dimension and every layer's forward is pure given
+training loop and checkpoints. Two numeric modes: float32 for training,
+float64 for the tests' finite-difference gradient checks. A batch is the
+leading tensor dimension and every layer's forward is pure given
 (params, input).
 The engine starts no threads itself, but `matmul` runs on the BLAS library's
 threads, as many as OPENBLAS_NUM_THREADS / OMP_NUM_THREADS allow. Outputs
@@ -337,47 +337,6 @@ def fit(model: Sequential, x: np.ndarray, y: np.ndarray, epochs: int, batch_size
             raise DivergenceError(f"training diverged at epoch {epoch + 1}")
         trace.append(mean_loss)
     return trace
-
-
-# --------------------------------------------------------------------------
-# gradient checking
-
-
-def relu_margin(model: Sequential, x: np.ndarray) -> float:
-    """Smallest |input| of any ReLU in model.layers on a forward pass of x."""
-    model.forward(x)
-    return min((float(np.abs(layer._x).min()) for layer in model.layers
-                if isinstance(layer, ReLU) and layer._x.size), default=math.inf)
-
-
-def grad_check(model, x: np.ndarray, loss_fn, eps: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn maps the model output to (scalar loss, grad w.r.t. output). Every
-    parameter entry is perturbed, so keep the model small. Run models in
-    float64; float32 rounding drowns the finite differences.
-    """
-    model.grads[...] = 0.0
-    y = model.forward(x)
-    _, grad_y = loss_fn(y)
-    model.backward(grad_y)
-
-    analytic = model.grads.copy()
-    params = model.params
-    worst = 0.0
-    for i in range(params.size):
-        orig = params[i]
-        params[i] = orig + eps
-        lo_plus, _ = loss_fn(model.forward(x))
-        params[i] = orig - eps
-        lo_minus, _ = loss_fn(model.forward(x))
-        params[i] = orig
-        numeric = (lo_plus - lo_minus) / (2.0 * eps)
-        a = float(analytic[i])
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-        if err > worst:
-            worst = err
-    return worst
 
 
 # --------------------------------------------------------------------------

@@ -22,18 +22,8 @@ import numpy as np
 
 from . import __version__
 from .core import ProposalSet, Source, Subset, subset_videos
-from .engine import (
-    Dense,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    grad_check,
-    load_weights,
-    mse_loss,
-    relu_margin,
-    save_model,
-)
-from .errors import ConfigError, DataError, DivergenceError, StageDependencyError
+from .engine import load_weights, save_model
+from .errors import ConfigError, DataError, StageDependencyError
 from .fusion import NmsConfig, RefineConfig, nms, refine
 from .ingest import (
     SynthConfig,
@@ -59,7 +49,7 @@ from .ssad import SsadConfig, SsadModel, build_model
 from .ssad import infer as ssad_infer
 from .ssad import train as ssad_train
 from .tag import TagConfig, build_mlp, predict_actionness, tag_proposals, train_actionness
-from .util import KEY_GRADCHECK, atomic_open, rng_for, sha256_file, write_json_atomic
+from .util import atomic_open, sha256_file, write_json_atomic
 
 logger = logging.getLogger("tapkit")
 
@@ -466,53 +456,6 @@ def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     return [loc_path, report_path, csv_path]
 
 
-# grad_check's central differences (step 1e-4) are wrong across a ReLU kink,
-# so the stage redraws a model and input whose ReLU inputs come this close.
-_KINK_MARGIN = 5e-4
-_MAX_DRAWS = 100
-
-
-def _draw_away_from_kinks(draw):
-    for _ in range(_MAX_DRAWS):
-        model, x = draw()
-        if relu_margin(model, x) > _KINK_MARGIN:
-            break
-    return model, x
-
-
-def run_gradcheck(cfg: PipelineConfig) -> list[Path]:
-    """Finite-difference check of the network gradients."""
-    rng = rng_for(cfg.seed, KEY_GRADCHECK)
-    small = SsadConfig(input_length=16, hidden_channels=8)
-    conv_model, x = _draw_away_from_kinks(lambda: (
-        SsadModel(4, small, rng=rng, dtype=np.float64), rng.standard_normal((2, 4, 16))))
-    conv_targets = rng.uniform(0.0, 1.0, size=(2, conv_model.num_anchors))
-    conv_err = grad_check(conv_model, x, lambda y: mse_loss(y, conv_targets))
-
-    mlp, x2 = _draw_away_from_kinks(lambda: (Sequential([
-        Dense(6, 8, rng=rng, dtype=np.float64),
-        ReLU(),
-        Dense(8, 1, rng=rng, dtype=np.float64),
-        Sigmoid(),
-    ]), rng.standard_normal((32, 6))))
-    mlp_targets = rng.uniform(0.0, 1.0, size=(32, 1))
-    mlp_err = grad_check(mlp, x2, lambda y: mse_loss(y, mlp_targets))
-
-    worst = max(conv_err, mlp_err)
-    payload = {
-        "max_rel_error": worst,
-        "threshold": 1e-3,
-        "pass": bool(worst < 1e-3),
-        "checks": {"conv_stack": conv_err, "mlp": mlp_err},
-    }
-    path = cfg.output_dir / "gradcheck.json"
-    write_json_atomic(path, payload)
-    logger.info("gradcheck: max relative error %.3e (threshold 1e-3)", worst)
-    if worst >= 1e-3:
-        raise DivergenceError(f"gradient check failed: max relative error {worst:.3e}")
-    return [path]
-
-
 def run_pipeline(cfg: PipelineConfig) -> list[Path]:
     """Run all other stages, in table order, with one seed."""
     paths = []
@@ -532,7 +475,6 @@ STAGES = {
     "refine": run_refine,
     "eval-prop": run_eval_prop,
     "eval-loc": run_eval_loc,
-    "gradcheck": run_gradcheck,
     "pipeline": run_pipeline,
 }
 

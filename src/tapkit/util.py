@@ -25,7 +25,6 @@ KEY_SSAD_SHUFFLE = (1, 1)
 KEY_TAG_INIT = (2, 0)
 KEY_TAG_SHUFFLE = (2, 1)
 KEY_BASELINE = (5,)
-KEY_GRADCHECK = (7,)
 
 # The largest size a TAPF feature header (T, D) or a TAPM checkpoint's layer
 # table (channels, kernel) can store: both write u32 fields.

@@ -8,9 +8,9 @@ depend on:
 
   rng   synth's outputs and the uniform baseline's report: numpy's RNG and
         float64 code only, so they match on any machine with the same numpy;
-  gemm  both checkpoints and everything computed from them, and
-        gradcheck.json: float32 and float64 matrix products, whose last bits
-        may change with the CPU or the BLAS build.
+  gemm  both checkpoints and everything computed from them: float32 and
+        float64 matrix products, whose last bits may change with the CPU or
+        the BLAS build.
 
 Beside them it stores the fingerprint of the machine that wrote them. The rng
 group is compared everywhere. The gemm group is compared where the

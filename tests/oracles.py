@@ -3,10 +3,11 @@
 Everything here recomputes results straight from the definitions with plain
 loops. Slow on purpose. The interval oracles work on plain (start, end) /
 (start, end, score) tuples, and the tests adapt package objects down to tuples
-before comparing; the conv oracle reads arrays one element at a time. The
-checkpoint writer and Adam work one parameter array at a time, independent of
-the engine's flat parameter vector. The results writers build the whole
-envelope as dicts and hand it to json.dump.
+before comparing; the conv oracle reads arrays one element at a time, and
+grad_check perturbs a model's parameters one at a time. The checkpoint writer
+and Adam work one parameter array at a time, independent of the engine's flat
+parameter vector. The results writers build the whole envelope as dicts and
+hand it to json.dump.
 
 The loop_* functions are the package's earlier per-item loops, kept as the
 bitwise references of the array passes that replaced them: grouping and
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import sys
 
@@ -248,6 +250,43 @@ def brute_conv1d(x, w, b, stride, pad, grad_y):
                             grad_w[o, c, j] += g * float(x[n, c, i])
                             grad_x[n, c, i] += g * float(w[o, c, j])
     return y, grad_x, grad_w, grad_b
+
+
+def relu_margin(model, x):
+    """Smallest |input| of any ReLU in model.layers on a forward pass of x."""
+    model.forward(x)
+    return min((float(np.abs(layer._x).min()) for layer in model.layers
+                if layer.spec.kind == "relu" and layer._x.size), default=math.inf)
+
+
+def grad_check(model, x, loss_fn, eps=1e-4):
+    """Max relative error between analytic and central-difference gradients.
+
+    loss_fn maps the model output to (scalar loss, grad w.r.t. output). Every
+    parameter entry is perturbed, so keep the model small. Run models in
+    float64; float32 rounding drowns the finite differences.
+    """
+    model.grads[...] = 0.0
+    y = model.forward(x)
+    _, grad_y = loss_fn(y)
+    model.backward(grad_y)
+
+    analytic = model.grads.copy()
+    params = model.params
+    worst = 0.0
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + eps
+        lo_plus, _ = loss_fn(model.forward(x))
+        params[i] = orig - eps
+        lo_minus, _ = loss_fn(model.forward(x))
+        params[i] = orig
+        numeric = (lo_plus - lo_minus) / (2.0 * eps)
+        a = float(analytic[i])
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        if err > worst:
+            worst = err
+    return worst
 
 
 _KIND_CODES = {"conv1d": 1, "relu": 2, "sigmoid": 3, "dense": 4}

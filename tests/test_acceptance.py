@@ -20,11 +20,13 @@ from oracles import (
     brute_group,
     brute_mean_ap,
     brute_recall,
+    grad_check,
     mc_tiou,
     oracle_tiou,
+    relu_margin,
 )
 from tapkit.core import Source, Subset, VideoRecord, subset_videos
-from tapkit.engine import Conv1d, Dense, ReLU, Sequential, Sigmoid, grad_check, mse_loss, relu_margin
+from tapkit.engine import Conv1d, Dense, ReLU, Sequential, Sigmoid, mse_loss
 from tapkit.fusion import RefineConfig, refine
 from tapkit.ingest import load_annotations, read_results
 from tapkit.metrics import TIOU_GRID, ar_an, mean_ap

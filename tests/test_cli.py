@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -571,7 +572,7 @@ class TestPipeline:
         out_b = tmp_path / "stages"
         assert main(["pipeline", *_tiny_args(out_a)]) == 0
         for command in ("synth", "train-ssad", "train-tag", "infer",
-                        "refine", "eval-prop", "eval-loc", "gradcheck"):
+                        "refine", "eval-prop", "eval-loc"):
             assert main([command, *_tiny_args(out_b)]) == 0, command
 
         pipeline_manifest = json.loads((out_a / "manifest_pipeline.json").read_text())
@@ -638,10 +639,6 @@ class TestPipeline:
         assert set(loc["at_n"]) == {"1", "5", "10", "25", "100"}
         assert set(loc["map"]) == {"0.5", "0.75", "0.95"}
 
-        grad = json.loads((out / "gradcheck.json").read_text())
-        assert grad["pass"] is True
-        assert grad["max_rel_error"] < 1e-3
-
     def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # TINY's data and epochs with the default net width: its stem matmul
         # is large enough for OpenBLAS to split across two threads
@@ -663,16 +660,6 @@ class TestPipeline:
         # a checkpoint trained on 6-dim features does not fit 4-dim ones
         assert main(["synth", *_tiny_args(tmp_path)]) == 0
         assert main(["infer", *_tiny_args(tmp_path)]) == 2
-
-    def test_gradcheck_standalone(self, tmp_path):
-        out = tmp_path / "g"
-        assert main(["gradcheck", "--out", str(out), "--seed", "0"]) == 0
-        assert (out / "gradcheck.json").exists()
-
-    @pytest.mark.parametrize("seed", [13, 19])
-    def test_gradcheck_avoids_relu_kinks(self, tmp_path, seed):
-        # the first draw at these seeds puts a ReLU input within 1e-4 of 0
-        assert main(["gradcheck", "--out", str(tmp_path), "--seed", str(seed)]) == 0
 
 
 # the artifacts that hold seconds: segments, and durations in the annotations
@@ -741,10 +728,22 @@ def test_producers_return_what_the_table_names(tmp_path):
 def test_stages_cover_all_commands(monkeypatch):
     assert list(STAGES) == [
         "synth", "train-ssad", "train-tag", "infer", "refine",
-        "eval-prop", "eval-loc", "gradcheck", "pipeline",
+        "eval-prop", "eval-loc", "pipeline",
     ]
     ran = []
     for name in list(STAGES)[:-1]:
         monkeypatch.setitem(STAGES, name, lambda cfg, name=name: ran.append(name) or [])
     assert STAGES["pipeline"](None) == []
     assert ran == list(STAGES)[:-1]
+
+
+def test_readme_lists_the_stages_in_order():
+    # README's usage lines, stage table and stage sentence name each command
+    # of STAGES in table order; `pipeline` runs them all and has its own line
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    stages = [name for name in STAGES if name != "pipeline"]
+    assert re.findall(r"^tapkit (\S+)", text, flags=re.M) == ["pipeline", *stages]
+    table = text[text.index("| stage "):]
+    assert re.findall(r"^\| (\S+)", table[:table.index("\n\n")], flags=re.M) == ["stage", *stages]
+    sentence = re.search(r"runs every stage in order: ([^.]+)\.", text)[1]
+    assert re.split(r",\s+", sentence) == stages

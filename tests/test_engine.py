@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from oracles import brute_conv1d, per_array_adam, per_array_checkpoint
+from oracles import brute_conv1d, grad_check, per_array_adam, per_array_checkpoint
 
 from tapkit.engine import (
     Adam,
@@ -16,7 +16,6 @@ from tapkit.engine import (
     Sigmoid,
     conv_output_length,
     fit,
-    grad_check,
     load_weights,
     mse_loss,
     save_model,

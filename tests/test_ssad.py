@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import loop_infer_scores, oracle_tiou
+from oracles import grad_check, loop_infer_scores, oracle_tiou, relu_margin
 from tapkit.core import ProposalSet, Source, Subset, VideoRecord, subset_videos
-from tapkit.engine import Conv1d, grad_check, load_weights, mse_loss, relu_margin, save_model
+from tapkit.engine import Conv1d, load_weights, mse_loss, save_model
 from tapkit.errors import ConfigError, DataError
 from tapkit.ingest import FeatureSequence, SynthConfig, generate_synthetic
 from tapkit.ssad import (

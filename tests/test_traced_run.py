@@ -18,8 +18,7 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 SEED = 3
 SMALL = ("synth.num_videos=8", "synth.val_fraction=0.5", "ssad.input_length=16",
          "ssad.epochs=1", "tag.epochs=1")
-STAGES = ("synth", "train-ssad", "train-tag", "infer", "refine", "eval-prop", "eval-loc",
-          "gradcheck")
+STAGES = ("synth", "train-ssad", "train-tag", "infer", "refine", "eval-prop", "eval-loc")
 
 # counters and spans perfbench/run.py turns into its per-layer metrics
 COUNTERS = (
