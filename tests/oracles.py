@@ -259,6 +259,17 @@ def relu_margin(model, x):
                 if layer.spec.kind == "relu" and layer._x.size), default=math.inf)
 
 
+def kink_free(rng, draw, margin=1e-2):
+    """The first (model, x) of draw(rng) whose ReLU inputs all lie more than
+    margin from the kink: central differences are only valid away from it, so
+    draws closer to it are redrawn rather than checked."""
+    for _ in range(200):
+        model, x = draw(rng)
+        if relu_margin(model, x) > margin:
+            return model, x
+    raise AssertionError("no kink-free draw found")
+
+
 def grad_check(model, x, loss_fn, eps=1e-4):
     """Max relative error between analytic and central-difference gradients.
 

@@ -21,9 +21,9 @@ from oracles import (
     brute_mean_ap,
     brute_recall,
     grad_check,
+    kink_free,
     mc_tiou,
     oracle_tiou,
-    relu_margin,
 )
 from tapkit.core import Source, Subset, VideoRecord, subset_videos
 from tapkit.engine import Conv1d, Dense, ReLU, Sequential, Sigmoid, mse_loss
@@ -63,23 +63,13 @@ def _random_dense_stack(rng):
     return Sequential(layers), x
 
 
-def _sample_stack(rng, maker, margin=1e-2):
-    # Central differences are only valid away from a ReLU kink, so stacks
-    # below a safety margin are resampled rather than checked.
-    for _ in range(200):
-        model, x = maker(rng)
-        if relu_margin(model, x) > margin:
-            return model, x
-    raise AssertionError("no kink-free stack found")
-
-
 def test_criterion_1_gradient_correctness():
     started = time.time()
     rng = np.random.default_rng(2024)
     worst = 0.0
     for i in range(20):
         maker = _random_conv_stack if i % 2 == 0 else _random_dense_stack
-        model, x = _sample_stack(rng, maker)
+        model, x = kink_free(rng, maker)
         target = rng.uniform(0.0, 1.0, size=model.forward(x).shape)
         err = grad_check(model, x, lambda y: mse_loss(y, target))
         worst = max(worst, err)
