@@ -134,15 +134,11 @@ class Conv1d(Layer):
 
     param_names = ("w", "b")
 
-    def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, in_channels, out_channels, kernel, stride=1, pad=0, *,
+                 rng: np.random.Generator, dtype=np.float32):
         self.spec = LayerSpec("conv1d", in_channels, out_channels, kernel, stride, pad)
-        fan_in = in_channels * kernel
-        fan_out = out_channels * kernel
-        if rng is None:
-            self.w = np.zeros((out_channels, in_channels, kernel), dtype=dtype)
-        else:
-            self.w = glorot_uniform((out_channels, in_channels, kernel), fan_in, fan_out, rng, dtype)
+        self.w = glorot_uniform((out_channels, in_channels, kernel), in_channels * kernel,
+                                out_channels * kernel, rng, dtype)
         self.b = np.zeros(out_channels, dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)

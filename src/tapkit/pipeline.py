@@ -45,7 +45,7 @@ from .metrics import (
     mean_ap,
     uniform_random_proposals,
 )
-from .ssad import SsadConfig, SsadModel, build_model
+from .ssad import SsadConfig, SsadModel
 from .ssad import infer as ssad_infer
 from .ssad import train as ssad_train
 from .tag import TagConfig, build_mlp, predict_actionness, tag_proposals, train_actionness
@@ -289,8 +289,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def _train(cfg: PipelineConfig, name: str, build, train) -> list[Path]:
     """Training stage of network `name`, its config section and file prefix."""
     records, features, feature_dim = _load_videos(cfg, Subset.TRAINING)
-    model = build(feature_dim, getattr(cfg, name), cfg.seed)
-    trace = train(model, records, features)
+    section = getattr(cfg, name)
+    model = build(feature_dim, section, cfg.seed)
+    trace = train(model, records, features, section, cfg.seed)
     model_path = cfg.output_dir / f"{name}_model.tapm"
     save_model(model, model_path)
     loss_path = cfg.output_dir / f"{name}_loss.csv"
@@ -339,20 +340,18 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
 # The trainers are looked up when the stage runs, so wrappers see the call.
 def run_train_ssad(cfg: PipelineConfig) -> list[Path]:
     """Train the anchor-overlap proposal network."""
-    return _train(cfg, "ssad", build_model, lambda model, records, features:
-                  ssad_train(model, records, features, cfg.seed))
+    return _train(cfg, "ssad", SsadModel, ssad_train)
 
 
 def run_train_tag(cfg: PipelineConfig) -> list[Path]:
     """Train the actionness MLP."""
-    return _train(cfg, "tag", build_mlp, lambda model, records, features:
-                  train_actionness(model, records, features, cfg.tag, cfg.seed))
+    return _train(cfg, "tag", build_mlp, train_actionness)
 
 
 def run_infer(cfg: PipelineConfig) -> list[Path]:
     """Score the evaluation subset: anchor proposals and grouped proposals."""
     records, features, feature_dim = _load_videos(cfg, Subset(cfg.eval.subset))
-    model = load_weights(SsadModel(feature_dim, cfg.ssad), _input(cfg, "ssad_model.tapm"))
+    model = load_weights(SsadModel(feature_dim, cfg.ssad, cfg.seed), _input(cfg, "ssad_model.tapm"))
     mlp = load_weights(build_mlp(feature_dim, cfg.tag, cfg.seed), _input(cfg, "tag_model.tapm"))
 
     ssad_sets = ssad_infer(model, records, features)

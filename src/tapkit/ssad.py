@@ -109,11 +109,13 @@ class SsadModel(Sequential):
 
     Forward maps (N, D, L_in) to (N, A) sigmoid overlap scores, flattened in
     the (layer, cell, ratio) order of self.pyramid, its A anchors; D is the feature
-    dimension. self.layers holds the stem, down and head layers in that order.
+    dimension. self.layers holds the stem, down and head layers in that order;
+    their convs draw their initial weights, in that order too, from
+    rng_for(seed, KEY_SSAD_INIT), as build_mlp does from KEY_TAG_INIT.
     """
 
-    def __init__(self, feature_dim: int, cfg: SsadConfig,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+    def __init__(self, feature_dim: int, cfg: SsadConfig, seed: int, dtype=np.float32):
+        rng = rng_for(seed, KEY_SSAD_INIT)
         self.feature_dim = feature_dim
         self.cfg = cfg
         self.pyramid = build_anchor_pyramid(cfg)
@@ -194,10 +196,6 @@ class SsadModel(Sequential):
             g = layer.backward(g)
 
 
-def build_model(feature_dim: int, cfg: SsadConfig, seed: int) -> SsadModel:
-    return SsadModel(feature_dim, cfg, rng=rng_for(seed, KEY_SSAD_INIT))
-
-
 # --------------------------------------------------------------------------
 # training / inference
 
@@ -211,15 +209,17 @@ def train(
     model: SsadModel,
     records: list[VideoRecord],
     features: dict[str, FeatureSequence],
+    cfg: SsadConfig,
     seed: int,
 ) -> list[float]:
     """Overlap-regression training; returns the per-epoch mean loss trace.
 
-    Deterministic given the seed and the records, which arrive in video-id
-    order: a dedicated RNG drives the per-epoch shuffle and nothing else.
+    cfg, the section the model was built from, also sets the input length
+    and the epochs, batch size and learning rate. Deterministic given the
+    seed and the records, which arrive in video-id order: a dedicated RNG
+    drives the per-epoch shuffle and nothing else.
     Raises DivergenceError naming the epoch if a gradient or loss goes non-finite.
     """
-    cfg = model.cfg
     inputs = np.stack([_prepare_input(features[r.video_id], cfg) for r in records])
     targets = np.stack([assign_targets(model.pyramid, r.starts / r.duration, r.ends / r.duration)
                         for r in records]).astype(np.float32)

@@ -31,7 +31,7 @@ from tapkit.fusion import RefineConfig, refine
 from tapkit.ingest import load_annotations, read_results
 from tapkit.metrics import TIOU_GRID, ar_an, mean_ap
 from tapkit.pipeline import run_command
-from tapkit.ssad import SsadConfig, build_anchor_pyramid, build_model
+from tapkit.ssad import SsadConfig, SsadModel, build_anchor_pyramid
 
 
 def _random_conv_stack(rng):
@@ -311,7 +311,7 @@ def test_golden_gemm_group_is_reported_when_the_fingerprint_differs():
 def test_criterion_8_anchor_and_grid_shapes():
     cfg = SsadConfig()
     pyramid = build_anchor_pyramid(cfg)
-    model = build_model(16, cfg, seed=0)
+    model = SsadModel(16, cfg, 0)
     x = np.random.default_rng(0).standard_normal((1, 16, cfg.input_length))
     scores = model.forward(x.astype(np.float32))
     grid = TIOU_GRID

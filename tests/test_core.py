@@ -109,7 +109,7 @@ class TestNormalize:
     def _infer(unit_start, unit_end, duration):
         cfg = SsadConfig(input_length=4, hidden_channels=2, scale_ratios=(1.0,))
         rec = VideoRecord("v", duration, Subset.VALIDATION)
-        model = SsadModel(2, cfg)
+        model = SsadModel(2, cfg, 0)
         model.pyramid = AnchorPyramid(np.array([unit_start]), np.array([unit_end]))
         [p] = infer(model, [rec], {"v": FeatureSequence(np.zeros((4, 2)))})["v"]
         return p.start, p.end

@@ -21,14 +21,14 @@ from tapkit.engine import (
     save_model,
 )
 from tapkit.errors import ConfigError, DataError, DivergenceError
-from tapkit.ssad import SsadConfig, SsadModel, build_model
+from tapkit.ssad import SsadConfig, SsadModel
 from tapkit.tag import TagConfig, build_mlp
 
 
 def _conv(w, b, stride=1, pad=0):
     """A standalone Conv1d holding w and b (not copies), with zero gradients."""
     out_ch, in_ch, kernel = w.shape
-    layer = Conv1d(in_ch, out_ch, kernel, stride, pad)
+    layer = Conv1d(in_ch, out_ch, kernel, stride, pad, rng=np.random.default_rng(0))
     layer.w, layer.b = w, b
     layer.gw, layer.gb = np.zeros_like(w), np.zeros_like(b)
     return layer
@@ -189,7 +189,7 @@ class TestColumnsBitwise:
         # every conv of the default anchor net at training batch size: the
         # stem, the eight stride-2 down blocks and the seven heads
         rng = np.random.default_rng(9)
-        model = SsadModel(16, SsadConfig(), rng=rng, dtype=dtype)
+        model = SsadModel(16, SsadConfig(), 9, dtype=dtype)
         model.forward(rng.standard_normal((8, 16, 256)).astype(dtype))
         convs = [layer for layer in model.layers if isinstance(layer, Conv1d)]
         assert len(convs) == 16
@@ -215,7 +215,7 @@ def test_grad_w_float32_matches_float64_on_ssad_shapes(monkeypatch):
     # loop does not run on BLAS and is about 5x slower on these shapes.
     monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: pytest.fail("np.einsum called"))
     rng = np.random.default_rng(11)
-    model = SsadModel(16, SsadConfig(), rng=rng)
+    model = SsadModel(16, SsadConfig(), 11)
     model.forward(rng.standard_normal((8, 16, 256)).astype(np.float32))
     convs = [layer for layer in model.layers if isinstance(layer, Conv1d)]
     assert len(convs) == 16
@@ -233,13 +233,14 @@ def test_grad_w_float32_matches_float64_on_ssad_shapes(monkeypatch):
 
 
 @pytest.mark.parametrize("make, grad_shape", [
-    (lambda: Conv1d(2, 3, 3, pad=1), (2, 3, 4)),
+    (lambda: Conv1d(2, 3, 3, pad=1, rng=np.random.default_rng(0)), (2, 3, 4)),
     (lambda: Dense(4, 3), (2, 3, 4)),
     (ReLU, (2, 3, 4)),
     (Sigmoid, (2, 3, 4)),
-    (lambda: Sequential([Conv1d(2, 3, 3, pad=1), ReLU()]), (2, 3, 4)),
+    (lambda: Sequential([Conv1d(2, 3, 3, pad=1, rng=np.random.default_rng(0)), ReLU()]),
+     (2, 3, 4)),
     # a gradient of the right width, so that forward is the only thing missing
-    (lambda: SsadModel(4, SsadConfig(input_length=16, hidden_channels=4)), (2, 21)),
+    (lambda: SsadModel(4, SsadConfig(input_length=16, hidden_channels=4), 0), (2, 21)),
 ], ids=["conv1d", "dense", "relu", "sigmoid", "sequential", "ssad"])
 def test_backward_before_forward(make, grad_shape):
     with pytest.raises(DataError, match="backward called before forward"):
@@ -247,8 +248,8 @@ def test_backward_before_forward(make, grad_shape):
 
 
 @pytest.mark.parametrize("make, x_shape, grad_shape", [
-    (lambda: SsadModel(16, SsadConfig(input_length=16, hidden_channels=4),
-                       rng=np.random.default_rng(0)), (2, 16, 16), (1, 21)),
+    (lambda: SsadModel(16, SsadConfig(input_length=16, hidden_channels=4), 0),
+     (2, 16, 16), (1, 21)),
     (lambda: Sequential([Dense(4, 3, rng=np.random.default_rng(0)), ReLU(),
                          Dense(3, 1, rng=np.random.default_rng(1)), Sigmoid()]), (2, 4), (1, 1)),
 ], ids=["ssad", "tag"])
@@ -384,7 +385,9 @@ class TestGradCheck:
 
 
 class TestCheckpoints:
-    def _model(self, rng):
+    @staticmethod
+    def _model(seed):
+        rng = np.random.default_rng(seed)
         return Sequential([
             Conv1d(3, 4, 5, stride=1, pad=2, rng=rng),
             ReLU(),
@@ -393,28 +396,26 @@ class TestCheckpoints:
         ])
 
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        model = self._model(rng)
+        model = self._model(3)
         path = tmp_path / "m.tapm"
         save_model(model, path)
-        loaded = load_weights(self._model(None), path)
+        loaded = load_weights(self._model(0), path)
         assert [l.spec for l in loaded.layers] == [l.spec for l in model.layers]
         assert np.array_equal(loaded.params, model.params)
 
     def test_loaded_model_same_outputs(self, tmp_path):
-        rng = np.random.default_rng(4)
-        model = self._model(rng)
+        model = self._model(4)
         path = tmp_path / "m.tapm"
         save_model(model, path)
-        loaded = load_weights(self._model(None), path)
-        x = rng.standard_normal((1, 3, 8)).astype(np.float32)
+        loaded = load_weights(self._model(0), path)
+        x = np.random.default_rng(4).standard_normal((1, 3, 8)).astype(np.float32)
         assert np.array_equal(model.forward(x), loaded.forward(x))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.tapm"
         path.write_bytes(b"NOPE" + b"\0" * 16)
         with pytest.raises(DataError, match="magic"):
-            load_weights(self._model(None), path)
+            load_weights(self._model(0), path)
 
     def test_truncated_table(self, tmp_path):
         import struct
@@ -422,7 +423,7 @@ class TestCheckpoints:
         path = tmp_path / "m.tapm"
         path.write_bytes(b"TAPM" + struct.pack("<II", 1, 3) + b"\0" * 8)
         with pytest.raises(DataError, match="truncated layer table"):
-            load_weights(self._model(None), path)
+            load_weights(self._model(0), path)
 
     def test_bad_version(self, tmp_path):
         import struct
@@ -430,7 +431,7 @@ class TestCheckpoints:
         path = tmp_path / "m.tapm"
         path.write_bytes(b"TAPM" + struct.pack("<II", 99, 0))
         with pytest.raises(DataError, match="version"):
-            load_weights(self._model(None), path)
+            load_weights(self._model(0), path)
 
     def test_other_architecture_rejected_before_payload(self, tmp_path):
         # one conv1d spec with 0xFFFFFFFF channels and kernel, and no payload
@@ -438,23 +439,25 @@ class TestCheckpoints:
         path.write_bytes(b"TAPM" + struct.pack("<II", 1, 1)
                          + struct.pack("<6I", 1, 2**32 - 1, 2**32 - 1, 2**32 - 1, 1, 0))
         with pytest.raises(ConfigError, match="architecture"):
-            load_weights(self._model(None), path)
+            load_weights(self._model(0), path)
 
     @pytest.mark.parametrize("edit", [lambda b: b[:-4], lambda b: b + b"\0\0\0\0"],
                              ids=["short", "long"])
     def test_payload_length_must_match(self, tmp_path, edit):
         path = tmp_path / "m.tapm"
-        save_model(self._model(np.random.default_rng(5)), path)
+        save_model(self._model(5), path)
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(DataError, match="payload"):
-            load_weights(self._model(None), path)
+            load_weights(self._model(0), path)
 
 
 # the default anchor net and actionness MLP, initialised from a seed
 _DEFAULT_MODELS = {
-    "ssad": lambda seed: build_model(16, SsadConfig(), seed),
+    "ssad": lambda seed: SsadModel(16, SsadConfig(), seed),
     "mlp": lambda seed: build_mlp(16, TagConfig(), seed),
 }
+# an input batch for each of them
+_DEFAULT_INPUT_SHAPES = {"ssad": (2, 16, 256), "mlp": (5, 16)}
 
 
 def _param_arrays(model, prefix=""):
@@ -492,6 +495,21 @@ class TestFlatParams:
         loaded = load_weights(_DEFAULT_MODELS[make](4), path)
         assert np.array_equal(loaded.params, model.params)
         _assert_flat_layout(loaded)
+
+    @pytest.mark.parametrize("make", sorted(_DEFAULT_MODELS))
+    def test_reload_does_not_depend_on_the_construction_seed(self, tmp_path, make):
+        # a net is built from a seed, random init included, before its weights load
+        saved = _DEFAULT_MODELS[make](3)
+        path = tmp_path / "m.tapm"
+        save_model(saved, path)
+        a, b = _DEFAULT_MODELS[make](4), _DEFAULT_MODELS[make](5)
+        assert a.params.tobytes() != b.params.tobytes()
+        load_weights(a, path)
+        load_weights(b, path)
+        assert a.params.tobytes() == b.params.tobytes()
+        x = np.random.default_rng(6).standard_normal(_DEFAULT_INPUT_SHAPES[make]).astype(np.float32)
+        want = saved.forward(x).tobytes()
+        assert a.forward(x).tobytes() == want and b.forward(x).tobytes() == want
 
     @pytest.mark.parametrize("make", sorted(_DEFAULT_MODELS))
     def test_checkpoint_equals_per_array_writer(self, tmp_path, make):
@@ -554,7 +572,7 @@ def _valid_checkpoint(model) -> bytes:
 
 
 _VALID_CHECKPOINTS = [
-    _valid_checkpoint(TestCheckpoints()._model(np.random.default_rng(6))),
+    _valid_checkpoint(TestCheckpoints._model(6)),
     _valid_checkpoint(Sequential([Dense(3, 4, rng=np.random.default_rng(7)), Sigmoid()])),
 ]
 
@@ -566,7 +584,7 @@ class TestCheckpointFuzz:
     def test_bytes_load_or_raise(self, tmp_path, blob):
         path = tmp_path / "m.tapm"
         path.write_bytes(blob)
-        model = TestCheckpoints()._model(None)
+        model = TestCheckpoints._model(0)
         try:
             assert load_weights(model, path) is model
         except (ConfigError, DataError):
