@@ -16,7 +16,9 @@ Dense maps (N, F).
 Parameter layout: a model keeps all its weights in one flat vector
 `model.params` and their gradients in `model.grads`, in layer order, then each
 layer's `param_names` order (w before b), each array flattened in C order.
-This is also the order of a checkpoint's payload.
+This is also the order of a checkpoint's payload. A model's backward fills
+`model.grads` and returns nothing: no caller reads the input gradient, so the
+first layer runs only the weight half of its backward (input_grad=False).
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ class Conv1d(Layer):
     Forward lays x out as contiguous columns cols[n, c*k + j, t] =
     x_padded[n, c, t*stride + j], so that the convolution, the weight gradient
     and the input gradient are one matmul each; backward reuses the columns.
+    backward(grad_y, input_grad=False) runs only the weight half: it
+    accumulates gw and gb and returns None, skipping the input gradient.
     """
 
     param_names = ("w", "b")
@@ -169,9 +173,10 @@ class Conv1d(Layer):
         cols = cols.reshape(n, c * kernel, t_out)
         self._x, self._cols = x, cols
         y = np.matmul(self.w.reshape(out_ch, in_ch * kernel), cols)
-        return y + self.b[None, :, None]
+        y += self.b[None, :, None]
+        return y
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, *, input_grad=True):
         cols = self._cached(self._cols)
         n, _, t = self._x.shape
         out_ch, in_ch, kernel = self.w.shape
@@ -184,6 +189,8 @@ class Conv1d(Layer):
 
         self.gb += grad_y.sum(axis=(0, 2))
         self.gw += np.matmul(grad_y, cols.transpose(0, 2, 1)).sum(0).reshape(out_ch, in_ch, kernel)
+        if not input_grad:
+            return None
 
         # scatter column gradients back onto the padded input, one tap at a time
         grad_cols = np.matmul(self.w.reshape(out_ch, in_ch * kernel).T, grad_y)
@@ -213,14 +220,10 @@ class Sigmoid(Layer):
         self._y = None
 
     def forward(self, x):
-        # split by sign for overflow-free exp
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        e = np.exp(x[~pos])
-        y[~pos] = e / (1.0 + e)
-        self._y = y
-        return y
+        # overflow-free: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below
+        z = np.exp(-np.abs(x))
+        self._y = np.where(x >= 0, 1.0, z) / (1.0 + z)
+        return self._y
 
     def backward(self, grad_y):
         """Derivative from the forward output: sigma' = y * (1 - y)."""
@@ -250,15 +253,14 @@ class Dense(Layer):
         self._x = x
         return x @ self.w + self.b[None, :]
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, *, input_grad=True):
         x = self._cached(self._x)
         if grad_y.shape != (x.shape[0], self.w.shape[1]):
             raise DataError(
                 f"dense backward: grad_y shape {grad_y.shape} != {(x.shape[0], self.w.shape[1])}")
-        grad_x = grad_y @ self.w.T
         self.gw += x.T @ grad_y
         self.gb += grad_y.sum(axis=0)
-        return grad_x
+        return grad_y @ self.w.T if input_grad else None
 
 
 class Sequential:
@@ -267,8 +269,9 @@ class Sequential:
     The layers are built first, so their initialisation draws from the RNG
     in layer order; then their weights move into self.params and each layer's
     w/b/gw/gb become views of self.params/self.grads (layout in the module
-    docstring). Subclasses with another wiring (the anchor net) keep every
-    layer in self.layers and override only forward/backward.
+    docstring). backward only fills self.grads: the first layer, a weighted
+    one, skips its input gradient. Subclasses with another wiring (the anchor
+    net) keep every layer in self.layers and override only forward/backward.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -294,10 +297,10 @@ class Sequential:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad_y):
-        for layer in reversed(self.layers):
+    def backward(self, grad_y) -> None:
+        for layer in reversed(self.layers[1:]):
             grad_y = layer.backward(grad_y)
-        return grad_y
+        self.layers[0].backward(grad_y, input_grad=False)
 
 
 # --------------------------------------------------------------------------

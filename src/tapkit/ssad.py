@@ -192,8 +192,9 @@ class SsadModel(Sequential):
                 g = gy if g is None else g + gy
             for layer in reversed(self.downs[j]):
                 g = layer.backward(g)
-        for layer in reversed(self.stem):
+        for layer in reversed(self.stem[1:]):
             g = layer.backward(g)
+        self.stem[0].backward(g, input_grad=False)
 
 
 # --------------------------------------------------------------------------

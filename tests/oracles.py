@@ -12,7 +12,9 @@ hand it to json.dump.
 The loop_* functions are the package's earlier per-item loops, kept as the
 bitwise references of the array passes that replaced them: grouping and
 region scores, the random baseline, NMS, per-video anchor inference, the
-masked tIoU kernel and the entry-by-entry results reader.
+masked tIoU kernel and the entry-by-entry results reader. masked_sigmoid is
+the engine's earlier two-branch sigmoid, the bitwise reference of its
+gather-free forward.
 """
 
 from __future__ import annotations
@@ -464,6 +466,16 @@ def masked_tiou_matrix(starts_a, ends_a, starts_b, ends_b):
     out = np.zeros(inter.shape, dtype=np.float64)
     np.divide(inter, union, out=out, where=inter > 0.0)
     return out
+
+
+def masked_sigmoid(x):
+    """The earlier Sigmoid.forward: split by sign for overflow-free exp."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    y[~pos] = e / (1.0 + e)
+    return y
 
 
 def loop_infer_scores(model, x):

@@ -5,7 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from oracles import brute_conv1d, grad_check, per_array_adam, per_array_checkpoint
+from oracles import (
+    brute_conv1d,
+    grad_check,
+    masked_sigmoid,
+    per_array_adam,
+    per_array_checkpoint,
+)
 
 from tapkit.engine import (
     Adam,
@@ -207,6 +213,26 @@ class TestColumnsBitwise:
             grad_x = fresh.backward(grad_y)
             _assert_same_bits((grad_x, fresh.gw, fresh.gb),
                               _reference_backward(x, w, grad_y, s, p), where)
+            # the weight half alone: no input gradient, the same gw and gb
+            half = _conv(w, b, s, p)
+            half.forward(x)
+            assert half.backward(grad_y, input_grad=False) is None, where
+            assert half.gw.tobytes() == fresh.gw.tobytes(), where
+            assert half.gb.tobytes() == fresh.gb.tobytes(), where
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_weight_half_matches_full_path(dtype):
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((8, 16)).astype(dtype)
+    grad_y = rng.standard_normal((8, 32)).astype(dtype)
+    full, half = (Dense(16, 32, rng=np.random.default_rng(4), dtype=dtype) for _ in range(2))
+    full.forward(x)
+    half.forward(x)
+    grad_x = full.backward(grad_y)
+    assert grad_x.shape == x.shape and grad_x.tobytes() == (grad_y @ full.w.T).tobytes()
+    assert half.backward(grad_y, input_grad=False) is None
+    assert half.gw.tobytes() == full.gw.tobytes() and half.gb.tobytes() == full.gb.tobytes()
 
 
 def test_grad_w_float32_matches_float64_on_ssad_shapes(monkeypatch):
@@ -281,7 +307,39 @@ def test_dense_grad_shape_checked(grad_shape):
     assert np.count_nonzero(dense.gw) == 0 and np.count_nonzero(dense.gb) == 0
 
 
+def _sigmoid_inputs(dtype):
+    """Random values, some large enough that exp(-|x|) underflows to 0, the
+    special values, and inputs x whose exp(x) or exp(-x) is subnormal."""
+    rng = np.random.default_rng(12)
+    tiny = np.finfo(dtype).tiny
+    # exp(x) is subnormal for log(smallest subnormal) < x < log(tiny)
+    sub_lo, sub_hi = np.log(np.finfo(dtype).smallest_subnormal), np.log(tiny)
+    subnormal = rng.uniform(float(sub_lo), float(sub_hi), 200)
+    assert (np.exp(subnormal.astype(dtype)) < tiny).all()
+    values = np.concatenate([
+        rng.standard_normal(1001) * 8.0,
+        rng.uniform(-800.0, 800.0, 1001),
+        subnormal, -subnormal,
+        [0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan, -np.nan],
+    ])
+    return rng.permutation(values).astype(dtype)
+
+
+def _assert_same_bits_or_both_nan(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 class TestActivations:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_equals_masked_reference(self, dtype):
+        x = _sigmoid_inputs(dtype)
+        with np.errstate(over="raise"):
+            for view in (x, x[1:], x[::3], x[: x.size // 3 * 3].reshape(-1, 3)[:, :2]):
+                _assert_same_bits_or_both_nan(Sigmoid().forward(view), masked_sigmoid(view))
+
     def test_sigmoid_values(self):
         assert Sigmoid().forward(np.array([0.0]))[0] == 0.5
         # large magnitudes must not overflow
@@ -476,6 +534,38 @@ def _assert_flat_layout(model):
             assert view.__array_interface__["data"][0] - base == offset * flat.itemsize
             offset += view.size
         assert offset == flat.size
+
+
+class TestModelBackward:
+    @pytest.mark.parametrize("make", sorted(_DEFAULT_MODELS))
+    def test_first_layer_runs_only_its_weight_half(self, make):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(_DEFAULT_INPUT_SHAPES[make]).astype(np.float32)
+        skip, full = _DEFAULT_MODELS[make](3), _DEFAULT_MODELS[make](3)
+        # random weights everywhere: build_mlp's output layer starts at zero,
+        # which would zero every other gradient of the MLP
+        params = 0.3 * rng.standard_normal(skip.params.size).astype(np.float32)
+        skip.params[...] = params
+        full.params[...] = params
+
+        calls = []
+        first = skip.layers[0].backward
+
+        def spy(grad_y, **kwargs):
+            calls.append(kwargs)
+            return first(grad_y, **kwargs)
+
+        skip.layers[0].backward = spy
+        for layer in full.layers:  # every layer's full path, whatever it is asked
+            layer.backward = (lambda f: lambda grad_y, **kwargs: f(grad_y))(layer.backward)
+
+        grad_y = rng.standard_normal(skip.forward(x).shape).astype(np.float32)
+        full.forward(x)
+        assert skip.backward(grad_y) is None
+        full.backward(grad_y)
+        assert calls == [{"input_grad": False}]
+        assert skip.layers[0].gw.any() and skip.layers[0].gb.any()
+        assert skip.grads.tobytes() == full.grads.tobytes()
 
 
 class TestFlatParams:
