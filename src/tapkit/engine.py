@@ -33,7 +33,6 @@ import numpy as np
 from .errors import ConfigError, DataError, DivergenceError
 from .util import atomic_open
 
-ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -59,7 +58,7 @@ class Adam:
     """Bias-corrected Adam over one flat parameter vector, updated in place:
     the layers' w/b are views of it."""
 
-    def __init__(self, params: np.ndarray, lr=ADAM_LR):
+    def __init__(self, params: np.ndarray, lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
@@ -96,10 +95,6 @@ class LayerSpec:
     kernel: int = 0
     stride: int = 1
     pad: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind == "conv1d" and (self.kernel < 1 or self.stride < 1 or self.pad < 0):
-            raise DataError(f"bad conv spec: {self}")
 
 
 class Layer:
@@ -234,13 +229,9 @@ class Sigmoid(Layer):
 class Dense(Layer):
     param_names = ("w", "b")
 
-    def __init__(self, in_width, out_width, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, in_width, out_width, *, rng: np.random.Generator, dtype=np.float32):
         self.spec = LayerSpec("dense", in_width, out_width)
-        if rng is None:
-            self.w = np.zeros((in_width, out_width), dtype=dtype)
-        else:
-            self.w = glorot_uniform((in_width, out_width), in_width, out_width, rng, dtype)
+        self.w = glorot_uniform((in_width, out_width), in_width, out_width, rng, dtype)
         self.b = np.zeros(out_width, dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)

@@ -130,7 +130,7 @@ def _loc_sort_key(entry: LocEntry):
 def attach_labels(
     proposals: Mapping[str, ProposalSet],
     classification: Mapping[str, Sequence[tuple[str, float]]],
-    top_c: int = 1,
+    top_c: int,
 ) -> dict[str, list[LocEntry]]:
     """Label each proposal with the video's top-c classes, ranked by _loc_sort_key.
 
@@ -170,8 +170,8 @@ def mean_ap(
     localization: Mapping[str, Sequence[LocEntry]],
     videos: Mapping[str, VideoRecord],
     thresholds: Sequence[float],
-    at_n: Sequence[int] = (),
-    subset: Subset = Subset.VALIDATION,
+    at_n: Sequence[int],
+    subset: Subset,
 ) -> dict[int | None, dict[float, float]]:
     """Mean AP over the classes that have ground truth in the subset.
 

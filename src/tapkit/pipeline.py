@@ -60,7 +60,7 @@ class EvalOptions:
     ar_at: tuple[int, ...] = (10, 100)
     at_n: tuple[int, ...] = (1, 5, 10, 25, 100)
     top_c: int = 1
-    subset: str = "validation"
+    subset: str = "validation"  # a Subset once built
     map_points: tuple[float, ...] = (0.5, 0.75, 0.95)
 
     def __post_init__(self) -> None:
@@ -74,6 +74,7 @@ class EvalOptions:
             raise ConfigError(f"top_c must be >= 1, got {self.top_c}")
         if self.subset not in [s.value for s in Subset]:
             raise ConfigError(f"subset must be one of {[s.value for s in Subset]}, got {self.subset!r}")
+        object.__setattr__(self, "subset", Subset(self.subset))
         for t in self.map_points:
             if not 0.0 < t <= 1.0:
                 raise ConfigError(f"map_points values must lie in (0, 1], got {t}")
@@ -350,7 +351,7 @@ def run_train_tag(cfg: PipelineConfig) -> list[Path]:
 
 def run_infer(cfg: PipelineConfig) -> list[Path]:
     """Score the evaluation subset: anchor proposals and grouped proposals."""
-    records, features, feature_dim = _load_videos(cfg, Subset(cfg.eval.subset))
+    records, features, feature_dim = _load_videos(cfg, cfg.eval.subset)
     model = load_weights(SsadModel(feature_dim, cfg.ssad, cfg.seed), _input(cfg, "ssad_model.tapm"))
     mlp = load_weights(build_mlp(feature_dim, cfg.tag, cfg.seed), _input(cfg, "tag_model.tapm"))
 
@@ -400,7 +401,7 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
 
 def run_eval_prop(cfg: PipelineConfig) -> list[Path]:
     """Proposal metrics: AR@AN and the AR-AN curve/area."""
-    records = subset_videos(load_annotations(_input(cfg, "annotations")), Subset(cfg.eval.subset))
+    records = subset_videos(load_annotations(_input(cfg, "annotations")), cfg.eval.subset)
     refined_path = _input(cfg, "proposals_refined.json")
     final_path = _input(cfg, "proposals_ssad_final.json")
 
@@ -440,7 +441,7 @@ def run_eval_loc(cfg: PipelineConfig) -> list[Path]:
     write_localization(localization, loc_path)
 
     maps = mean_ap(localization, videos, TIOU_GRID + cfg.eval.map_points, cfg.eval.at_n,
-                   Subset(cfg.eval.subset))
+                   cfg.eval.subset)
     report = {
         "map": {str(t): maps[None][t] for t in cfg.eval.map_points},
         "average_map": float(np.mean([maps[None][t] for t in TIOU_GRID])),

@@ -73,10 +73,12 @@ class SsadConfig:
 @dataclass(frozen=True, eq=False)
 class AnchorPyramid:
     """Default anchor intervals on [0, 1], already clipped, as start and end
-    arrays in (layer, cell, ratio) lexicographic order."""
+    arrays in (layer, cell, ratio) lexicographic order, and each feature
+    map's slice of that order, longest map first."""
 
     starts: np.ndarray = field(repr=False)
     ends: np.ndarray = field(repr=False)
+    maps: tuple[slice, ...]
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -87,13 +89,15 @@ def build_anchor_pyramid(cfg: SsadConfig) -> AnchorPyramid:
     ratio/L, clipped to [0, 1]; ratios vary fastest, then cells, then layers.
     """
     ratios = np.asarray(cfg.scale_ratios, dtype=np.float64)
-    starts, ends = [], []
+    starts, ends, maps = [], [], []
     for length in cfg.resolved_layer_lengths():
         center = ((np.arange(length) + 0.5) / length)[:, None]
         half = 0.5 * ratios / length
+        first = sum(map(len, starts))
         starts.append(np.maximum(0.0, center - half).ravel())
         ends.append(np.minimum(1.0, center + half).ravel())
-    return AnchorPyramid(np.concatenate(starts), np.concatenate(ends))
+        maps.insert(0, slice(first, first + len(starts[-1])))
+    return AnchorPyramid(np.concatenate(starts), np.concatenate(ends), tuple(maps))
 
 
 def assign_targets(pyramid: AnchorPyramid, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -108,10 +112,13 @@ class SsadModel(Sequential):
     """Shared conv trunk with one overlap-prediction head per feature map.
 
     Forward maps (N, D, L_in) to (N, A) sigmoid overlap scores, flattened in
-    the (layer, cell, ratio) order of self.pyramid, its A anchors; D is the feature
-    dimension. self.layers holds the stem, down and head layers in that order;
-    their convs draw their initial weights, in that order too, from
-    rng_for(seed, KEY_SSAD_INIT), as build_mlp does from KEY_TAG_INIT.
+    the (layer, cell, ratio) order of self.pyramid, its A anchors; D is the
+    feature dimension. heads[k] scores the columns pyramid.maps[k]. The trunk
+    has one more down block than there are maps: block j outputs length
+    L_in / 2^(j+1), and head j-1 reads block j >= 1. self.layers holds the
+    stem, down and head layers in that order; their convs draw their initial
+    weights, in that order too, from rng_for(seed, KEY_SSAD_INIT), as
+    build_mlp does from KEY_TAG_INIT.
     """
 
     def __init__(self, feature_dim: int, cfg: SsadConfig, seed: int, dtype=np.float32):
@@ -119,11 +126,8 @@ class SsadModel(Sequential):
         self.feature_dim = feature_dim
         self.cfg = cfg
         self.pyramid = build_anchor_pyramid(cfg)
-        lengths = cfg.resolved_layer_lengths()
-        self.map_lengths = tuple(reversed(lengths))  # descending, as produced
         h = cfg.hidden_channels
         k = cfg.base_kernel
-        n_down = int(math.log2(cfg.input_length))
 
         self.stem: list[Layer] = [
             Conv1d(feature_dim, h, k, stride=1, pad=k // 2, rng=rng, dtype=dtype),
@@ -131,13 +135,12 @@ class SsadModel(Sequential):
         ]
         self.downs: list[list[Layer]] = [
             [Conv1d(h, h, 3, stride=2, pad=1, rng=rng, dtype=dtype), ReLU()]
-            for _ in range(n_down)
+            for _ in range(len(self.pyramid.maps) + 1)
         ]
-        # down block j outputs length L_in / 2^(j+1); head j-1 reads block j >= 1
         n_ratios = len(cfg.scale_ratios)
         self.heads: list[list[Layer]] = [
             [Conv1d(h, n_ratios, 3, stride=1, pad=1, rng=rng, dtype=dtype), Sigmoid()]
-            for _ in self.map_lengths
+            for _ in self.pyramid.maps
         ]
         super().__init__(
             [*self.stem, *(layer for blk in self.downs for layer in blk),
@@ -147,6 +150,12 @@ class SsadModel(Sequential):
     @property
     def num_anchors(self) -> int:
         return len(self.pyramid)
+
+    def _head_view(self, scores: np.ndarray, k: int) -> np.ndarray:
+        """A view of map k's columns of an (N, A) score array as head k's (N, R, L)
+        output, cells slower than ratios; forward writes through it."""
+        cols = scores[:, self.pyramid.maps[k]]
+        return np.transpose(cols.reshape(len(scores), -1, len(self.cfg.scale_ratios)), (0, 2, 1))
 
     # -- forward/backward
 
@@ -158,7 +167,7 @@ class SsadModel(Sequential):
             )
         for layer in self.stem:
             x = layer.forward(x)
-        slices = []
+        scores = np.empty((len(x), self.num_anchors), dtype=x.dtype)
         for j, blk in enumerate(self.downs):
             for layer in blk:
                 x = layer.forward(x)
@@ -166,27 +175,18 @@ class SsadModel(Sequential):
                 y = x
                 for layer in self.heads[j - 1]:
                     y = layer.forward(y)
-                n, n_ratios, length = y.shape
-                # (N, R, L) -> (N, L, R) so cells vary slower than ratios
-                slices.append(np.transpose(y, (0, 2, 1)).reshape(n, length * n_ratios))
-        # maps are produced longest first; the pyramid order is ascending lengths
-        return np.concatenate(slices[::-1], axis=1)
+                self._head_view(scores, j - 1)[...] = y
+        return scores
 
     def backward(self, grad_scores: np.ndarray) -> None:
         if grad_scores.ndim != 2 or grad_scores.shape[1] != self.num_anchors:
             raise DataError(
                 f"score gradient shape {grad_scores.shape} != (N, {self.num_anchors} anchors)"
             )
-        n = grad_scores.shape[0]
-        n_ratios = len(self.cfg.scale_ratios)
-        offset = 0  # walking the blocks backwards visits the maps shortest first
         g = None
         for j in range(len(self.downs) - 1, -1, -1):
             if j >= 1:
-                length = self.map_lengths[j - 1]
-                gs = grad_scores[:, offset : offset + length * n_ratios]
-                offset += length * n_ratios
-                gy = np.ascontiguousarray(np.transpose(gs.reshape(n, length, n_ratios), (0, 2, 1)))
+                gy = np.ascontiguousarray(self._head_view(grad_scores, j - 1))
                 for layer in reversed(self.heads[j - 1]):
                     gy = layer.backward(gy)
                 g = gy if g is None else g + gy

@@ -56,12 +56,10 @@ def build_mlp(feature_dim: int, cfg: TagConfig, seed: int) -> Sequential:
     """One-hidden-layer scorer. The output layer starts at zero so an
     untrained model emits exactly 0.5 everywhere."""
     rng = rng_for(seed, KEY_TAG_INIT)
-    return Sequential([
-        Dense(feature_dim, cfg.hidden_width, rng=rng),
-        ReLU(),
-        Dense(cfg.hidden_width, 1, rng=None),
-        Sigmoid(),
-    ])
+    hidden = Dense(feature_dim, cfg.hidden_width, rng=rng)
+    output = Dense(cfg.hidden_width, 1, rng=rng)
+    output.w[...] = 0.0
+    return Sequential([hidden, ReLU(), output, Sigmoid()])
 
 
 def train_actionness(

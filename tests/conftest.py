@@ -44,7 +44,7 @@ def average_precision(preds, gt, threshold):
     loc = {}
     for vid, start, end, score in preds:
         loc.setdefault(vid, []).append(("x", start, end, score))
-    return mean_ap(loc, videos, [threshold])[None][threshold]
+    return mean_ap(loc, videos, [threshold], (), Subset.VALIDATION)[None][threshold]
 
 
 def pset(rows, source=Source.SSAD):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from oracles import masked_tiou_matrix, oracle_tiou
 from tapkit.core import ProposalSet, Source, Subset, VideoRecord, subset_videos, tiou_matrix
 from tapkit.errors import DataError
 from tapkit.ingest import FeatureSequence, load_annotations, read_results
-from tapkit.ssad import AnchorPyramid, SsadConfig, SsadModel, infer
+from tapkit.ssad import SsadConfig, SsadModel, infer
 
 
 # finite, and far enough from overflow that length arithmetic stays exact-ish
@@ -110,7 +111,8 @@ class TestNormalize:
         cfg = SsadConfig(input_length=4, hidden_channels=2, scale_ratios=(1.0,))
         rec = VideoRecord("v", duration, Subset.VALIDATION)
         model = SsadModel(2, cfg, 0)
-        model.pyramid = AnchorPyramid(np.array([unit_start]), np.array([unit_end]))
+        model.pyramid = dataclasses.replace(model.pyramid, starts=np.array([unit_start]),
+                                            ends=np.array([unit_end]))
         [p] = infer(model, [rec], {"v": FeatureSequence(np.zeros((4, 2)))})["v"]
         return p.start, p.end
 

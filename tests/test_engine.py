@@ -260,7 +260,7 @@ def test_grad_w_float32_matches_float64_on_ssad_shapes(monkeypatch):
 
 @pytest.mark.parametrize("make, grad_shape", [
     (lambda: Conv1d(2, 3, 3, pad=1, rng=np.random.default_rng(0)), (2, 3, 4)),
-    (lambda: Dense(4, 3), (2, 3, 4)),
+    (lambda: Dense(4, 3, rng=np.random.default_rng(0)), (2, 3, 4)),
     (ReLU, (2, 3, 4)),
     (Sigmoid, (2, 3, 4)),
     (lambda: Sequential([Conv1d(2, 3, 3, pad=1, rng=np.random.default_rng(0)), ReLU()]),
@@ -387,11 +387,11 @@ class TestAdam:
 
     def test_non_finite_gradient_raises(self):
         with pytest.raises(DivergenceError):
-            Adam(np.zeros(1)).step(np.array([np.nan]))
+            Adam(np.zeros(1), lr=1e-3).step(np.array([np.nan]))
 
     def test_wrong_gradient_count(self):
         # one gradient vector shaped like the parameter vector, nothing else
-        opt = Adam(np.zeros(2))
+        opt = Adam(np.zeros(2), lr=1e-3)
         for shape in [(3,), (1, 2), (2, 1), ()]:
             with pytest.raises(DataError, match="shape"):
                 opt.step(np.zeros(shape))
@@ -618,7 +618,8 @@ class TestFlatParams:
 
     def test_mixed_dtypes_rejected(self):
         with pytest.raises(DataError, match="dtype"):
-            Sequential([Dense(2, 3, dtype=np.float32), Dense(3, 1, dtype=np.float64)])
+            Sequential([Dense(2, 3, rng=np.random.default_rng(0), dtype=np.float32),
+                        Dense(3, 1, rng=np.random.default_rng(1), dtype=np.float64)])
 
     def test_adam_matches_per_array_reference(self):
         # elementwise float32 ops do not depend on how the parameters are split
@@ -628,7 +629,7 @@ class TestFlatParams:
         ends = np.cumsum([a.size for a in reference])[:-1]
         rng = np.random.default_rng(12)
         steps = [rng.standard_normal(model.params.size).astype(np.float32) for _ in range(5)]
-        opt = Adam(model.params)
+        opt = Adam(model.params, lr=1e-3)
         for grad in steps:
             opt.step(grad)
         per_array_adam(reference, [[part.reshape(shape) for part, shape in

@@ -228,12 +228,12 @@ class TestUniformBaseline:
 class TestAttachLabels:
     def test_full_confidence_keeps_scores(self):
         props = {"v": pset([(0.0, 10.0, 0.8), (5.0, 15.0, 0.4)])}
-        loc = attach_labels(props, {"v": [("jump", 1.0)]})
+        loc = attach_labels(props, {"v": [("jump", 1.0)]}, top_c=1)
         assert loc["v"] == [("jump", 0.0, 10.0, 0.8), ("jump", 5.0, 15.0, 0.4)]
 
     def test_confidence_scales_scores(self):
         props = {"v": pset([(0.0, 10.0, 0.8)])}
-        loc = attach_labels(props, {"v": [("jump", 0.5)]})
+        loc = attach_labels(props, {"v": [("jump", 0.5)]}, top_c=1)
         assert loc["v"][0][3] == 0.4
 
     def test_top_c_duplicates_proposals(self):
@@ -246,18 +246,18 @@ class TestAttachLabels:
         assert scores == sorted(scores, reverse=True)
 
     def test_empty_proposals_allowed(self):
-        loc = attach_labels({"v": ProposalSet()}, {})
+        loc = attach_labels({"v": ProposalSet()}, {}, top_c=1)
         assert loc["v"] == []
 
     def test_missing_classification_rejected(self):
         props = {"v": pset([(0.0, 10.0, 0.8)])}
         with pytest.raises(DataError, match="v"):
-            attach_labels(props, {})
+            attach_labels(props, {}, top_c=1)
 
     def test_empty_classification_gives_no_entries(self):
         # synth writes [] for a video without instances: no class, no entries
         props = {"v": pset([(0.0, 10.0, 0.8)]), "w": pset([(1.0, 2.0, 0.5)])}
-        loc = attach_labels(props, {"v": [], "w": [("jump", 1.0)]})
+        loc = attach_labels(props, {"v": [], "w": [("jump", 1.0)]}, top_c=1)
         assert loc == {"v": [], "w": [("jump", 1.0, 2.0, 0.5)]}
 
 
@@ -301,7 +301,7 @@ class TestAveragePrecision:
         videos = {"t": _record("t", [("x", 0.0, 1.0)], subset=Subset.TRAINING)}
         with pytest.warns(RuntimeWarning, match="'x'"), pytest.raises(
                 DataError, match="mAP undefined: no ground truth in subset validation"):
-            mean_ap({"v": [("x", 0, 1, 0.5)]}, videos, [0.5])
+            mean_ap({"v": [("x", 0, 1, 0.5)]}, videos, [0.5], (), Subset.VALIDATION)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(1)
@@ -332,12 +332,12 @@ class TestMeanAp:
         videos, loc = self._fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert mean_ap(loc, videos, [0.5]) == {None: {0.5: 1.0}}
+            assert mean_ap(loc, videos, [0.5], (), Subset.VALIDATION) == {None: {0.5: 1.0}}
 
     def test_zero_gt_class_warns_and_is_excluded(self):
         videos, loc = self._fixture()
         with pytest.warns(RuntimeWarning, match="dive"):
-            value = mean_ap(loc, videos, [0.5])[None][0.5]
+            value = mean_ap(loc, videos, [0.5], (), Subset.VALIDATION)[None][0.5]
         assert value == 1.0  # mean over jump and swim only
 
     def test_subset_filter(self):
@@ -346,7 +346,7 @@ class TestMeanAp:
             # no labels have validation gt here, so every class warns first
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(DataError, match="no ground truth in subset training"):
-                mean_ap(loc, videos, [0.5], subset=Subset.TRAINING)
+                mean_ap(loc, videos, [0.5], (), Subset.TRAINING)
 
     def test_bad_threshold(self):
         # eval-loc's thresholds are the tIoU grid plus eval.map_points, which
@@ -359,7 +359,7 @@ class TestMeanAp:
         videos, loc = self._fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            maps = mean_ap(loc, videos, [0.95, 0.5, 0.95], at_n=[2, 1, 2])
+            maps = mean_ap(loc, videos, [0.95, 0.5, 0.95], [2, 1, 2], Subset.VALIDATION)
         assert list(maps) == [None, 2, 1]
         assert all(list(by_t) == [0.95, 0.5] for by_t in maps.values())
 
@@ -369,7 +369,7 @@ class TestEvalAtN:
         videos, loc = TestMeanAp()._fixture()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            maps = mean_ap(loc, videos, TIOU_GRID, at_n=[100])
+            maps = mean_ap(loc, videos, TIOU_GRID, [100], Subset.VALIDATION)
         assert maps[100] == maps[None]
 
     def test_bad_n(self):
@@ -383,7 +383,7 @@ class TestEvalAtN:
         }
         # the matching entry is ranked second within the video
         loc = {"a": [("jump", 40.0, 80.0, 0.9), ("jump", 0.0, 10.0, 0.5)]}
-        maps = mean_ap(loc, videos, [0.5], at_n=[1, 2])
+        maps = mean_ap(loc, videos, [0.5], [1, 2], Subset.VALIDATION)
         assert maps[1][0.5] == 0.0
         assert maps[2][0.5] == 0.5
 
@@ -421,7 +421,7 @@ class TestTableMatchesOracle:
         at_n = range(1, max(map(len, loc.values())) + extra_n + 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            maps = mean_ap(loc, records, thresholds, at_n)
+            maps = mean_ap(loc, records, thresholds, at_n, Subset.VALIDATION)
         for n in (None, *at_n):
             # each video's top n under the localization ranking
             top = {vid: sorted(rows, key=lambda r: (-r[3], r[1], r[2] - r[1], r[0]))[:n]

@@ -193,6 +193,41 @@ class TestModel:
             model.backward(np.ones((2, width), dtype=np.float32))
         assert np.count_nonzero(model.grads) == 0
 
+    def test_each_head_owns_its_map_columns(self):
+        # ratios <= 1 clip no anchor, so each anchor's midpoint is its cell centre
+        cfg = SsadConfig(input_length=32, hidden_channels=4, scale_ratios=(0.5, 1.0))
+        model = SsadModel(3, cfg, 6, dtype=np.float64)
+        pyramid, n_ratios = model.pyramid, len(cfg.scale_ratios)
+        columns = [i for cols in pyramid.maps for i in range(model.num_anchors)[cols]]
+        assert sorted(columns) == list(range(model.num_anchors))
+        for k, cols in enumerate(pyramid.maps):
+            length = cfg.input_length // 4 >> k
+            centres = (pyramid.starts[cols] + pyramid.ends[cols]) / 2
+            widths = pyramid.ends[cols] - pyramid.starts[cols]
+            assert centres == pytest.approx(np.repeat((np.arange(length) + 0.5) / length, n_ratios))
+            assert widths == pytest.approx(np.tile(np.asarray(cfg.scale_ratios) / length, length))
+
+        x = np.random.default_rng(6).standard_normal((2, 3, 32))
+        base = model.forward(x)
+        for k, cols in enumerate(pyramid.maps):
+            for r in range(n_ratios):
+                # raising head k's bias of ratio r moves only that ratio's columns of map k
+                model.heads[k][0].b[r] += 1.0
+                moved = np.flatnonzero((model.forward(x) != base).any(axis=0))
+                model.heads[k][0].b[r] -= 1.0
+                assert moved.tolist() == list(range(model.num_anchors)[cols][r::n_ratios])
+
+                # a gradient on one of those columns reaches head k's ratio r only
+                grad = np.zeros_like(base)
+                grad[:, cols.start + r] = 1.0
+                model.grads[...] = 0.0
+                model.forward(x)
+                model.backward(grad)
+                for m, head in enumerate(model.heads):
+                    conv = head[0]
+                    touched = [o for o in range(n_ratios) if conv.gw[o].any() or conv.gb[o]]
+                    assert touched == ([r] if m == k else []), (k, r, m)
+
     def test_conv_roles_cover_the_layers_in_order(self):
         # the perfbench tracer labels each conv stem/down/head from these lists
         model = SsadModel(16, SsadConfig(), 0)

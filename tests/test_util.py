@@ -32,7 +32,8 @@ WRITERS = {
         {"v": ProposalSet([_IV[0]], [_IV[1]], [0.5])}, p),
     "write_localization": lambda p: write_localization({"v": [("a", *_IV, 0.5)]}, p),
     "write_classification": lambda p: write_classification({"v": [("a", 1.0)]}, p),
-    "save_model": lambda p: save_model(Sequential([Dense(2, 3), ReLU()]), p),
+    "save_model": lambda p: save_model(
+        Sequential([Dense(2, 3, rng=np.random.default_rng(0)), ReLU()]), p),
     "write_json_atomic": lambda p: write_json_atomic(p, {"x": [1, 2.5]}),
     "_write_csv": lambda p: _write_csv(p, "epoch,loss", [(1, 0.25), (2, 0.125)]),
 }
@@ -321,11 +322,14 @@ def test_every_import_is_used():
 
 
 # --------------------------------------------------------------------------
-# guard: a seeded function gets its seed from its caller, never from a default
+# guard: a seeded function gets its seed from its caller, never from a default;
+# so does a layer its RNG and an optimizer its learning rate (the config's)
+
+_CALLER_SUPPLIED = ("seed", "rng", "lr")
 
 
-def _defaulted_seeds(source: str) -> list[str]:
-    """Each function or lambda whose parameter named seed has a default."""
+def _caller_supplied_defaults(source: str) -> list[str]:
+    """Each function or lambda with a defaulted parameter named in _CALLER_SUPPLIED."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -335,7 +339,7 @@ def _defaulted_seeds(source: str) -> list[str]:
         defaulted = positional[len(positional) - len(args.defaults):]
         defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                       if default is not None]
-        if any(arg.arg == "seed" for arg in defaulted):
+        if any(arg.arg in _CALLER_SUPPLIED for arg in defaulted):
             found.append(getattr(node, "name", "<lambda>"))
     return found
 
@@ -343,12 +347,14 @@ def _defaulted_seeds(source: str) -> list[str]:
 def test_guard_detects_seed_defaults():
     source = ("def a(seed=0):\n    pass\n\ndef b(x, seed):\n    pass\n\n"
               "def c(seed, x=1):\n    pass\n\ndef d(*, seed=None):\n    pass\n\n"
-              "def e(x=1, *, seed):\n    pass\n\nf = lambda seed=3: seed\n")
-    assert _defaulted_seeds(source) == ["a", "d", "<lambda>"]
+              "def e(x=1, *, seed):\n    pass\n\ndef g(x, rng=None):\n    pass\n\n"
+              "def h(params, lr=1e-3):\n    pass\n\ndef i(x, *, rng, dtype=1):\n    pass\n\n"
+              "def j(params, lr):\n    pass\n\nf = lambda seed=3: seed\n")
+    assert _caller_supplied_defaults(source) == ["a", "d", "g", "h", "<lambda>"]
 
 
 def test_no_seed_parameter_has_a_default():
     package = Path(tapkit.__file__).parent
-    found = {path.name: _defaulted_seeds(path.read_text(encoding="utf-8"))
+    found = {path.name: _caller_supplied_defaults(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: functions for name, functions in found.items() if functions} == {}
