@@ -36,8 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override one config key (dotted path, JSON value)")
         sp.add_argument("--out", default=None, metavar="DIR",
                         help="output directory (config key output_dir)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="global seed (TAPKIT_SEED env overrides)")
+        sp.add_argument("--seed", type=int, default=None, help="global seed")
     return parser
 
 

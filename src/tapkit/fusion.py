@@ -1,4 +1,4 @@
-"""Boundary refinement and non-maximum suppression.
+"""Boundary refinement, non-maximum suppression, and where the refine stage applies NMS.
 
 Refinement snaps anchor-shaped proposals onto grouped-actionness boundaries
 when the two agree strongly (tIoU strictly above the threshold); NMS then
@@ -99,3 +99,15 @@ def nms(pset: ProposalSet, cfg: NmsConfig) -> ProposalSet:
         kept.append(i)
         alive &= ~int.from_bytes(packed[i * width : (i + 1) * width], "little")
     return pset.take(kept)
+
+
+def fuse(p_ssad: ProposalSet, p_tag: ProposalSet, refine_cfg: RefineConfig,
+         nms_cfg: NmsConfig) -> tuple[ProposalSet, ProposalSet]:
+    """One video's refined proposals and its anchors, with NMS at nms_cfg.placement:
+    on the anchors before refinement, on both outputs after it, or off."""
+    if nms_cfg.placement == "before":
+        p_ssad = nms(p_ssad, nms_cfg)
+    refined = refine(p_ssad, p_tag, refine_cfg)
+    if nms_cfg.placement == "after":
+        return nms(refined, nms_cfg), nms(p_ssad, nms_cfg)
+    return refined, p_ssad

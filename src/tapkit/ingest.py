@@ -382,7 +382,7 @@ def read_classification(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             if not isinstance(entry, dict) or "label" not in entry or "score" not in entry:
                 raise DataError(f"{path}: {vid}[{i}] needs 'label' and 'score'")
             score = entry["score"]
-            if not _is_number(score) or not (0.0 <= score <= 1.0) or not math.isfinite(score):
+            if not _is_number(score) or not 0.0 <= score <= 1.0:
                 raise DataError(f"{path}: {vid}[{i}].score must be a number in [0, 1]")
             label = entry["label"]
             if not isinstance(label, str):

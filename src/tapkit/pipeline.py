@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -24,7 +23,7 @@ from . import __version__
 from .core import ProposalSet, Source, Subset, subset_videos
 from .engine import load_weights, save_model
 from .errors import ConfigError, DataError, StageDependencyError
-from .fusion import NmsConfig, RefineConfig, nms, refine
+from .fusion import NmsConfig, RefineConfig, fuse
 from .ingest import (
     SynthConfig,
     generate_synthetic,
@@ -183,7 +182,7 @@ def load_config(
     seed: int | None,
     output_dir: str | None,
 ) -> PipelineConfig:
-    """Defaults overlaid in turn by the config file, --out/--seed, each --set and TAPKIT_SEED."""
+    """Defaults overlaid in turn by the config file, --out/--seed and each --set."""
     layers = []
     if config_path is not None:
         try:
@@ -198,12 +197,6 @@ def load_config(
     flags = {"output_dir": output_dir, "seed": seed}
     layers.append({key: value for key, value in flags.items() if value is not None})
     layers += [_parse_set(assignment) for assignment in set_overrides]
-    env_seed = os.environ.get("TAPKIT_SEED")
-    if env_seed is not None:
-        try:
-            layers.append({"seed": int(env_seed)})
-        except ValueError:
-            raise ConfigError(f"TAPKIT_SEED must be an integer, got {env_seed!r}") from None
     merged = config_defaults()
     for layer in layers:
         _deep_merge(merged, layer)
@@ -375,18 +368,10 @@ def run_refine(cfg: PipelineConfig) -> list[Path]:
     ssad_sets = read_results(ssad_path)
     tag_sets = read_results(tag_path)
 
-    refined = {}
-    ssad_final = {}
+    refined, ssad_final = {}, {}
     for vid in sorted(ssad_sets):
-        p_ssad = ssad_sets[vid]
-        p_tag = tag_sets.get(vid, ProposalSet())
-        if cfg.nms.placement == "before":
-            p_ssad = nms(p_ssad, cfg.nms)
-        ssad_final[vid] = p_ssad
-        refined[vid] = refine(p_ssad, p_tag, cfg.refine)
-        if cfg.nms.placement == "after":
-            ssad_final[vid] = nms(p_ssad, cfg.nms)
-            refined[vid] = nms(refined[vid], cfg.nms)
+        refined[vid], ssad_final[vid] = fuse(ssad_sets[vid], tag_sets.get(vid, ProposalSet()),
+                                             cfg.refine, cfg.nms)
 
     refined_path = cfg.output_dir / "proposals_refined.json"
     final_path = cfg.output_dir / "proposals_ssad_final.json"

@@ -103,9 +103,7 @@ def build_anchor_pyramid(cfg: SsadConfig) -> AnchorPyramid:
 def assign_targets(pyramid: AnchorPyramid, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Per-anchor regression target: max tIoU against the gt spans, given as
     start and end arrays normalized to [0, 1]."""
-    if len(starts) == 0:
-        return np.zeros(len(pyramid), dtype=np.float64)
-    return tiou_matrix(pyramid.starts, pyramid.ends, starts, ends).max(axis=1)
+    return tiou_matrix(pyramid.starts, pyramid.ends, starts, ends).max(axis=1, initial=0.0)
 
 
 class SsadModel(Sequential):

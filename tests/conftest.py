@@ -1,4 +1,3 @@
-import os
 import time
 from dataclasses import dataclass
 
@@ -10,10 +9,6 @@ from tapkit.core import ProposalSet, Source, Subset, VideoRecord, tiou_matrix
 from tapkit.metrics import ar_an, mean_ap
 from tapkit.pipeline import PipelineConfig, run_command
 from tapkit.tag import _regions
-
-# Env overrides would leak into every config the tests build.
-os.environ.pop("TAPKIT_SEED", None)
-
 
 # One-call forms of the production kernels, for tests that check one value,
 # and shorthands for proposal sets and ground truth written as rows.

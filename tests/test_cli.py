@@ -269,14 +269,6 @@ class TestExitCodes:
             assert main([command, *_tiny_args(tmp_path)]) == 0, command
         assert main(["infer", *_tiny_args(tmp_path, ["tag.hidden_width=16"])]) == 2
 
-    def test_bad_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TAPKIT_SEED", "notanint")
-        assert main(["synth", *_tiny_args(tmp_path)]) == 2
-
-    def test_negative_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TAPKIT_SEED", "-2")
-        assert main(["synth", *_tiny_args(tmp_path)]) == 2
-
     def test_config_error_non_utf8_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_bytes(b'{"seed": "\xff"}')
@@ -464,12 +456,11 @@ class TestConfigPrecedence:
                      "--set", "seed=3", "--set", "synth.num_videos=6"]) == 0
         assert self._manifest_seed(out) == 3
 
-    def test_env_beats_everything(self, tmp_path, monkeypatch):
+    def test_environment_does_not_set_the_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TAPKIT_SEED", "4")
         out = tmp_path / "out"
-        assert main(["synth", "--out", str(out), "--seed", "2",
-                     "--set", "seed=3", "--set", "synth.num_videos=6"]) == 0
-        assert self._manifest_seed(out) == 4
+        assert main(["synth", "--out", str(out), "--seed", "2", "--set", "synth.num_videos=6"]) == 0
+        assert self._manifest_seed(out) == 2
 
     def test_seed_must_be_integer(self):
         with pytest.raises(ConfigError):

@@ -409,6 +409,13 @@ class TestClassificationFiles:
         with pytest.raises(DataError, match=r"v\[0\]\.score must be a number in \[0, 1\]"):
             read_classification(path)
 
+    # NaN and the infinities fail the same range test, with the same message
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_out_of_range(self, tmp_path, score):
+        path = _write(tmp_path, "cls.json", {"v": [{"label": "a", "score": score}]})
+        with pytest.raises(DataError, match=r"v\[0\]\.score must be a number in \[0, 1\]"):
+            read_classification(path)
+
     @pytest.mark.parametrize("score", [True, "0.5", [0.5]])
     def test_score_must_be_a_number(self, tmp_path, score):
         path = _write(tmp_path, "cls.json", {"v": [{"label": "a", "score": score}]})

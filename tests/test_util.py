@@ -358,3 +358,41 @@ def test_no_seed_parameter_has_a_default():
     found = {path.name: _caller_supplied_defaults(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: functions for name, functions in found.items() if functions} == {}
+
+
+# --------------------------------------------------------------------------
+# guard: a run's only inputs are its command line and its files, so no module
+# reads or writes the process environment
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "putenv", "unsetenv"}
+
+
+def _environment_uses(source: str) -> list[int]:
+    """Line numbers that reach os's environment names, as an attribute of the
+    os module under any alias or through `from os import`."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "os"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in _ENVIRONMENT for alias in node.names):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_detects_environment_reads():
+    source = ('import os\nimport os as system\nfrom os import getenv, path\n'
+              'from os import environb as env\nos.environ.get("A")\nsystem.putenv("A", "1")\n'
+              'os.unsetenv("A")\nos.path.join("a")\nconfig.environ\nenviron = {}\n')
+    assert _environment_uses(source) == [3, 4, 5, 6, 7]
+
+
+def test_no_module_reads_the_environment():
+    package = Path(tapkit.__file__).parent
+    found = {path.name: _environment_uses(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
