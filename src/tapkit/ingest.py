@@ -9,6 +9,8 @@ File formats:
   results      JSON  {"version", "results": {vid: [{"segment", "score"(,"label")}]},
                       "external_data": {}}
   classification JSON {vid: [{"label", "score"}, ...]} sorted by score desc
+
+Each JSON entry list passes one checker, _entry_columns, with one rule per key.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Iterable
 
 import numpy as np
 
@@ -126,10 +128,56 @@ def _is_number(x) -> bool:
     return isinstance(x, float) or abs(x) <= sys.float_info.max
 
 
-def _is_pair(seg) -> bool:
-    """A [start, end] segment: a list or tuple of two JSON numbers."""
-    return (isinstance(seg, (list, tuple)) and len(seg) == 2
-            and _is_number(seg[0]) and _is_number(seg[1]))
+def _numbers(column) -> bool:
+    """Every value is a JSON number a float can hold; one type test per value
+    when all are floats, as they are in the files tapkit writes."""
+    return set(map(type, column)) <= {float} or all(map(_is_number, column))
+
+
+def _pairs(column):
+    """[starts, ends] of [start, end] lists or tuples of two such numbers, else None."""
+    if set(map(type, column)) <= {list, tuple} and set(map(len, column)) <= {2}:
+        starts, ends = zip(*column) if column else ((), ())
+        if _numbers(starts) and _numbers(ends):
+            return [starts, ends]
+    return None
+
+
+def _kept(test):
+    """The check that keeps a column as it is when test(column) holds."""
+    return lambda column: [column] if test(column) else None
+
+
+# One rule per entry key: (key, what its value must be, check). A check judges each value
+# alone and returns the columns it keeps of the key's column, or None if a value fails.
+_SEGMENT = ("segment", "a [start, end] pair of numbers", _pairs)
+_SCORE = ("score", "a number", _kept(_numbers))
+_CONFIDENCE = ("score", "a number in [0, 1]",
+               _kept(lambda column: _numbers(column) and all(0.0 <= s <= 1.0 for s in column)))
+_LABEL = ("label", "a string", _kept(lambda column: set(map(type, column)) <= {str}))
+
+
+def _entry_columns(path, where: str, entries, rules) -> list:
+    """The columns the rules keep from a list of entry objects, in rule order.
+    Each column is checked at once; only if a check fails is each entry checked
+    in turn, to name the first bad entry and key (a missing key fails its rule)."""
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: {where} must be a list")
+    try:  # only a dict can be indexed by a string key
+        columns = [list(map(operator.itemgetter(key), entries)) for key, _, _ in rules]
+    except (KeyError, TypeError):
+        columns = None
+    kept = columns and [check(column) for column, (_, _, check) in zip(columns, rules)]
+    if not kept or None in kept:
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise DataError(f"{path}: {where}[{i}] is not an object")
+            for key, rule, check in rules:
+                if check([entry.get(key)]) is None:
+                    raise DataError(f"{path}: {where}[{i}].{key} must be {rule}, "
+                                    f"got {entry.get(key)!r}")
+        kept = [check([entry[key] for entry in entries]) for key, _, check in rules]
+    return [column for columns in kept for column in columns]
 
 
 def _read_json(path: str | Path, what: str):
@@ -161,23 +209,8 @@ def load_annotations(path: str | Path) -> dict[str, VideoRecord]:
             raise DataError(
                 f"{path}: database.{vid}.subset must be training/validation/testing, got {subset!r}"
             ) from None
-        annotations = entry.get("annotations", [])
-        if not isinstance(annotations, list):
-            raise DataError(f"{path}: database.{vid}.annotations must be a list")
-        labels, starts, ends = [], [], []
-        for i, ann in enumerate(annotations):
-            where = f"database.{vid}.annotations[{i}]"
-            if not isinstance(ann, dict) or "label" not in ann or "segment" not in ann:
-                raise DataError(f"{path}: {where} needs 'label' and 'segment'")
-            seg = ann["segment"]
-            if not _is_pair(seg):
-                raise DataError(f"{path}: {where}.segment must be a [start, end] pair")
-            label = ann["label"]
-            if not isinstance(label, str):
-                raise DataError(f"{path}: {where}.label must be a string, got {label!r}")
-            labels.append(label)
-            starts.append(seg[0])
-            ends.append(seg[1])
+        starts, ends, labels = _entry_columns(path, f"database.{vid}.annotations",
+                                              entry.get("annotations", []), (_SEGMENT, _LABEL))
         try:
             videos[vid] = VideoRecord(vid, duration, subset, labels, starts, ends)
         except DataError as exc:
@@ -300,33 +333,8 @@ def write_results(proposal_sets: dict[str, ProposalSet], path: str | Path) -> No
     ), path)
 
 
-_SEGMENT, _SCORE = operator.itemgetter("segment"), operator.itemgetter("score")
-
-
-def _numbers(column) -> bool:
-    """Every value is a JSON number a float can hold; one type test per value
-    when all are floats, as they are in the files tapkit writes."""
-    return set(map(type, column)) <= {float} or all(map(_is_number, column))
-
-
-def _raise_entry_error(path, vid: str, entries: list) -> NoReturn:
-    """Raise the error of the first malformed entry of a video."""
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise DataError(f"{path}: results.{vid}[{i}] is not an object")
-        if not _is_pair(entry.get("segment")):
-            raise DataError(
-                f"{path}: results.{vid}[{i}].segment must be a [start, end] pair")
-        if not _is_number(entry.get("score")):
-            raise DataError(f"{path}: results.{vid}[{i}].score must be a number")
-
-
 def read_results(path: str | Path) -> dict[str, ProposalSet]:
-    """Read a proposal results file (extra per-entry keys are tolerated).
-
-    A video's entries are checked a column at a time; only a video that fails
-    is scanned entry by entry, to name its first bad entry.
-    """
+    """Read a proposal results file (extra per-entry keys are tolerated)."""
     raw = _read_json(path, "results")
     if not isinstance(raw, dict) or not isinstance(raw.get("results"), dict):
         raise DataError(f"{path}: missing 'results' map")
@@ -334,18 +342,7 @@ def read_results(path: str | Path) -> dict[str, ProposalSet]:
     results = raw["results"]
     for vid in list(results):
         entries = results.pop(vid)  # pop, so the JSON of each finished video is freed
-        if not isinstance(entries, list):
-            raise DataError(f"{path}: results.{vid} must be a list")
-        try:  # only a dict can be indexed by a string key
-            segs = list(map(_SEGMENT, entries))
-            scores = list(map(_SCORE, entries))
-        except (KeyError, TypeError):
-            _raise_entry_error(path, vid, entries)
-        if not (set(map(type, segs)) <= {list, tuple} and set(map(len, segs)) <= {2}):
-            _raise_entry_error(path, vid, entries)
-        starts, ends = zip(*segs) if segs else ((), ())
-        if not (_numbers(starts) and _numbers(ends) and _numbers(scores)):
-            _raise_entry_error(path, vid, entries)
+        starts, ends, scores = _entry_columns(path, f"results.{vid}", entries, (_SEGMENT, _SCORE))
         try:
             out[vid] = ProposalSet(starts, ends, scores)
         except DataError as exc:
@@ -375,21 +372,8 @@ def read_classification(path: str | Path) -> dict[str, list[tuple[str, float]]]:
         raise DataError(f"{path}: expected a video_id -> entries map")
     out = {}
     for vid, entries in raw.items():
-        if not isinstance(entries, list):
-            raise DataError(f"{path}: {vid} must map to a list")
-        rows = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "label" not in entry or "score" not in entry:
-                raise DataError(f"{path}: {vid}[{i}] needs 'label' and 'score'")
-            score = entry["score"]
-            if not _is_number(score) or not 0.0 <= score <= 1.0:
-                raise DataError(f"{path}: {vid}[{i}].score must be a number in [0, 1]")
-            label = entry["label"]
-            if not isinstance(label, str):
-                raise DataError(f"{path}: {vid}[{i}].label must be a string, got {label!r}")
-            rows.append((label, float(score)))
-        rows.sort(key=lambda r: -r[1])
-        out[vid] = rows
+        scores, labels = _entry_columns(path, vid, entries, (_CONFIDENCE, _LABEL))
+        out[vid] = sorted(zip(labels, map(float, scores)), key=lambda r: -r[1])  # stable
     return out
 
 

@@ -265,8 +265,9 @@ def _load_videos(cfg: PipelineConfig, subset: Subset) -> tuple[list, dict, int]:
         path = _feature_path(cfg, rec.video_id)
         _require(path, "synth")
         seq = features[rec.video_id] = load_features(path)
-        first = features[records[0].video_id]
-        if seq.feature_dim != first.feature_dim:
+        if len(features) == 1:
+            first = seq
+        elif seq.feature_dim != first.feature_dim:
             raise DataError(f"video {rec.video_id} has feature dimension {seq.feature_dim}, "
                             f"video {records[0].video_id} has {first.feature_dim}")
     return records, features, first.feature_dim

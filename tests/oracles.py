@@ -12,9 +12,9 @@ hand it to json.dump.
 The loop_* functions are the package's earlier per-item loops, kept as the
 bitwise references of the array passes that replaced them: grouping and
 region scores, the random baseline, NMS, per-video anchor inference, the
-masked tIoU kernel and the entry-by-entry results reader. masked_sigmoid is
-the engine's earlier two-branch sigmoid, the bitwise reference of its
-gather-free forward.
+masked tIoU kernel and the entry-by-entry reader of each JSON input (results,
+annotations, classification). masked_sigmoid is the engine's earlier
+two-branch sigmoid, the bitwise reference of its gather-free forward.
 """
 
 from __future__ import annotations
@@ -489,29 +489,81 @@ def _is_number(x):
     return isinstance(x, float) or abs(x) <= sys.float_info.max
 
 
+def _is_pair(seg):
+    return (isinstance(seg, (list, tuple)) and len(seg) == 2
+            and _is_number(seg[0]) and _is_number(seg[1]))
+
+
+_SEGMENT = ("segment", "a [start, end] pair of numbers", _is_pair)
+_LABEL = ("label", "a string", lambda value: isinstance(value, str))
+
+# each JSON input's entry rules: (key, what its value must be, test of one value)
+ENTRY_RULES = {
+    "results.json": (_SEGMENT, ("score", "a number", _is_number)),
+    "annotations.json": (_SEGMENT, _LABEL),
+    "classification.json": (
+        ("score", "a number in [0, 1]", lambda value: _is_number(value) and 0.0 <= value <= 1.0),
+        _LABEL),
+}
+
+
+def loop_entries(where, entries, rules):
+    """The entries' values, one list per rule, each entry checked in turn; or
+    ValueError naming the first bad entry and key."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{where} must be a list")
+    columns = [[] for _ in rules]
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}[{i}] is not an object")
+        for column, (key, rule, test) in zip(columns, rules):
+            value = entry.get(key)
+            if not test(value):
+                raise ValueError(f"{where}[{i}].{key} must be {rule}, got {value!r}")
+            column.append(value)
+    return columns
+
+
 def loop_read_columns(path):
-    """Yield (vid, (starts, ends, scores)) float lists, each video checked one
-    entry at a time, or raise ValueError with the message read_results gives
-    after the path, when the scan reaches the bad video."""
+    """Yield (where, vid, values) per video of a results, annotation or
+    classification file (told apart by its name), each video checked one entry
+    at a time, or raise ValueError with the message its reader gives after the
+    path, when the scan reaches the bad video. values are the float starts,
+    ends and scores of a results video; the id, duration, subset, labels and
+    float starts and ends of an annotated one; a classified one's rows, ranked
+    by score."""
     with open(path, "r", encoding="utf-8") as f:
         raw = json.load(f)
-    if not isinstance(raw, dict) or not isinstance(raw.get("results"), dict):
-        raise ValueError("missing 'results' map")
-    for vid, entries in raw["results"].items():
-        if not isinstance(entries, list):
-            raise ValueError(f"results.{vid} must be a list")
-        starts, ends, scores = [], [], []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValueError(f"results.{vid}[{i}] is not an object")
-            seg = entry.get("segment")
-            if (not isinstance(seg, (list, tuple)) or len(seg) != 2
-                    or not _is_number(seg[0]) or not _is_number(seg[1])):
-                raise ValueError(f"results.{vid}[{i}].segment must be a [start, end] pair")
-            score = entry.get("score")
-            if not _is_number(score):
-                raise ValueError(f"results.{vid}[{i}].score must be a number")
-            starts.append(float(seg[0]))
-            ends.append(float(seg[1]))
-            scores.append(float(score))
-        yield vid, (starts, ends, scores)
+    name = path.name
+    rules = ENTRY_RULES[name]
+    if name == "results.json":
+        if not isinstance(raw, dict) or not isinstance(raw.get("results"), dict):
+            raise ValueError("missing 'results' map")
+        for vid, entries in raw["results"].items():
+            segs, scores = loop_entries(f"results.{vid}", entries, rules)
+            starts, ends = [float(s) for s, _ in segs], [float(e) for _, e in segs]
+            yield f"results.{vid}", vid, (starts, ends, [float(score) for score in scores])
+    elif name == "annotations.json":
+        if not isinstance(raw, dict) or not isinstance(raw.get("database"), dict):
+            raise ValueError("missing or malformed 'database' map")
+        for vid, video in raw["database"].items():
+            if not isinstance(video, dict):
+                raise ValueError(f"database.{vid} is not an object")
+            duration, subset = video.get("duration"), video.get("subset")
+            if not _is_number(duration):
+                raise ValueError(f"database.{vid}.duration must be a number")
+            if subset not in ("training", "validation", "testing"):
+                raise ValueError(f"database.{vid}.subset must be training/validation/testing, "
+                                 f"got {subset!r}")
+            segs, labels = loop_entries(f"database.{vid}.annotations",
+                                        video.get("annotations", []), rules)
+            starts, ends = [float(s) for s, _ in segs], [float(e) for _, e in segs]
+            yield f"database.{vid}", vid, (vid, duration, subset, labels, starts, ends)
+    else:
+        if not isinstance(raw, dict):
+            raise ValueError("expected a video_id -> entries map")
+        for vid, entries in raw.items():
+            scores, labels = loop_entries(vid, entries, rules)
+            rows = [(label, float(score)) for score, label in zip(scores, labels)]
+            rows.sort(key=lambda row: -row[1])
+            yield vid, vid, (rows,)

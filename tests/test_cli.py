@@ -345,7 +345,8 @@ class TestExitCodes:
             next(rows for rows in raw.values() if rows)[0]["label"] = 5
         path.write_text(json.dumps(raw))
         assert main(["eval-loc", *_tiny_args(tmp_path)]) == 3
-        assert "label must be a string, got 5" in caplog.text
+        assert f"{target}.json: " in caplog.text
+        assert "[0].label must be a string, got 5" in caplog.text
 
     def test_config_error_ssad_feature_dim_key(self, tmp_path):
         # the features fix the dimension, so no config key sets it

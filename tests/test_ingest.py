@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from oracles import json_dump_localization, json_dump_results, loop_read_columns
 
-from tapkit.core import Subset, subset_videos
+from tapkit.core import Subset, VideoRecord, subset_videos
 from tapkit.errors import ConfigError, DataError
 from tapkit.ingest import (
     FeatureSequence,
@@ -424,7 +424,8 @@ class TestClassificationFiles:
 
     def test_missing_keys(self, tmp_path):
         path = _write(tmp_path, "cls.json", {"v": [{"label": "a"}]})
-        with pytest.raises(DataError, match=r"v\[0\] needs 'label' and 'score'"):
+        with pytest.raises(DataError,
+                           match=r"v\[0\]\.score must be a number in \[0, 1\], got None$"):
             read_classification(path)
 
     @pytest.mark.parametrize("label", [None, 5, {"x": 1}, ["a"], True])
@@ -493,8 +494,10 @@ def test_integers_beyond_float_range_rejected(tmp_path, name):
     path = tmp_path / name
     path.write_bytes(_valid_payloads(10**400)[name])
     message = {"annotations.json": r"database\.v\.duration must be a number",
-               "results.json": r"results\.v\[0\]\.segment must be a \[start, end\] pair",
-               "classification.json": r"v\[0\]\.score must be a number in \[0, 1\]"}[name]
+               "results.json": (r"results\.v\[0\]\.segment must be a \[start, end\] pair of "
+                                r"numbers, got \[0, 10{400}\]$"),
+               "classification.json": r"v\[0\]\.score must be a number in \[0, 1\], got 10{400}$",
+               }[name]
     with pytest.raises(DataError, match=message):
         _READERS[name](path)
 
@@ -514,13 +517,14 @@ class TestReaderFuzz:
 
 
 # --------------------------------------------------------------------------
-# the column-wise reader against the entry-by-entry one: same sets, same messages
+# the column-wise readers against the entry-by-entry ones: same output, same messages
 
 _number_like = st.sampled_from([0, 1, 7, -3, 10**300, 10**400, True, False, None, "1.5", 0.25,
                                 -0.0, 1e308, -1.7e308, 1.7e308, float("nan"), float("inf")])
 _reader_value = _number_like | st.floats(-2.0, 120.0) | st.integers(-5, 200)
 _segment = (st.tuples(_reader_value, _reader_value).map(list)
             | st.lists(_reader_value, max_size=3) | _reader_value | st.just({"a": 1}))
+_label = st.sampled_from(["x", "", "5"]) | _reader_value | st.lists(st.just("x"), max_size=1)
 
 
 @st.composite
@@ -528,12 +532,9 @@ def _reader_entry(draw):
     if draw(st.integers(0, 9)) == 0:
         return draw(_reader_value | st.lists(_reader_value, max_size=2))  # not an object
     entry = {}
-    if draw(st.integers(0, 9)):
-        entry["segment"] = draw(_segment)
-    if draw(st.integers(0, 9)):
-        entry["score"] = draw(_reader_value)
-    if draw(st.booleans()):
-        entry["label"] = "x"
+    for key, value in (("segment", _segment), ("score", _reader_value), ("label", _label)):
+        if draw(st.integers(0, 9)):
+            entry[key] = draw(value)
     return entry
 
 
@@ -542,64 +543,103 @@ def _mostly_good_entry(draw):
     start = draw(st.integers(0, 50) | st.floats(0.0, 50.0))
     end = start + draw(st.integers(1, 50) | st.floats(0.5, 50.0))
     score = draw(st.sampled_from([0, 1]) | st.floats(0.0, 1.0))
-    return {"segment": [start, end], "score": score}
+    label = draw(st.sampled_from(["a", "b", "a", "b", "", 5, True]))  # now and then not a string
+    return {"segment": [start, end], "score": score, "label": label}
+
+
+# a video's entry list; one in ten is not a list
+_entry_lists = st.integers(0, 9).flatmap(
+    lambda k: st.lists(_mostly_good_entry() | _reader_entry(), max_size=5) if k else _reader_value)
+
+
+def _entry_file(name, videos, duration=100.0, subset="training"):
+    """A results, annotation or classification file of each video's entry list."""
+    if name == "results.json":
+        return {"results": videos}
+    if name == "classification.json":
+        return videos
+    return {"database": {vid: {"duration": duration, "subset": subset, "annotations": entries}
+                         for vid, entries in videos.items()}}
 
 
 def _reference_read(path):
-    """read_results by the entry-by-entry oracle: the sets, or the message."""
+    """A reader's output by the entry-by-entry oracle, or its message."""
+    build = {"results.json": ProposalSet, "annotations.json": VideoRecord,
+             "classification.json": list}[path.name]
     out = {}
     try:
-        for vid, columns in loop_read_columns(path):
+        for where, vid, values in loop_read_columns(path):
             try:
-                out[vid] = ProposalSet(*columns)
+                out[vid] = build(*values)
             except DataError as exc:
-                return f"{path}: results.{vid}: {exc}"
+                return f"{path}: {where}: {exc}"
     except ValueError as exc:
         return f"{path}: {exc}"
     return out
 
 
+def _bits(value):
+    """A reader's output for one video as bit-exact plain data."""
+    if isinstance(value, ProposalSet):
+        return [value.starts.tobytes(), value.ends.tobytes(), value.scores.tobytes()]
+    if isinstance(value, VideoRecord):
+        return [repr(value.duration), value.subset, value.labels, value.starts.tobytes(),
+                value.ends.tobytes()]
+    return repr(value)  # classification rows; repr tells -0.0 and ints apart
+
+
 class TestReaderColumns:
-    @settings(max_examples=300, deadline=None,
+    @settings(max_examples=600, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.dictionaries(st.text(max_size=3),
-                           st.lists(_mostly_good_entry() | _reader_entry(), max_size=5)
-                           | _reader_value, max_size=3))
-    def test_same_sets_and_messages_as_entry_scan(self, tmp_path, results):
-        path = tmp_path / "results.json"
-        path.write_text(json.dumps({"results": results}))
+    @given(name=st.sampled_from(["annotations.json", "classification.json", "results.json"]),
+           videos=st.dictionaries(st.text(max_size=3), _entry_lists, max_size=3),
+           duration=st.sampled_from([100, 120.0, 100.0, 120, 60.5, True, None, math.inf, 10**400]),
+           subset=st.sampled_from(["training", "validation", "testing", "holdout"]))
+    def test_same_sets_and_messages_as_entry_scan(self, tmp_path, name, videos, duration, subset):
+        path = tmp_path / name
+        path.write_text(json.dumps(_entry_file(name, videos, duration, subset)))
         want = _reference_read(path)
         try:
-            got = read_results(path)
+            got = _READERS[name](path)
         except DataError as exc:
             assert str(exc) == want
             return
         assert not isinstance(want, str), want
-        assert list(got) == list(want)
-        for vid in got:
-            for column in ("starts", "ends", "scores"):
-                assert getattr(got[vid], column).tobytes() == getattr(want[vid], column).tobytes()
+        assert [(vid, _bits(value)) for vid, value in got.items()] == [
+            (vid, _bits(value)) for vid, value in want.items()]
 
-    @pytest.mark.parametrize("entries, message", [
-        ([{"segment": [0, 5], "score": 1}, {"segment": [1, 2.5], "score": 0.5}], None),
-        ([{"segment": [0, 5], "score": True}], r"results\.v\[0\]\.score must be a number"),
-        ([{"segment": [0.0, 1.0], "score": 0.5}, {"segment": [False, 2.0], "score": 0.5}],
-         r"results\.v\[1\]\.segment must be a \[start, end\] pair"),
-        ([{"segment": [0.0, 10**400], "score": 0.5}], r"results\.v\[0\]\.segment"),
-        ([{"segment": [0.0, 10**300], "score": 0}], None),
-        ([{"score": 0.5}, 3], r"results\.v\[0\]\.segment"),
-        ([{"segment": [0.0, 1.0], "score": 0.5}, 3], r"results\.v\[1\] is not an object"),
+    @pytest.mark.parametrize("name, entries, message", [
+        ("results.json", [{"segment": [0, 5], "score": 1}, {"segment": [1, 2.5], "score": 0.5}],
+         None),
+        ("results.json", [{"segment": [0, 5], "score": True}],
+         r"results\.v\[0\]\.score must be a number, got True$"),
+        ("results.json", [{"segment": [0.0, 1.0], "score": 0.5},
+                          {"segment": [False, 2.0], "score": 0.5}],
+         r"results\.v\[1\]\.segment must be a \[start, end\] pair of numbers, "
+         r"got \[False, 2\.0\]$"),
+        ("results.json", [{"segment": [0.0, 10**400], "score": 0.5}],
+         r"results\.v\[0\]\.segment must be a \[start, end\] pair of numbers, "
+         r"got \[0\.0, 10{400}\]$"),
+        ("results.json", [{"segment": [0.0, 10**300], "score": 0}], None),
+        ("results.json", [{"score": 0.5}, 3],
+         r"results\.v\[0\]\.segment must be a \[start, end\] pair of numbers, got None$"),
+        ("results.json", [{"segment": [0.0, 1.0], "score": 0.5}, 3],
+         r"results\.v\[1\] is not an object$"),
+        ("annotations.json", [{"label": "a", "segment": [0, 5]}, {"label": 5, "segment": [1, 2]}],
+         r"database\.v\.annotations\[1\]\.label must be a string, got 5$"),
+        ("classification.json", [{"label": "a", "score": 0.5}, {"label": "b", "score": 2}],
+         r"v\[1\]\.score must be a number in \[0, 1\], got 2$"),
+        ("classification.json", [{"label": "a", "score": 0.5}, {"label": 5, "score": 1}],
+         r"v\[1\]\.label must be a string, got 5$"),
     ], ids=["ints", "bool score", "bool start", "int beyond float", "huge int", "missing key",
-            "not an object"])
-    def test_int_bool_and_mixed_values(self, tmp_path, entries, message):
-        path = tmp_path / "results.json"
-        path.write_text(json.dumps({"results": {"v": entries}}))
+            "not an object", "int label", "score beyond 1", "int class label"])
+    def test_int_bool_and_mixed_values(self, tmp_path, name, entries, message):
+        path = tmp_path / name
+        path.write_text(json.dumps(_entry_file(name, {"v": entries})))
         want = _reference_read(path)
         if message is None:
-            got = read_results(path)["v"]
-            assert got.starts.tobytes() == want["v"].starts.tobytes()
-            assert got.scores.tobytes() == want["v"].scores.tobytes()
+            assert _bits(_READERS[name](path)["v"]) == _bits(want["v"])
         else:
             with pytest.raises(DataError, match=message) as info:
-                read_results(path)
+                _READERS[name](path)
             assert str(info.value) == want

@@ -153,6 +153,48 @@ def test_only_util_opens_files_for_writing():
 
 
 # --------------------------------------------------------------------------
+# guard: every JSON input enters through one of the readers that check it
+
+_JSON_DOORS = {("ingest.py", "_read_json"), ("pipeline.py", "load_config"),
+               ("pipeline.py", "_parse_set")}
+
+
+def _json_parses(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each call of json.load or json.loads,
+    also when imported by name (`from json import loads`)."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and (
+                    isinstance(func, ast.Name) and func.id in {"load", "loads"}
+                    or isinstance(func, ast.Attribute) and func.attr in {"load", "loads"}
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                found.append((function, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else function)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_guard_detects_json_parses():
+    source = ("import json\nfrom json import loads\n"
+              "def door(f):\n    return json.load(f)\n"
+              "def other(s):\n    def inner():\n        return loads(s)\n    return json.loads(s)\n"
+              "json.load(f)\nnp.load(f)\nrecord.loads\n")
+    assert _json_parses(source) == [("door", 4), ("inner", 7), ("other", 8), (None, 9)]
+
+
+def test_only_checked_readers_parse_json():
+    package = Path(tapkit.__file__).parent
+    found = {(path.name, function) for path in sorted(package.glob("*.py"))
+             for function, _ in _json_parses(path.read_text(encoding="utf-8"))}
+    assert found == _JSON_DOORS, "parse JSON input in ingest._read_json or the config loader"
+
+
+# --------------------------------------------------------------------------
 # guard: every deliberate raise is a TapkitError, so the CLI maps it to its
 # documented exit code
 
